@@ -40,10 +40,8 @@ from .perms import (
     PermGroup,
     Permutation,
     close_group,
-    compose,
     induced_block_action,
     induced_clique_action,
-    inverse,
     is_design_automorphism,
     is_graph_automorphism,
     orbit_partition,

@@ -11,10 +11,14 @@ graphs of interest they shrink the search tree to a handful of nodes.
 The search walks a deterministic tree: refine to an equitable partition,
 individualize the lowest-index vertex in the first largest cell, recurse.
 The first root-to-leaf path fixes a base labelling; every other leaf whose
-refinement trace matches the base path yields a candidate automorphism,
-which is verified explicitly before being kept.  Siblings are skipped when
-a known automorphism fixing the branching prefix maps an explored sibling
-onto them, so the tree collapses once generators are found.
+refinement trace matches the first path yields a candidate automorphism,
+which is verified explicitly before being kept.  The first-path nodes are
+processed deepest first.  At each, a child in the orbit of an explored
+child under the automorphisms found so far is skipped, and the search below
+any other child stops at its first verified automorphism and jumps back to
+the first-path node (McKay & Piperno 2014, *Practical graph isomorphism
+II*).  Each kept automorphism therefore enlarges the group, and the group
+is closed by Schreier-Sims with the first path as its base.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from itertools import combinations
 
 from .cliques import enumerate_maximum_cliques
 from .graph import BlockGraph
-from .perms import PermGroup, Permutation, close_group, is_graph_automorphism
+from .perms import PermGroup, Permutation, close_group, is_graph_automorphism, orbit
 
 DEFAULT_NODE_LIMIT = 200_000
 
@@ -133,18 +137,22 @@ def _first_largest_cell(cells: list[int]) -> int | None:
     return best
 
 
+def _lowest(cell: int) -> int:
+    return (cell & -cell).bit_length() - 1
+
+
 def graph_automorphism_group(
     graph: BlockGraph,
     seed_invariants=None,
     cliques=None,
     node_limit: int = DEFAULT_NODE_LIMIT,
-    closure_cap: int = 10**6,
 ) -> PermGroup:
     """Complete automorphism group of a desk-scale graph.
 
-    Returns the group closed from the discovered generators, with its exact
-    order.  Raises SearchBudgetExceeded (carrying the generators found so
-    far) if the tree grows past ``node_limit`` nodes.
+    Returns the group generated by the automorphisms the search kept, with
+    the first path as base and its exact order.  Raises SearchBudgetExceeded
+    (carrying the generators found so far) if the tree grows past
+    ``node_limit`` nodes.
     """
     v = graph.v
     if v == 0:
@@ -161,68 +169,73 @@ def graph_automorphism_group(
     for vertex in range(v):
         key = seed_invariants[vertex]
         seed_cells[key] = seed_cells.get(key, 0) | (1 << vertex)
-    cells0, _ = refiner.refine([seed_cells[k] for k in sorted(seed_cells)])
+
+    generators: list[Permutation] = []
+    nodes = 0
+
+    def visit() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise SearchBudgetExceeded(node_limit, tuple(generators))
 
     def individualize(cells: list[int], ci: int, vertex: int):
         split = cells[:ci] + [1 << vertex, cells[ci] & ~(1 << vertex)] + cells[ci + 1:]
         return refiner.refine(split)
 
-    # base path: always the lowest-index vertex of the first largest cell
+    # first path: always the lowest-index vertex of the first largest cell
+    visit()
+    cells, _ = refiner.refine([seed_cells[k] for k in sorted(seed_cells)])
+    path: list[tuple[list[int], int]] = []
     base_traces: list[tuple] = []
-    cells = list(cells0)
-    while True:
-        ci = _first_largest_cell(cells)
-        if ci is None:
-            break
-        vertex = (cells[ci] & -cells[ci]).bit_length() - 1
-        cells, trace = individualize(cells, ci, vertex)
+    while (ci := _first_largest_cell(cells)) is not None:
+        path.append((cells, ci))
+        visit()
+        cells, trace = individualize(cells, ci, _lowest(cells[ci]))
         base_traces.append(trace)
-    base_leaf = [(c & -c).bit_length() - 1 for c in cells]
+    base_leaf = [_lowest(c) for c in cells]
+    base = tuple(_lowest(cells[ci]) for cells, ci in path)
 
-    generators: list[Permutation] = []
-    nodes = 0
-
-    def orbit_under_fixers(start: int, prefix: tuple[int, ...]) -> set[int]:
-        fixers = [g for g in generators if all(g(x) == x for x in prefix)]
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for g in fixers:
-                y = g(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        return orbit
-
-    def search(cells: list[int], depth: int, prefix: tuple[int, ...]) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_limit:
-            raise SearchBudgetExceeded(node_limit, tuple(generators))
+    def automorphism_below(cells: list[int], depth: int) -> Permutation | None:
+        """The first verified automorphism at a leaf below an off-path node."""
+        visit()
         ci = _first_largest_cell(cells)
         if ci is None:
-            leaf = [(c & -c).bit_length() - 1 for c in cells]
             images = [0] * v
-            for a, b in zip(base_leaf, leaf):
-                images[a] = b
+            for a, c in zip(base_leaf, cells):
+                images[a] = _lowest(c)
             candidate = Permutation(tuple(images))
-            if not candidate.is_identity() and is_graph_automorphism(graph, candidate):
-                generators.append(candidate)
-            return
-        explored: list[int] = []
+            return candidate if is_graph_automorphism(graph, candidate) else None
         cell = cells[ci]
         while cell:
-            vertex = (cell & -cell).bit_length() - 1
+            vertex = _lowest(cell)
             cell &= cell - 1
-            if any(vertex in orbit_under_fixers(u, prefix) for u in explored):
-                continue
-            explored.append(vertex)
             child, trace = individualize(cells, ci, vertex)
-            if trace != base_traces[depth]:
-                continue
-            search(child, depth + 1, prefix + (vertex,))
+            if trace == base_traces[depth]:
+                found = automorphism_below(child, depth + 1)
+                if found is not None:
+                    return found
+        return None
 
-    search(list(cells0), 0, ())
+    # Deepest first-path node first.  Every automorphism found so far then
+    # fixes the node's prefix pointwise, so a child in the orbit of an
+    # explored child roots an equivalent subtree and is skipped; one
+    # automorphism below a child settles that child (McKay & Piperno 2014).
+    for depth in reversed(range(len(path))):
+        cells, ci = path[depth]
+        explored = {base[depth]}
+        rest = cells[ci] & ~(1 << base[depth])
+        while rest:
+            vertex = _lowest(rest)
+            rest &= rest - 1
+            if vertex in explored:
+                continue
+            child, trace = individualize(cells, ci, vertex)
+            if trace == base_traces[depth]:
+                found = automorphism_below(child, depth + 1)
+                if found is not None:
+                    generators.append(found)
+            explored = orbit(explored | {vertex}, generators)
+
     gens = tuple(generators) if generators else (Permutation.identity(v),)
-    return close_group(gens, cap=closure_cap)
+    return close_group(gens, base=base)

@@ -232,10 +232,9 @@ def cmd_aut(args) -> int:
     try:
         section, group = automorphism_section(design, census, node_limit=args.node_limit)
     except SearchBudgetExceeded as exc:
-        print(f"search budget exceeded ({exc.limit} nodes); results are PARTIAL", file=sys.stderr)
         for g in exc.generators:
             print(format_cycles(g, [str(i) for i in range(census.graph.v)]))
-        return 1
+        raise
     labels = [str(i) for i in range(census.graph.v)]
     print(f"block-graph automorphism group order: {section.order}")
     print(f"generators ({section.generator_count}, acting on block indices):")
@@ -326,6 +325,12 @@ def cmd_export(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cliques", help="enumerate and classify maximum cliques")
     _add_design_source(p)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--expect", metavar="K=V,...", help="e.g. total=80,canonical=66")
     p.set_defaults(func=cmd_cliques)
 
@@ -359,13 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one permutation per line in token cycle notation "
                         "(defaults to the embedded generators for main66)")
     p.add_argument("--domain", choices=("points", "blocks", "cliques"), default="points")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("aut", help="full block-graph automorphism group")
     _add_design_source(p)
-    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--node-limit", type=_positive_int, default=DEFAULT_NODE_LIMIT)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_aut)
 
     p = sub.add_parser("report", help="full analysis report")
@@ -375,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare against the embedded expected values")
     p.add_argument("--aut", action="store_true",
                    help="include the graph automorphism search in the report")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
+    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--node-limit", type=_positive_int, default=DEFAULT_NODE_LIMIT)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("export", help="serialize a design (blocklist or json)")
@@ -422,6 +427,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except SearchBudgetExceeded as exc:
+        print(f"search budget exceeded ({exc.limit} nodes); results are PARTIAL", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

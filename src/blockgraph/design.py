@@ -271,11 +271,6 @@ def develop_base_blocks(base_blocks, modulus: int = 13, name: str = "") -> Desig
     return make_design(labels, token_blocks, name=name)
 
 
-def structured_labels() -> tuple[str, ...]:
-    """Tokens of the full 66-point universe in dense-index order."""
-    return tuple(p.token() for p in point_universe())
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -309,10 +304,7 @@ def validate_2design(design: Design) -> ValidationReport:
     violations: list[Violation] = []
     n, m = design.n, design.m
     if m < 2 or n <= m:
-        params = None
         violations.append(Violation("parameters", (n, m), 0, "n > m >= 2"))
-        if n == 0 and not design.blocks:
-            return ValidationReport(True, None, ())
         return ValidationReport(False, None, tuple(violations))
     params = admissibility(n, m)
 

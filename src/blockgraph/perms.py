@@ -1,24 +1,35 @@
-"""Permutations in cycle notation, group closure, orbits, induced actions.
+"""Permutations in cycle notation, stabilizer chains, orbits, induced actions.
 
 Permutations always act on points; actions on blocks and on cliques are
-induced from the point action, never stored independently.  Groups are
-materialized by breadth-first closure, which is cheap at the scale of this
-toolkit (orders 39 and 5040 in practice) and guarded by a cap.
+induced from the point action, never stored independently.  A group is
+held as a stabilizer chain built by deterministic Schreier-Sims (Sims 1970;
+Seress, *Permutation Group Algorithms*, 2003, ch. 4): a base, the orbit of
+each base point under the pointwise stabilizer of the points before it,
+and a transversal of that orbit.  The order is the product of the orbit
+lengths and membership is a sift through the chain, so memory grows with
+the degree and the base length, not with the order, and no size cap is
+needed (the symmetric group S13 of order 13! takes 13 levels).
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .design import Design
 from .graph import BlockGraph
 
-DEFAULT_CLOSURE_CAP = 10**6
+
+def _then(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([b[x] for x in a])
 
 
-class ClosureCapExceeded(RuntimeError):
-    """Group closure grew past the configured element cap."""
+def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(a)
+    for i, im in enumerate(a):
+        inv[im] = i
+    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -49,13 +60,10 @@ class Permutation:
         """Apply self first, then other."""
         if other.degree != self.degree:
             raise ValueError("permutation domains differ")
-        return Permutation(tuple(other.images[x] for x in self.images))
+        return Permutation(_then(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, im in enumerate(self.images):
-            inv[im] = i
-        return Permutation(tuple(inv))
+        return Permutation(_invert(self.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its minimum."""
@@ -74,15 +82,6 @@ class Permutation:
                 j = self.images[j]
             out.append(tuple(cyc))
         return out
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """p followed by q."""
-    return p.then(q)
-
-
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
 
 
 def parse_cycles(text: str, labels) -> Permutation:
@@ -121,43 +120,120 @@ def format_cycles(p: Permutation, labels) -> str:
     return "".join("(" + " ".join(labels[x] for x in cyc) + ")" for cyc in cycs)
 
 
+class _Level:
+    """A base point, the strong generators fixing every earlier base point,
+    and the transversal of the point's orbit under them, with inverses.
+
+    The orbit only grows and no transversal entry ever changes, so an
+    element that once sifted to the identity keeps doing so.
+    """
+
+    def __init__(self, point: int, identity: tuple[int, ...]):
+        self.point = point
+        self.gens: list[tuple[int, ...]] = []
+        self.transversal = {point: identity}
+        self.inverses = {point: identity}
+        self.checked: set[tuple[int, int]] = set()  # (orbit point, generator index)
+
+    def add(self, g: tuple[int, ...]) -> None:
+        self.gens.append(g)
+        frontier = list(self.transversal)
+        while frontier:
+            beta = frontier.pop()
+            for s in self.gens:
+                if s[beta] not in self.transversal:
+                    u = self.transversal[s[beta]] = _then(self.transversal[beta], s)
+                    self.inverses[s[beta]] = _invert(u)
+                    frontier.append(s[beta])
+
+
+def _sift(chain, g: tuple[int, ...], start: int):
+    """Strip g through the levels from ``start``: (residue, level reached)."""
+    for j in range(start, len(chain)):
+        inv = chain[j].inverses.get(g[chain[j].point])
+        if inv is None:
+            return g, j
+        g = _then(g, inv)
+    return g, len(chain)
+
+
+def _schreier_sims(gens, base, n: int) -> list[_Level]:
+    """Deterministic Schreier-Sims: the chain is complete once every Schreier
+    generator of every level sifts to the identity through the levels below.
+    """
+    identity = tuple(range(n))
+    chain = [_Level(b, identity) for b in base]
+
+    def install(h, first: int, last: int) -> None:
+        if last == len(chain):
+            chain.append(_Level(next(x for x in range(n) if h[x] != x), identity))
+        for level in chain[first:last + 1]:
+            level.add(h)
+
+    def residue(i: int):
+        """Residue and stopping level of the first unchecked Schreier generator
+        of level i that does not sift to the identity, or None."""
+        level = chain[i]
+        for beta, u in list(level.transversal.items()):
+            for k, s in enumerate(level.gens):
+                if (beta, k) not in level.checked:
+                    level.checked.add((beta, k))
+                    us = _then(u, s)
+                    if us == level.transversal[s[beta]]:
+                        continue  # a Schreier generator known to be trivial
+                    h, j = _sift(chain, _then(us, level.inverses[s[beta]]), i + 1)
+                    if h != identity:
+                        return h, j
+        return None
+
+    for g in gens:
+        h, j = _sift(chain, g, 0)
+        if h != identity:
+            install(h, 0, j)
+    i = len(chain) - 1
+    while i >= 0:
+        found = residue(i)
+        if found is None:
+            i -= 1
+        else:
+            install(found[0], i + 1, found[1])
+            i = found[1]
+    return chain
+
+
 @dataclass(frozen=True)
 class PermGroup:
+    """A permutation group held as a stabilizer chain, never as its elements.
+
+    ``order`` is the product of the basic orbit lengths; ``perm in group``
+    sifts perm through the chain.
+    """
+
     generators: tuple[Permutation, ...]
-    elements: frozenset[Permutation]
+    base: tuple[int, ...]
     order: int
     abelian: bool
+    chain: tuple[_Level, ...] = field(repr=False, compare=False)
+
+    def __contains__(self, perm: Permutation) -> bool:
+        n = self.generators[0].degree
+        return perm.degree == n and _sift(self.chain, perm.images, 0)[0] == tuple(range(n))
 
 
-def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
-    """Breadth-first closure of the generators under composition."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+def close_group(generators, base=()) -> PermGroup:
+    """The generated group, on a base that starts with ``base``."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].degree
     if any(g.degree != n for g in gens):
         raise ValueError("generators act on different domains")
-    elements = {Permutation.identity(n)} | set(gens)
-    frontier = list(elements)
-    while frontier:
-        if len(elements) > cap:
-            raise ClosureCapExceeded(f"closure exceeded cap of {cap} elements")
-        new = []
-        for g in gens:
-            for h in frontier:
-                prod = h.then(g)
-                if prod not in elements:
-                    elements.add(prod)
-                    new.append(prod)
-        frontier = new
-    if len(elements) > cap:
-        raise ClosureCapExceeded(f"closure exceeded cap of {cap} elements")
+    chain = tuple(_schreier_sims([g.images for g in gens], base, n))
     abelian = all(
         g.then(h) == h.then(g) for i, g in enumerate(gens) for h in gens[i + 1:]
     )
-    return PermGroup(gens, frozenset(elements), len(elements), abelian)
+    order = math.prod(len(level.transversal) for level in chain)
+    return PermGroup(gens, tuple(level.point for level in chain), order, abelian, chain)
 
 
 @dataclass(frozen=True)
@@ -170,6 +246,20 @@ class OrbitPartition:
         return tuple(len(o) for o in self.orbits)
 
 
+def orbit(points, perms) -> set[int]:
+    """The union of the orbits of ``points`` under the group the perms generate."""
+    out = set(points)
+    frontier = list(out)
+    while frontier:
+        x = frontier.pop()
+        for g in perms:
+            y = g(x)
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return out
+
+
 def orbit_partition(perms) -> OrbitPartition:
     """Orbits of the generated group on the perms' common domain.
 
@@ -180,23 +270,13 @@ def orbit_partition(perms) -> OrbitPartition:
     if not perms:
         raise ValueError("need at least one permutation")
     n = perms[0].degree
-    seen = [False] * n
+    seen: set[int] = set()
     orbits = []
     for start in range(n):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        seen[start] = True
-        while frontier:
-            x = frontier.pop()
-            for g in perms:
-                y = g(x)
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.add(y)
-                    frontier.append(y)
-        orbits.append(tuple(sorted(orbit)))
+        if start not in seen:
+            found = orbit({start}, perms)
+            seen |= found
+            orbits.append(tuple(sorted(found)))
     return OrbitPartition(n, tuple(orbits))
 
 

@@ -9,6 +9,7 @@ and drive the ``--check-paper`` mode.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from . import catalog
@@ -329,61 +330,77 @@ def render_text(report: AnalysisReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# paper expectations for --check-paper
+# paper expectations for --check-paper: claim label -> value stated in the paper
+
+_PAPER66 = {
+    "valid": True,
+    "n": 66,
+    "m": 6,
+    "blocks": 143,
+    "replication": 13,
+    "srg": (143, 72, 36, 36),
+    "smallest eigenvalue": -6,
+    "delsarte bound": 13,
+    "clique number": 13,
+    "maximum cliques": 80,
+    "canonical cliques": 66,
+    "non-canonical cliques": 14,
+    "non-canonical cliques without design structure": 14,
+}
 
 PAPER_EXPECTATIONS = {
     "main66": {
-        "valid": True,
-        "n": 66,
-        "m": 6,
-        "blocks": 143,
-        "replication": 13,
-        "srg": (143, 72, 36, 36),
-        "s_eig": -6,
-        "delsarte": 13,
-        "clique_number": 13,
-        "total": 80,
-        "canonical": 66,
-        "noncanonical": 14,
-        "noncanonical_support_sizes": {39: 13, 26: 1},
-        "noncanonical_core_sizes": {13: 13, 26: 1},
-        "core_design": (13, 4),
-        "point_orbits": (39, 13, 13, 1),
-        "block_orbits": (39, 39, 39, 13, 13),
-        "canonical_clique_orbits": (39, 13, 13, 1),
-        "noncanonical_clique_orbits": (13, 1),
+        **_PAPER66,
+        "non-canonical support sizes": {39: 13, 26: 1},
+        "non-canonical core sizes": {13: 13, 26: 1},
+        "core restrictions": {(13, 4)},
+        "point orbit lengths": (39, 13, 13, 1),
+        "block orbit lengths": (39, 39, 39, 13, 13),
+        "canonical clique orbit lengths": (39, 13, 13, 1),
+        "non-canonical clique orbit lengths": (13, 1),
     },
-    "appendixA66": {
-        "valid": True,
-        "n": 66,
-        "m": 6,
-        "blocks": 143,
-        "replication": 13,
-        "srg": (143, 72, 36, 36),
-        "s_eig": -6,
-        "delsarte": 13,
-        "clique_number": 13,
-        "total": 80,
-        "canonical": 66,
-        "noncanonical": 14,
-        "core_design": (13, 4),
-    },
-    "appendixB66": {
-        "valid": True,
-        "n": 66,
-        "m": 6,
-        "blocks": 143,
-        "replication": 13,
-        "srg": (143, 72, 36, 36),
-        "s_eig": -6,
-        "delsarte": 13,
-        "clique_number": 13,
-        "total": 80,
-        "canonical": 66,
-        "noncanonical": 14,
-        "core_design": (13, 4),
-    },
+    "appendixA66": {**_PAPER66, "core restrictions": {(13, 4)}},
+    "appendixB66": {**_PAPER66, "core restrictions": {(13, 4)}},
 }
+
+
+def _paper_quantities(report: AnalysisReport) -> dict:
+    """Every quantity a paper claim names, as found in the report."""
+    census = report.census
+    params = report.validation.params
+    srg = census.srg
+    g = report.group
+    noncanon = [r for r in census.records if not r.classification.canonical]
+    return {
+        "valid": report.validation.valid,
+        "n": census.design.n,
+        "m": census.design.m,
+        "blocks": census.design.b,
+        "replication": int(params.r) if params is not None and params.r_integral else None,
+        "srg": None if srg is None else srg.as_tuple(),
+        "smallest eigenvalue": None if srg is None else srg.s_eig,
+        "delsarte bound": census.delsarte,
+        "clique number": census.clique_number,
+        "maximum cliques": census.total,
+        "canonical cliques": census.canonical_count,
+        "non-canonical cliques": census.noncanonical_count,
+        "non-canonical cliques without design structure": sum(
+            not r.subdesign.is_design for r in noncanon
+        ),
+        "non-canonical support sizes": dict(Counter(r.support_size for r in noncanon)),
+        "non-canonical core sizes": dict(Counter(r.core_size for r in noncanon)),
+        "core restrictions": {
+            (r.restricted_params.n, r.restricted_params.m)
+            for r in noncanon
+            if r.restricted_params is not None
+        },
+        "point orbit lengths": None if g is None else g.point_orbit_lengths,
+        "block orbit lengths": None if g is None else g.block_orbit_lengths,
+        "canonical clique orbit lengths": None if g is None else g.canonical_clique_orbit_lengths,
+        "non-canonical clique orbit lengths": (
+            None if g is None else g.noncanonical_clique_orbit_lengths
+        ),
+    }
 
 
 def check_paper_claims(report: AnalysisReport, name: str) -> list[tuple[str, bool, str]]:
@@ -393,85 +410,21 @@ def check_paper_claims(report: AnalysisReport, name: str) -> list[tuple[str, boo
     """
     if name not in PAPER_EXPECTATIONS:
         raise ValueError(f"no embedded expectations for {name!r}")
-    exp = PAPER_EXPECTATIONS[name]
-    census = report.census
-    design = census.design
-    results = []
-
-    def claim(label, expected, actual):
-        results.append((f"{label} = {expected}", expected == actual, str(actual)))
-
-    claim("valid", exp["valid"], report.validation.valid)
-    claim("n", exp["n"], design.n)
-    claim("m", exp["m"], design.m)
-    claim("blocks", exp["blocks"], design.b)
-    if report.validation.params is not None and report.validation.params.r_integral:
-        claim("replication", exp["replication"], int(report.validation.params.r))
-    else:
-        claim("replication", exp["replication"], None)
-    claim("srg", exp["srg"], None if census.srg is None else census.srg.as_tuple())
-    claim("smallest eigenvalue", exp["s_eig"], None if census.srg is None else census.srg.s_eig)
-    claim("delsarte bound", exp["delsarte"], census.delsarte)
-    claim("clique number", exp["clique_number"], census.clique_number)
-    claim("maximum cliques", exp["total"], census.total)
-    claim("canonical cliques", exp["canonical"], census.canonical_count)
-    claim("non-canonical cliques", exp["noncanonical"], census.noncanonical_count)
-    noncanon = [r for r in census.records if not r.classification.canonical]
-    claim(
-        "non-canonical cliques without design structure",
-        exp["noncanonical"],
-        sum(1 for r in noncanon if not r.subdesign.is_design),
-    )
-    if "noncanonical_support_sizes" in exp:
-        sizes: dict[int, int] = {}
-        for r in noncanon:
-            sizes[r.support_size] = sizes.get(r.support_size, 0) + 1
-        claim("non-canonical support sizes", exp["noncanonical_support_sizes"], sizes)
-    if "noncanonical_core_sizes" in exp:
-        sizes = {}
-        for r in noncanon:
-            sizes[r.core_size] = sizes.get(r.core_size, 0) + 1
-        claim("non-canonical core sizes", exp["noncanonical_core_sizes"], sizes)
-    if "core_design" in exp:
-        restrictions = {
-            (r.restricted_params.n, r.restricted_params.m)
-            for r in noncanon
-            if r.restricted_params is not None
-        }
-        claim("core restrictions", {exp["core_design"]}, restrictions)
-    if "point_orbits" in exp:
-        g = report.group
-        claim(
-            "point orbit lengths",
-            exp["point_orbits"],
-            None if g is None else g.point_orbit_lengths,
-        )
-        claim(
-            "block orbit lengths",
-            exp["block_orbits"],
-            None if g is None else g.block_orbit_lengths,
-        )
-        claim(
-            "canonical clique orbit lengths",
-            exp["canonical_clique_orbits"],
-            None if g is None else g.canonical_clique_orbit_lengths,
-        )
-        claim(
-            "non-canonical clique orbit lengths",
-            exp["noncanonical_clique_orbits"],
-            None if g is None else g.noncanonical_clique_orbit_lengths,
-        )
+    found = _paper_quantities(report)
+    results = [
+        (f"{label} = {expected}", expected == found[label], str(found[label]))
+        for label, expected in PAPER_EXPECTATIONS[name].items()
+    ]
     if name in catalog.APPENDIX_REPRESENTATIVE_CLIQUES:
+        design = report.census.design
         blocks_tokens, core_tokens = catalog.APPENDIX_REPRESENTATIVE_CLIQUES[name]
         members = tuple(
             sorted(
-                design.block_index[
-                    tuple(sorted(design.label_index[t] for t in blk.split()))
-                ]
+                design.block_index[tuple(sorted(design.label_index[t] for t in blk.split()))]
                 for blk in blocks_tokens
             )
         )
-        rec = next((r for r in census.records if r.members == members), None)
+        rec = next((r for r in report.census.records if r.members == members), None)
         results.append(
             (
                 "representative clique enumerated and non-canonical",
@@ -482,24 +435,20 @@ def check_paper_claims(report: AnalysisReport, name: str) -> list[tuple[str, boo
         if rec is not None:
             core = core_restriction(design, members)
             actual_tokens = tuple(sorted(design.labels[p] for p in core.core_points))
-            expected_tokens = tuple(sorted(core_tokens))
+            restricted = core.restricted_params
+            restricted = None if restricted is None else (restricted.n, restricted.m)
             results.append(
                 (
                     "representative clique intersecting points",
-                    actual_tokens == expected_tokens,
+                    actual_tokens == tuple(sorted(core_tokens)),
                     " ".join(actual_tokens),
                 )
             )
             results.append(
                 (
                     "representative core restriction is 2-(13,4,1)",
-                    core.restricted_params is not None
-                    and (core.restricted_params.n, core.restricted_params.m) == (13, 4),
-                    str(
-                        None
-                        if core.restricted_params is None
-                        else (core.restricted_params.n, core.restricted_params.m)
-                    ),
+                    restricted == (13, 4),
+                    str(restricted),
                 )
             )
     return results

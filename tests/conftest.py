@@ -1,8 +1,9 @@
 import re
+from itertools import combinations, product
 
 import pytest
 
-from blockgraph import builtin_design, census_report
+from blockgraph import builtin_design, census_report, parse_design
 from blockgraph.report import builtin_generators
 
 # ---------------------------------------------------------------------------
@@ -40,6 +41,46 @@ def members_from_tokens(design, token_blocks):
         idx = tuple(sorted(design.label_index[tok] for tok in blk.split()))
         out.append(design.block_index[idx])
     return tuple(sorted(out))
+
+
+def same_group(a, b):
+    """Equal orders and each side's generators in the other side's group."""
+    return (
+        a.order == b.order
+        and all(g in b for g in a.generators)
+        and all(g in a for g in b.generators)
+    )
+
+
+def point_line_blocklist(family, d, p):
+    """Blocklist text of the lines of PG(d,p) or AG(d,p) over the prime field Z_p.
+
+    A projective point is a nonzero vector of length d+1 scaled so that its
+    first nonzero coordinate is 1; an affine point is any vector of length d
+    and an affine line is a point plus all multiples of a direction.
+    """
+    def normal(vec):
+        inv = pow(next(x for x in vec if x), -1, p)
+        return tuple(x * inv % p for x in vec)
+
+    def combine(s, x, t, y):
+        return tuple((s * a + t * b) % p for a, b in zip(x, y))
+
+    if family == "projective":
+        points = sorted({normal(v) for v in product(range(p), repeat=d + 1) if any(v)})
+        lines = {
+            frozenset(normal(combine(s, x, t, y)) for s in range(p) for t in range(p) if s or t)
+            for x, y in combinations(points, 2)
+        }
+    else:
+        directions = {normal(v) for v in product(range(p), repeat=d) if any(v)}
+        lines = {
+            frozenset(combine(1, x, t, u) for t in range(p))
+            for x in product(range(p), repeat=d)
+            for u in directions
+        }
+    blocks = sorted(" ".join(sorted("v" + "".join(map(str, pt)) for pt in line)) for line in lines)
+    return "".join(blk + "\n" for blk in blocks)
 
 
 # The 13 blocks of the non-canonical clique analysed in detail for main66
@@ -89,6 +130,16 @@ def main66_census(main66):
 @pytest.fixture(scope="session")
 def main66_generators(main66):
     return builtin_generators(main66, "main66")
+
+
+@pytest.fixture(scope="session")
+def pg32():
+    return parse_design(point_line_blocklist("projective", 3, 2), name="PG(3,2)")
+
+
+@pytest.fixture(scope="session")
+def ag33():
+    return parse_design(point_line_blocklist("affine", 3, 3), name="AG(3,3)")
 
 
 @pytest.fixture(scope="session")

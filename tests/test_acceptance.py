@@ -44,7 +44,7 @@ from blockgraph.points import parse_block
 from blockgraph.report import lift_to_design_automorphism
 from blockgraph.theory import denniston_params, nonsquares_mod, projective_params
 
-from conftest import TWO_FIBRE_BLOCK, members_from_tokens
+from conftest import TWO_FIBRE_BLOCK, members_from_tokens, same_group
 
 
 def powerset_maximum_cliques(graph):
@@ -145,7 +145,8 @@ def test_criterion_05_group_data(main66, main66_census, main66_generators):
     group = close_group(main66_generators)
     assert group.order == 39
     assert not group.abelian
-    assert all(is_design_automorphism(main66, g) for g in group.elements)
+    # design automorphisms are closed under composition: the generators suffice
+    assert all(is_design_automorphism(main66, g) for g in group.generators)
 
     assert sorted(orbit_partition(group.generators).lengths, reverse=True) == [39, 13, 13, 1]
     block_actions = [induced_block_action(main66, g) for g in group.generators]
@@ -181,12 +182,12 @@ def test_criterion_06_full_automorphism_search(
             lift_to_design_automorphism(design, g) is not None
             for g in group.generators
         )
-    # the main design's group is independently known; compare element sets
+    # the main design's group is independently known; compare the groups
     induced = close_group([induced_block_action(main66, g) for g in main66_generators])
     graph_group = graph_automorphism_group(
         main66_census.graph, cliques=[r.members for r in main66_census.records]
     )
-    assert induced.elements == graph_group.elements
+    assert same_group(induced, graph_group)
     # configurable budget: exhaustion raises, and the CLI maps it to exit 1
     with pytest.raises(SearchBudgetExceeded):
         graph_automorphism_group(

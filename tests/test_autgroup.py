@@ -5,12 +5,18 @@ import pytest
 from blockgraph import (
     BlockGraph,
     Permutation,
+    build_block_graph,
+    builtin_design,
+    census_report,
     close_group,
     graph_automorphism_group,
     induced_block_action,
     is_graph_automorphism,
 )
 from blockgraph.autgroup import SearchBudgetExceeded, default_seed_invariants
+from blockgraph.report import automorphism_section
+
+from conftest import same_group
 
 
 def complete_graph(n):
@@ -43,12 +49,12 @@ def test_main66_graph_group(main66, main66_census, main66_generators):
     assert not group.abelian
     for g in group.generators:
         assert is_graph_automorphism(main66_census.graph, g)
-    # independently closed induced design group is the same set of elements
+    # independently closed induced design group is the same group
     induced = close_group(
         [induced_block_action(main66, g) for g in main66_generators]
     )
     assert induced.order == 39
-    assert induced.elements == group.elements
+    assert same_group(induced, group)
 
 
 @pytest.mark.parametrize("name", ["appendixA66", "appendixB66"])
@@ -79,8 +85,9 @@ def test_petersen_group_matches_s5_oracle():
     for p in oracle:
         assert is_graph_automorphism(graph, p)
     group = graph_automorphism_group(graph)
-    assert group.order == 120
-    assert group.elements == frozenset(oracle)
+    assert group.order == len(oracle) == 120
+    assert all(p in group for p in oracle)
+    assert all(g in oracle for g in group.generators)
 
 
 def test_path_graph_reversal_only():
@@ -88,7 +95,35 @@ def test_path_graph_reversal_only():
     group = graph_automorphism_group(graph)
     assert group.order == 2
     reversal = Permutation(tuple(reversed(range(5))))
-    assert reversal in group.elements
+    assert reversal in group
+
+
+def test_k13_group_is_symmetric():
+    # the block graph of PG(2,3) is complete: its group is S13
+    graph = build_block_graph(builtin_design("pg23"))
+    assert graph.v == 13
+    group = graph_automorphism_group(graph)
+    assert group.order == 6_227_020_800
+    assert Permutation((1, 0) + tuple(range(2, 13))) in group
+
+
+def test_pg32_graph_group_includes_duality(pg32):
+    # |PGL(4,2)| = 20160, doubled by the Klein duality that swaps the
+    # point-stars and the planes among the maximum cliques
+    assert (pg32.n, pg32.m, pg32.b) == (15, 3, 35)
+    section, group = automorphism_section(pg32, census_report(pg32))
+    assert section.order == group.order == 40_320
+    assert not section.equals_design_group
+
+
+def test_ag33_graph_group_is_design_group(ag33):
+    # |AGL(3,3)| = 27 * (26 * 24 * 18)
+    assert (ag33.n, ag33.m, ag33.b) == (27, 3, 117)
+    census = census_report(ag33)
+    section, group = automorphism_section(ag33, census)
+    assert section.order == group.order == 303_264
+    assert section.equals_design_group
+    assert all(is_graph_automorphism(census.graph, g) for g in group.generators)
 
 
 def test_generators_reclose_to_same_order(main66_census):

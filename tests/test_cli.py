@@ -39,6 +39,14 @@ def test_verify_duplicate_block_file(tmp_path, capsys):
     assert "duplicate block" in err
 
 
+def test_verify_empty_design_file(tmp_path, capsys):
+    empty = tmp_path / "empty.blk"
+    empty.write_text("")
+    code, out, _ = run(capsys, "verify", "--input", str(empty))
+    assert code == 1
+    assert "valid: NO" in out
+
+
 def test_verify_invalid_design_file(tmp_path, capsys):
     main66 = builtin_design("main66")
     lines = serialize_design(main66).splitlines()
@@ -285,6 +293,21 @@ def test_report_with_aut_section(capsys):
     code, out, _ = run(capsys, "report", "--builtin", "appendixA66", "--aut")
     assert code == 0
     assert "graph automorphism group: order 39" in out
+
+
+def test_report_aut_budget_exhaustion(capsys):
+    code, out, err = run(capsys, "report", "--builtin", "main66", "--aut", "--node-limit", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "search budget exceeded (1 nodes); results are PARTIAL\n"
+
+
+@pytest.mark.parametrize("option, value", [("--workers", "-3"), ("--node-limit", "-5")])
+@pytest.mark.parametrize("command", ["report", "aut"])
+def test_non_positive_count_is_usage_error(command, option, value, capsys):
+    code, _, err = run(capsys, command, "--builtin", "fano", option, value)
+    assert code == 2
+    assert "not a positive integer" in err
 
 
 # ---------------------------------------------------------------------------

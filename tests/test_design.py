@@ -106,6 +106,12 @@ def test_empty_design_round_trip():
     assert serialize_design(d) == ""
 
 
+def test_empty_design_is_invalid():
+    report = validate_2design(parse_design(""))
+    assert not report.valid
+    assert len(report.violations) == 1
+
+
 def test_serialize_deterministic(main66):
     assert serialize_design(main66) == serialize_design(builtin_design("main66"))
     assert serialize_design(main66, "json") == serialize_design(builtin_design("main66"), "json")

@@ -5,16 +5,14 @@ from blockgraph import (
     build_block_graph,
     builtin_design,
     close_group,
-    compose,
     induced_block_action,
     induced_clique_action,
-    inverse,
     is_design_automorphism,
     is_graph_automorphism,
     orbit_partition,
     parse_cycles,
 )
-from blockgraph.perms import ClosureCapExceeded, format_cycles
+from blockgraph.perms import format_cycles
 
 from conftest import orbit_clique_members, members_from_tokens
 
@@ -67,19 +65,19 @@ def test_generator_orders(main66_generators):
     rotation, shift = main66_generators
     p = rotation
     for _ in range(2):
-        p = compose(p, rotation)
+        p = p.then(rotation)
     assert p.is_identity()  # the fibre rotation has order 3
     q = shift
     for _ in range(12):
-        q = compose(q, shift)
+        q = q.then(shift)
     assert q.is_identity()  # the residue shift has order 13
-    assert compose(rotation, inverse(rotation)).is_identity()
-    assert inverse(Permutation.identity(5)) == Permutation.identity(5)
+    assert rotation.then(rotation.inverse()).is_identity()
+    assert Permutation.identity(5).inverse() == Permutation.identity(5)
 
 
 def test_compose_domain_mismatch():
     with pytest.raises(ValueError):
-        compose(Permutation.identity(3), Permutation.identity(4))
+        Permutation.identity(3).then(Permutation.identity(4))
 
 
 def test_close_group_order_39(main66_generators):
@@ -104,13 +102,79 @@ def test_lagrange(main66_generators):
     assert 39 % close_group([shift]).order == 0  # order 13
 
 
-def test_close_group_cap():
-    # two generators of S6 blow past a tiny cap
-    a = Permutation((1, 2, 3, 4, 5, 0))
-    b = Permutation((1, 0, 2, 3, 4, 5))
-    with pytest.raises(ClosureCapExceeded):
-        close_group([a, b], cap=100)
-    assert close_group([a, b]).order == 720
+def cycle(n, *points):
+    images = list(range(n))
+    for a, b in zip(points, points[1:] + points[:1]):
+        images[a] = b
+    return Permutation(tuple(images))
+
+
+def bfs_closure(generators):
+    """Every element of the generated group, by breadth-first closure."""
+    identity = Permutation.identity(generators[0].degree)
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for h in frontier:
+            for g in generators:
+                prod = h.then(g)
+                if prod not in elements:
+                    elements.add(prod)
+                    new.append(prod)
+        frontier = new
+    return elements
+
+
+def test_schreier_sims_symmetric_group_s6():
+    group = close_group([cycle(6, 0, 1, 2, 3, 4, 5), cycle(6, 0, 1)])
+    assert group.order == 720
+    assert not group.abelian
+    assert cycle(6, 2, 5) in group
+
+
+def test_schreier_sims_alternating_group_a6():
+    three_cycles = [cycle(6, 0, 1, 2), cycle(6, 1, 2, 3), cycle(6, 2, 3, 4), cycle(6, 3, 4, 5)]
+    group = close_group(three_cycles)
+    assert group.order == 360
+    assert cycle(6, 0, 1) not in group
+    assert cycle(6, 4, 5) not in group
+    assert cycle(6, 0, 1).then(cycle(6, 4, 5)) in group
+    assert cycle(6, 0, 5, 1, 4, 2) in group  # a 5-cycle is even
+    assert Permutation.identity(7) not in group  # wrong degree
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        # S7
+        [cycle(7, 0, 1, 2, 3, 4, 5, 6), cycle(7, 0, 1)],
+        # x -> x + 1 and x -> 2x mod 7
+        [cycle(7, 0, 1, 2, 3, 4, 5, 6), cycle(7, 1, 2, 4).then(cycle(7, 3, 6, 5))],
+        [cycle(7, 0, 1, 2, 3, 4, 5, 6), cycle(7, 0, 1).then(cycle(7, 2, 5))],
+        # a dihedral group of a square beside a disjoint 4-cycle
+        [cycle(8, 0, 1, 2, 3), cycle(8, 0, 2), cycle(8, 4, 5, 6, 7)],
+        # C3 wreath C3
+        [cycle(9, 0, 1, 2), cycle(9, 3, 4, 5), cycle(9, 6, 7, 8),
+         cycle(9, 0, 3, 6).then(cycle(9, 1, 4, 7)).then(cycle(9, 2, 5, 8))],
+        # symmetries of a hexagon
+        [cycle(6, 0, 1, 2, 3, 4, 5), cycle(6, 1, 5).then(cycle(6, 2, 4))],
+        [cycle(8, 0, 1)],
+    ],
+)
+def test_schreier_sims_order_equals_bfs_closure(generators):
+    elements = bfs_closure(generators)
+    assert len(elements) <= 5040
+    group = close_group(generators)
+    assert group.order == len(elements)
+    assert all(g in group for g in elements)
+
+
+def test_close_group_base_prefix_is_kept():
+    s6 = [cycle(6, 0, 1, 2, 3, 4, 5), cycle(6, 0, 1)]
+    group = close_group(s6, base=(5, 3))
+    assert group.base[:2] == (5, 3)
+    assert group.order == 720
 
 
 # ---------------------------------------------------------------------------
