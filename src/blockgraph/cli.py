@@ -127,7 +127,7 @@ def cmd_verify(args) -> int:
 
 def cmd_cliques(args) -> int:
     design = _load_design(args)
-    census = census_report(design, workers=args.workers)
+    census = census_report(design)
     for rec in census.records:
         members = " ".join(str(i) for i in rec.members)
         if rec.classification.canonical:
@@ -206,7 +206,7 @@ def cmd_orbits(args) -> int:
             print(" ".join(str(i) for i in orbit))
         print(f"# orbit lengths: {sorted(part.lengths, reverse=True)}")
     else:
-        census = census_report(design, workers=args.workers)
+        census = census_report(design)
         for label, members_list in (
             ("canonical", [r.members for r in census.records if r.classification.canonical]),
             ("non-canonical", [r.members for r in census.records if not r.classification.canonical]),
@@ -228,7 +228,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_aut(args) -> int:
     design = _load_design(args)
-    census = census_report(design, workers=args.workers)
+    census = census_report(design)
     try:
         section, group = automorphism_section(design, census, node_limit=args.node_limit)
     except SearchBudgetExceeded as exc:
@@ -239,7 +239,8 @@ def cmd_aut(args) -> int:
     print(f"block-graph automorphism group order: {section.order}")
     print(f"generators ({section.generator_count}, acting on block indices):")
     for g in group.generators:
-        print(f"  {format_cycles(g, labels)}")
+        if not g.is_identity():
+            print(f"  {format_cycles(g, labels)}")
     print(
         "equals induced design automorphism group: "
         + ("yes" if section.equals_design_group else "no (graph group is larger)")
@@ -257,7 +258,6 @@ def cmd_report(args) -> int:
             generators, source = embedded, "embedded generators"
     report = build_report(
         design,
-        workers=args.workers,
         generators=generators,
         generator_source=source,
         include_aut=args.aut,
@@ -348,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cliques", help="enumerate and classify maximum cliques")
     _add_design_source(p)
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--expect", metavar="K=V,...", help="e.g. total=80,canonical=66")
     p.set_defaults(func=cmd_cliques)
 
@@ -364,13 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one permutation per line in token cycle notation "
                         "(defaults to the embedded generators for main66)")
     p.add_argument("--domain", choices=("points", "blocks", "cliques"), default="points")
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("aut", help="full block-graph automorphism group")
     _add_design_source(p)
     p.add_argument("--node-limit", type=_positive_int, default=DEFAULT_NODE_LIMIT)
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_aut)
 
     p = sub.add_parser("report", help="full analysis report")
@@ -380,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare against the embedded expected values")
     p.add_argument("--aut", action="store_true",
                    help="include the graph automorphism search in the report")
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--node-limit", type=_positive_int, default=DEFAULT_NODE_LIMIT)
     p.set_defaults(func=cmd_report)
 

@@ -5,16 +5,19 @@ colouring bounds (vertices branched in decreasing-degree order, ties by
 index, so runs are reproducible).  Enumeration keeps every branch that can
 still reach the maximum size, so the census is complete; completeness is
 cross-checked against brute force in the test suite.
+
+Each maximum clique is analysed in one pass over its member blocks' point
+bitmasks (AND, OR and pairwise ANDs); pair coverage and the core's 2-design
+test are counting identities on them, exact for any blocklist.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
-from .design import Design, DesignParameters, admissibility, make_design, validate_2design
+from .design import Design, DesignParameters, admissibility
 from .graph import (
     BlockGraph,
     DegenerateGraphError,
@@ -113,53 +116,25 @@ def _collect_at_size(rows, start: int, candidates: int, target: int, out: list) 
         expand(candidates)
 
 
-def _roots_job(args) -> list:
-    rows, target, jobs = args
-    out: list = []
-    for start, candidates in jobs:
-        _collect_at_size(rows, start, candidates, target, out)
-    return out
-
-
 def enumerate_maximum_cliques(
-    graph: BlockGraph, size: int | None = None, workers: int = 1
+    graph: BlockGraph, size: int | None = None
 ) -> list[tuple[int, ...]]:
     """All cliques of maximum size, sorted lexicographically.
 
-    The search space is split over root vertices (each clique is rooted at
-    its first member in branch order), which is also the unit of optional
-    multi-process parallelism; results are merged and sorted, so the output
-    is identical for any worker count.
+    The search space is split over root vertices: each clique is rooted at
+    its first member in branch order and extends into the root's neighbours
+    that come later in that order.
     """
     if graph.v == 0:
         return []
     target = clique_number(graph) if size is None else size
-    order = _branch_order(graph)
-    position = [0] * graph.v
-    for pos, v in enumerate(order):
-        position[v] = pos
-    jobs = []
-    for pos, v in enumerate(order):
-        later = 0
-        row = graph.rows[v]
-        while row:
-            u = (row & -row).bit_length() - 1
-            row &= row - 1
-            if position[u] > pos:
-                later |= 1 << u
-        if later.bit_count() + 1 >= target:
-            jobs.append((v, later))
-
     found: list[tuple[int, ...]] = []
-    if workers <= 1 or len(jobs) < 2:
-        for start, candidates in jobs:
-            _collect_at_size(graph.rows, start, candidates, target, found)
-    else:
-        chunks = [jobs[i::workers] for i in range(workers)]
-        payload = [(graph.rows, target, chunk) for chunk in chunks if chunk]
-        with ProcessPoolExecutor(max_workers=len(payload)) as pool:
-            for part in pool.map(_roots_job, payload):
-                found.extend(part)
+    after = (1 << graph.v) - 1  # the vertices later in branch order than v
+    for v in _branch_order(graph):
+        after &= ~(1 << v)
+        later = graph.rows[v] & after
+        if later.bit_count() + 1 >= target:
+            _collect_at_size(graph.rows, v, later, target, found)
     return sorted(found)
 
 
@@ -207,36 +182,89 @@ def check_clique(design: Design, members) -> tuple[int, ...]:
     return members
 
 
-def classify_clique(design: Design, members) -> Classification:
-    """Canonical iff one point lies in every member block (unique for lam=1)."""
-    members = check_clique(design, members)
-    common = (1 << design.n) - 1
-    for i in members:
-        common &= design.block_masks[i]
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, ascending (its binary digits read backwards)."""
+    return tuple([p for p, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"])
+
+
+def _summary(masks: list[int], full: int) -> tuple[int, int, int, bool]:
+    """The masks' AND (from ``full``), OR and OR of pairwise ANDs, i.e. the
+    common points, support and core, and whether some pairwise AND has >= 2
+    bits, i.e. whether a point pair is covered twice."""
+    common, support, core, twice = full, 0, 0, False
+    for a, x in enumerate(masks):
+        common &= x
+        support |= x
+        for y in masks[a + 1:]:
+            shared = x & y
+            core |= shared
+            if shared & (shared - 1):
+                twice = True
+    return common, support, core, twice
+
+
+# A census asks for the same few (n, m) once per clique; the results are frozen.
+_admissibility = lru_cache(maxsize=256)(admissibility)
+
+
+def _classification(common: int) -> Classification:
     if common:
         return Classification("canonical", (common & -common).bit_length() - 1)
     return Classification("non-canonical", None)
 
 
+def _core_params(masks: list[int], core: int, twice: bool) -> DesignParameters | None:
+    """Parameters of the restriction to the core, if it is a 2-(c,m_r,1) design.
+
+    Member blocks meet only inside the core, so the restricted blocks share
+    >= 2 points iff the blocks do; with no pair covered twice, a uniform
+    restriction covers every core pair once iff k C(m_r,2) = C(c,2).
+    """
+    sizes = {(x & core).bit_count() for x in masks}
+    if twice or len(sizes) != 1:
+        return None
+    m_r = sizes.pop()
+    c = core.bit_count()
+    if m_r < 2 or c <= m_r or len(masks) * m_r * (m_r - 1) != c * (c - 1):
+        return None
+    return _admissibility(c, m_r)
+
+
+def _verdict(design: Design, masks: list[int], support: int, twice: bool) -> SubdesignVerdict:
+    # with no pair covered twice, every support pair is covered once iff
+    # the blocks' pair counts add up to C(|support|,2)
+    points = _bits(support)
+    ns = len(points)
+    coverage_ok = (
+        bool(masks)
+        and not twice
+        and sum(k * (k - 1) for k in map(int.bit_count, masks)) == ns * (ns - 1)
+    )
+    params = _admissibility(ns, design.m) if ns > design.m >= 2 else None
+    is_design = (
+        params is not None
+        and params.admissible
+        and coverage_ok
+        and len(masks) == int(params.b)
+    )
+    return SubdesignVerdict(points, ns, params, coverage_ok, is_design)
+
+
+def classify_clique(design: Design, members) -> Classification:
+    """Canonical iff one point lies in every member block (unique for lam=1)."""
+    masks = [design.block_masks[i] for i in check_clique(design, members)]
+    return _classification(_summary(masks, (1 << design.n) - 1)[0])
+
+
 def clique_support(design: Design, members) -> tuple[int, ...]:
     """Union of the member blocks' points."""
-    pts = 0
-    for i in members:
-        pts |= design.block_masks[i]
-    out = []
-    while pts:
-        out.append((pts & -pts).bit_length() - 1)
-        pts &= pts - 1
-    return tuple(out)
+    return _bits(_summary([design.block_masks[i] for i in members], 0)[1])
 
 
 def point_multiplicity_profile(design: Design, members) -> dict[int, int]:
     """How many member blocks each support point lies in."""
-    counts: Counter = Counter()
-    for i in members:
-        for p in design.blocks[i]:
-            counts[p] += 1
-    return dict(sorted(counts.items()))
+    masks = [design.block_masks[i] for i in members]
+    return {p: sum(x >> p & 1 for x in masks) for p in clique_support(design, members)}
 
 
 def core_restriction(design: Design, members) -> CoreRestriction:
@@ -246,55 +274,21 @@ def core_restriction(design: Design, members) -> CoreRestriction:
     parameters are reported; degenerate or non-uniform restrictions simply
     carry no parameters.
     """
-    profile = point_multiplicity_profile(design, members)
-    core = tuple(sorted(p for p, c in profile.items() if c >= 2))
-    core_set = set(core)
-    restricted = tuple(
-        tuple(p for p in design.blocks[i] if p in core_set) for i in members
-    )
-    params = None
-    sizes = {len(blk) for blk in restricted}
-    if len(sizes) == 1 and core:
-        m_r = sizes.pop()
-        if m_r >= 2 and len(core) > m_r:
-            tokens = [design.labels[p] for p in core]
-            try:
-                sub = make_design(
-                    tokens, [[design.labels[p] for p in blk] for blk in restricted]
-                )
-            except ValueError:
-                sub = None
-            if sub is not None and validate_2design(sub).valid:
-                params = admissibility(len(core), m_r)
-    return CoreRestriction(core, restricted, params)
+    masks = [design.block_masks[i] for i in members]
+    _, _, core, twice = _summary(masks, 0)
+    restricted = tuple(tuple(p for p in design.blocks[i] if core >> p & 1) for i in members)
+    return CoreRestriction(_bits(core), restricted, _core_params(masks, core, twice))
 
 
 def subdesign_test(design: Design, members) -> SubdesignVerdict:
     """Does the clique have a design structure on the union of its blocks?
 
     Combines the admissibility of (|support|, m), which is a fast arithmetic
-    negative, with a definitive pair-coverage count over the support.
+    negative, with a definitive pair-coverage check over the support.
     """
-    members = check_clique(design, members)
-    support = clique_support(design, members)
-    ns = len(support)
-    counts: Counter = Counter()
-    for i in members:
-        for pair in combinations(design.blocks[i], 2):
-            counts[pair] += 1
-    coverage_ok = bool(members) and all(
-        counts.get(pair, 0) == 1 for pair in combinations(support, 2)
-    ) and all(c == 1 for c in counts.values())
-    params = None
-    if ns > design.m >= 2:
-        params = admissibility(ns, design.m)
-    is_design = (
-        params is not None
-        and params.admissible
-        and coverage_ok
-        and len(members) == int(params.b)
-    )
-    return SubdesignVerdict(support, ns, params, coverage_ok, is_design)
+    masks = [design.block_masks[i] for i in check_clique(design, members)]
+    _, support, _, twice = _summary(masks, 0)
+    return _verdict(design, masks, support, twice)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +327,7 @@ class CliqueCensus:
         return self.total - self.canonical_count
 
 
-def census_report(design: Design, workers: int = 1) -> CliqueCensus:
+def census_report(design: Design) -> CliqueCensus:
     """Run the full pipeline: graph, SRG, bound, enumeration, per-clique analysis."""
     graph = build_block_graph(design)
     srg = None
@@ -345,19 +339,21 @@ def census_report(design: Design, workers: int = 1) -> CliqueCensus:
     except DegenerateGraphError as exc:
         degenerate = str(exc)
     omega = clique_number(graph, upper_bound=bound)
-    cliques = enumerate_maximum_cliques(graph, size=omega, workers=workers)
+    cliques = enumerate_maximum_cliques(graph, size=omega)
+    full = (1 << design.n) - 1
     records = []
     for members in cliques:
-        cls = classify_clique(design, members)
-        core = core_restriction(design, members)
-        verdict = subdesign_test(design, members)
+        members = check_clique(design, members)
+        masks = [design.block_masks[i] for i in members]
+        common, support, core, twice = _summary(masks, full)
+        verdict = _verdict(design, masks, support, twice)
         records.append(
             CliqueRecord(
                 members=members,
-                classification=cls,
+                classification=_classification(common),
                 support_size=verdict.support_size,
-                core_size=len(core.core_points),
-                restricted_params=core.restricted_params,
+                core_size=core.bit_count(),
+                restricted_params=_core_params(masks, core, twice),
                 subdesign=verdict,
             )
         )

@@ -74,15 +74,17 @@ class SrgParams:
 
 def build_block_graph(design: Design) -> BlockGraph:
     """Vertices are blocks; i ~ j iff blocks i and j share a point."""
-    masks = design.block_masks
-    v = len(masks)
-    rows = [0] * v
-    for i in range(v):
-        mi = masks[i]
-        for j in range(i + 1, v):
-            if mi & masks[j]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    through = [0] * design.n  # the blocks through each point
+    for i, blk in enumerate(design.blocks):
+        for p in blk:
+            through[p] |= 1 << i
+    v = design.b
+    rows = []
+    for i, blk in enumerate(design.blocks):
+        row = 0
+        for p in blk:
+            row |= through[p]
+        rows.append(row & ~(1 << i))
     return BlockGraph(v, tuple(rows), design.name or f"2-({design.n},{design.m},{design.lam})")
 
 

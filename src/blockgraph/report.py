@@ -1,13 +1,14 @@
 """Analysis reports: census + group data, rendered as text or stable JSON.
 
 The structured rendering uses sorted keys and only exact integer/string/bool
-fields, so a report is byte-identical across runs and worker counts.  The
-expected values for the three embedded 66-point designs are versioned here
-and drive the ``--check-paper`` mode.
+fields, so a report is byte-identical across runs.  The expected values for
+the three embedded 66-point designs are versioned here and drive the
+``--check-paper`` mode.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -125,30 +126,27 @@ def automorphism_section(
 
     ``equals_design_group`` holds when every group element lifts to a design
     automorphism: design automorphisms embed injectively into the graph
-    group, so total liftability forces the two groups to coincide.
+    group, so total liftability forces the two groups to coincide.  A
+    trivial group holds it vacuously.
     """
     cliques = [r.members for r in census.records]
     group = graph_automorphism_group(census.graph, cliques=cliques, node_limit=node_limit)
-    lifted = [lift_to_design_automorphism(design, g) for g in group.generators]
-    equals = all(p is not None for p in lifted)
-    section = AutSection(
-        order=group.order,
-        generator_count=len(group.generators),
-        equals_design_group=equals,
-    )
+    # a trivial group is closed from an identity placeholder, not a kept generator
+    kept = [g for g in group.generators if not g.is_identity()]
+    equals = all(lift_to_design_automorphism(design, g) is not None for g in kept)
+    section = AutSection(order=group.order, generator_count=len(kept), equals_design_group=equals)
     return section, group
 
 
 def build_report(
     design: Design,
-    workers: int = 1,
     generators=None,
     generator_source: str = "",
     include_aut: bool = False,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> AnalysisReport:
     validation = validate_2design(design)
-    census = census_report(design, workers=workers)
+    census = census_report(design)
     group = None
     if generators:
         group = group_section(design, census, generators, generator_source)
@@ -262,18 +260,21 @@ def report_document(report: AnalysisReport) -> dict:
 
 
 def render_structured(report: AnalysisReport) -> str:
-    return json.dumps(report_document(report), sort_keys=True, indent=2) + "\n"
+    # streamed chunk by chunk: json.dumps would hold every chunk in a list
+    out = io.StringIO()
+    json.dump(report_document(report), out, sort_keys=True, indent=2)
+    out.write("\n")
+    return out.getvalue()
 
 
 def render_text(report: AnalysisReport) -> str:
     census = report.census
     design = census.design
-    doc = report_document(report)
     lines = []
     name = design.name or "design"
     lines.append(
         f"{name}: 2-({design.n},{design.m},{design.lam}) with {design.b} blocks, "
-        f"replication {doc['design']['replication']}, "
+        f"replication {_params_dict(report.validation)['replication']}, "
         f"{'valid' if report.validation.valid else 'INVALID'}"
     )
     if not report.validation.valid:

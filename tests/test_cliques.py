@@ -84,12 +84,6 @@ def test_enumerate_complete_graph():
     assert enumerate_maximum_cliques(g) == [tuple(range(7))]
 
 
-def test_enumerate_workers_deterministic(main66_graph):
-    serial = enumerate_maximum_cliques(main66_graph, workers=1)
-    parallel = enumerate_maximum_cliques(main66_graph, workers=3)
-    assert serial == parallel
-
-
 def test_enumerate_matches_powerset_on_induced_subgraphs(main66_graph):
     import random
 
