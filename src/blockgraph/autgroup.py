@@ -8,6 +8,17 @@ cliques contain both endpoints.  All of these are preserved by any graph
 automorphism, so the seeded search still finds the full group; on the block
 graphs of interest they shrink the search tree to a handful of nodes.
 
+Counting is bit-sliced: a sum of vertex bitmasks is held as planes, bit v
+of plane j being bit j of v's count, so one ripple-carry add per mask
+counts every vertex at once.  The edge colours are the sliced sums of the
+clique masks through each vertex.  Refinement is a splitter queue
+(McKay & Piperno 2014; Paige & Tarjan 1987): a splitter's per-colour
+counts are the sliced sum of its members' rows, and each cell splits by AND
+with each count's mask, its fragments taking its place in ascending-count
+order.  A split cell that was not queued queues all fragments but its
+first largest.  The trace of (colour, position, (count, size) per
+fragment) steps is isomorphism-invariant.
+
 The search walks a deterministic tree: refine to an equitable partition,
 individualize the lowest-index vertex in the first largest cell, recurse.
 The first root-to-leaf path fixes a base labelling; every other leaf whose
@@ -23,10 +34,10 @@ is closed by Schreier-Sims with the first path as its base.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
+from collections import Counter, deque
+from itertools import chain
 
-from .cliques import enumerate_maximum_cliques
+from .cliques import _bits, enumerate_maximum_cliques
 from .graph import BlockGraph
 from .perms import PermGroup, Permutation, close_group, is_graph_automorphism, orbit
 
@@ -46,84 +57,120 @@ def default_seed_invariants(graph: BlockGraph, cliques=None) -> list:
     """Per-vertex invariant: (max cliques through v, common-neighbour multiset)."""
     if cliques is None:
         cliques = enumerate_maximum_cliques(graph)
-    counts = [0] * graph.v
-    for cl in cliques:
-        for v in cl:
-            counts[v] += 1
+    counts = Counter(chain.from_iterable(cliques))
+    rows = graph.rows
     invariants = []
-    for v in range(graph.v):
-        row = graph.rows[v]
-        profile: Counter = Counter()
-        while row:
-            u = (row & -row).bit_length() - 1
-            row &= row - 1
-            profile[(graph.rows[v] & graph.rows[u]).bit_count()] += 1
+    for v, row in enumerate(rows):
+        profile = Counter(map(int.bit_count, map(row.__and__, [rows[u] for u in _bits(row)])))
         invariants.append((counts[v], tuple(sorted(profile.items()))))
     return invariants
 
 
+def _sliced_sum(masks) -> list[int]:
+    """Bit-sliced sum of bitmasks: bit v of plane j is bit j of the number
+    of masks holding v, so one ripple-carry add per mask counts every
+    vertex at once."""
+    planes: list[int] = []
+    for carry in masks:
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    return planes
+
+
+def _count_classes(planes: list[int], within: int) -> list[tuple[int, int]]:
+    """(count, mask) for each count the sliced sum takes on ``within``,
+    ascending by count."""
+    classes = [(0, within)]
+    for j, plane in enumerate(planes):
+        split = []
+        for k, mask in classes:
+            high = mask & plane
+            if mask ^ high:
+                split.append((k, mask ^ high))
+            if high:
+                split.append((k | 1 << j, high))
+        classes = split
+    return sorted(classes)
+
+
 def _edge_colour_rows(graph: BlockGraph, cliques) -> dict[int, list[int]]:
     """Adjacency split by edge colour = number of maximum cliques on the pair."""
-    pair_counts: Counter = Counter()
+    through: list[list[int]] = [[] for _ in range(graph.v)]
     for cl in cliques:
-        for a, b in combinations(cl, 2):
-            pair_counts[(a, b)] += 1
+        mask = sum(1 << u for u in cl)
+        for u in cl:
+            through[u].append(mask)
     by_colour: dict[int, list[int]] = {0: [0] * graph.v}
-    for i in range(graph.v):
-        row = graph.rows[i] >> (i + 1) << (i + 1)
-        while row:
-            j = (row & -row).bit_length() - 1
-            row &= row - 1
-            c = pair_counts.get((i, j), 0)
-            rows = by_colour.setdefault(c, [0] * graph.v)
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+    for u, row in enumerate(graph.rows):
+        for colour, mask in _count_classes(_sliced_sum(through[u]), row):
+            by_colour.setdefault(colour, [0] * graph.v)[u] = mask
     return by_colour
 
 
 class _Refiner:
     """Equitable refinement of ordered partitions over an edge-coloured graph.
 
-    Cells are bitmasks in a list whose order is canonical: a cell's splits
-    are inserted in sorted-signature order, so positions (and hence the
-    refinement trace) are comparable between different search branches.
+    Cells are bitmasks in a list whose order is canonical: a cell's
+    fragments take its place in ascending-count order, so positions (and
+    hence the refinement trace) are comparable between search branches.
     """
 
     def __init__(self, colour_rows: dict[int, list[int]]):
         self.colour_rows = [colour_rows[c] for c in sorted(colour_rows)]
 
     def refine(self, cells: list[int]) -> tuple[list[int], tuple]:
+        """The coarsest equitable partition finer than ``cells``, and the
+        trace of the splits that produced it.
+
+        Splitters come off a queue that starts with every cell.  A split
+        cell's fragments are all queued if it was queued, otherwise all but
+        its first largest, whose counts follow from the cell's and the
+        other fragments' (Hopcroft's rule; Paige & Tarjan 1987).
+        """
         cells = list(cells)
+        queue = deque(cells)
+        queued = set(cells)
+        active = sum(cell for cell in cells if cell & (cell - 1))  # non-singletons
         trace = []
-        changed = True
-        while changed:
-            changed = False
-            out: list[int] = []
-            round_trace = []
-            for ci, cell in enumerate(cells):
-                if cell & (cell - 1) == 0:  # singleton or empty
-                    out.append(cell)
-                    continue
-                groups: dict[tuple, int] = {}
-                rest = cell
-                while rest:
-                    v = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
-                    sig = tuple(
-                        (rows[v] & other).bit_count()
-                        for rows in self.colour_rows
-                        for other in cells
-                    )
-                    groups[sig] = groups.get(sig, 0) | (1 << v)
-                if len(groups) > 1:
-                    changed = True
-                ordered = sorted(groups)
-                out.extend(groups[sig] for sig in ordered)
-                round_trace.append(
-                    (ci, tuple((sig, groups[sig].bit_count()) for sig in ordered))
-                )
-            cells = out
-            trace.append(tuple(round_trace))
+        while active and queue:
+            splitter = queue.popleft()
+            if splitter not in queued:
+                continue  # a queued cell that has split since
+            queued.remove(splitter)
+            members = _bits(splitter)
+            for colour, rows in enumerate(self.colour_rows):
+                classes = _count_classes(_sliced_sum([rows[u] for u in members]), active)
+                if len(classes) < 2:
+                    continue  # no non-singleton cell can split
+                # the vertices of non-singleton cells with a non-zero count
+                touched = active ^ (classes[0][1] if classes[0][0] == 0 else 0)
+                out: list[int] = []
+                for cell in cells:
+                    if not cell & touched:
+                        out.append(cell)
+                        continue
+                    fragments = [(k, part) for k, mask in classes if (part := cell & mask)]
+                    if len(fragments) == 1:
+                        out.append(cell)
+                        continue
+                    sizes = [part.bit_count() for _, part in fragments]
+                    trace.append((colour, len(out), tuple(zip((k for k, _ in fragments), sizes))))
+                    skip = -1 if cell in queued else sizes.index(max(sizes))
+                    queued.discard(cell)
+                    for i, (_, part) in enumerate(fragments):
+                        out.append(part)
+                        if i != skip:
+                            queue.append(part)
+                            queued.add(part)
+                        if not part & (part - 1):
+                            active ^= part
+                cells = out
         return cells, tuple(trace)
 
 

@@ -2,8 +2,9 @@
 
 Exit codes: 0 when every requested check holds, 1 when a verified claim
 fails (invalid design, census mismatch, non-automorphism generator, budget
-exhaustion), 2 on usage or parse errors.  Machine output uses 0-based block
-indices; human-readable output uses point tokens.
+exhaustion, a block graph that is not strongly regular), 2 on usage or
+parse errors.  Machine output uses 0-based block indices; human-readable
+output uses point tokens.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ from .cliques import (
     subdesign_test,
 )
 from .design import parse_design, serialize_design, validate_2design
-from .graph import DegenerateGraphError, build_block_graph, delsarte_bound, verify_srg
+from .graph import (
+    DegenerateGraphError,
+    SrgVerificationError,
+    build_block_graph,
+    delsarte_bound,
+    verify_srg,
+)
 from .perms import (
     format_cycles,
     induced_block_action,
@@ -425,6 +432,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SearchBudgetExceeded as exc:
         print(f"search budget exceeded ({exc.limit} nodes); results are PARTIAL", file=sys.stderr)
+        return 1
+    except SrgVerificationError as exc:
+        print(f"error: block graph is not strongly regular: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -97,7 +97,12 @@ def _collect_at_size(rows, start: int, candidates: int, target: int, out: list) 
     stack = [start]
 
     def expand(candidates: int) -> None:
-        for v, c in reversed(_colour_order(candidates, rows)):
+        order = _colour_order(candidates, rows)
+        # one colour per candidate: each is adjacent to every later one
+        if order[-1][1] == len(order) and len(stack) + len(order) == target:
+            out.append(tuple(sorted(stack + [v for v, _ in order])))
+            return
+        for v, c in reversed(order):
             if len(stack) + c < target:
                 return
             stack.append(v)

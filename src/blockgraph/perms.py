@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .design import Design
 from .graph import BlockGraph
@@ -327,15 +328,18 @@ def is_design_automorphism(design: Design, perm: Permutation) -> bool:
 
 
 def is_graph_automorphism(graph: BlockGraph, perm: Permutation) -> bool:
-    if perm.degree != graph.v:
+    """Does perm map the adjacency onto itself?
+
+    Each row is a string of binary digits, vertex i at position n-1-i.
+    Picking the digits of row inv(u) at the positions of the inverse images
+    gives the image of that row under perm, which must be the row of u.
+    """
+    n = graph.v
+    if perm.degree != n:
         return False
-    for u in range(graph.v):
-        row = graph.rows[u]
-        mapped = 0
-        while row:
-            w = (row & -row).bit_length() - 1
-            row &= row - 1
-            mapped |= 1 << perm(w)
-        if mapped != graph.rows[perm(u)]:
-            return False
-    return True
+    if n == 0:
+        return True
+    digits = [format(row, f"0{n}b") for row in graph.rows]
+    inv = _invert(perm.images)
+    image = itemgetter(*[n - 1 - w for w in reversed(inv)])
+    return all("".join(image(digits[w])) == digits[u] for u, w in enumerate(inv))

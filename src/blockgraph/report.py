@@ -99,13 +99,16 @@ def lift_to_design_automorphism(design: Design, block_perm: Permutation):
     set of blocks through it, so the lift (when it exists) is found by
     intersecting the images of the blocks through each point.
     """
+    through: list[list[int]] = [[] for _ in range(design.n)]
+    for i, blk in enumerate(design.blocks):
+        for p in blk:
+            through[p].append(design.block_masks[block_perm(i)])
     images = []
     full = (1 << design.n) - 1
-    for p in range(design.n):
+    for masks in through:
         common = full
-        for i, blk in enumerate(design.blocks):
-            if p in blk:
-                common &= design.block_masks[block_perm(i)]
+        for mask in masks:
+            common &= mask
         if common.bit_count() != 1:
             return None
         images.append(common.bit_length() - 1)

@@ -315,6 +315,23 @@ def test_report_aut_budget_exhaustion(capsys):
     assert err == "search budget exceeded (1 nodes); results are PARTIAL\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("report",), ("report", "--aut"), ("cliques",), ("aut",), ("orbits", "--domain", "cliques")],
+)
+def test_non_srg_block_graph_is_one_line_error(argv, tmp_path, capsys):
+    # blocks abc and ade meet, fgh meets neither: degrees 1, 1 and 0
+    path = tmp_path / "nonsrg.blk"
+    path.write_text("a b c\na d e\nf g h\n")
+    generators = tmp_path / "gens.txt"
+    generators.write_text("(b c)\n")
+    extra = ("--generators", str(generators)) if argv[0] == "orbits" else ()
+    code, out, err = run(capsys, *argv, "--input", str(path), *extra)
+    assert code == 1
+    assert out == ""
+    assert err == "error: block graph is not strongly regular: not regular: degrees [0, 1]\n"
+
+
 @pytest.mark.parametrize("option, value", [("--node-limit", "-5")])
 @pytest.mark.parametrize("command", ["report", "aut"])
 def test_non_positive_count_is_usage_error(command, option, value, capsys):

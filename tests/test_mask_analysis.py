@@ -169,6 +169,10 @@ def test_random_blocklists_match_references():
         assert graph.rows == reference_rows(design)
         cliques = powerset_cliques(graph)
         largest = max(map(len, cliques))
+        for size in range(1, largest + 1):
+            assert enumerate_maximum_cliques(graph, size=size) == sorted(
+                c for c in cliques if len(c) == size
+            )
         assert enumerate_maximum_cliques(graph) == sorted(c for c in cliques if len(c) == largest)
         for members in cliques:
             assert_public_functions_match(design, members)
