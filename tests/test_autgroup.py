@@ -227,18 +227,17 @@ def random_graph(seed):
     """A seeded G(n, p) graph, or a circulant, whose rotations are automorphisms."""
     rng = random.Random(seed)
     n = rng.randint(8, 30)
-    rows = [0] * n
+    pairs = combinations(range(n), 2)
     if seed % 2:
         gaps = {d for d in range(1, n // 2 + 1) if rng.random() < 0.4} or {1}
-        adjacent = lambda a, b: min((a - b) % n, (b - a) % n) in gaps  # noqa: E731
+        edges = [(a, b) for a, b in pairs if min(b - a, n - b + a) in gaps]
     else:
         p = rng.choice((0.3, 0.5, 0.7))
-        edges = {pair for pair in combinations(range(n), 2) if rng.random() < p}
-        adjacent = lambda a, b: (min(a, b), max(a, b)) in edges  # noqa: E731
-    for a, b in combinations(range(n), 2):
-        if adjacent(a, b):
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
+        edges = [pair for pair in pairs if rng.random() < p]
+    rows = [0] * n
+    for a, b in edges:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
     return BlockGraph(n, tuple(rows))
 
 
