@@ -199,18 +199,36 @@ def _parse_blocklist(text: str, name: str) -> Design:
     return make_design(labels, raw_blocks, name=name)
 
 
+def _json_tokens(value, what: str) -> list[str]:
+    """A JSON list of str/int tokens, as strings."""
+    if not isinstance(value, list):
+        raise ValueError(f"json design: {what} must be a list, got {type(value).__name__}")
+    for tok in value:
+        if isinstance(tok, bool) or not isinstance(tok, (str, int)):
+            raise ValueError(f"json design: {what} token {tok!r} is not a string or integer")
+    return [str(tok) for tok in value]
+
+
 def _parse_json(text: str, name: str) -> Design:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"bad json design: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("json design: top level must be an object")
     for key in ("n", "m", "lambda", "labels", "blocks"):
         if key not in doc:
             raise ValueError(f"json design missing key {key!r}")
-    labels = [str(tok) for tok in doc["labels"]]
+    for key in ("n", "m", "lambda"):
+        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+            raise ValueError(f"json design: {key} must be an integer, got {doc[key]!r}")
+    labels = _json_tokens(doc["labels"], "labels")
     if len(labels) != doc["n"]:
         raise ValueError("json design: n does not match number of labels")
-    design = make_design(labels, doc["blocks"], lam=int(doc["lambda"]), name=name)
+    if not isinstance(doc["blocks"], list):
+        raise ValueError("json design: blocks must be a list of lists")
+    blocks = [_json_tokens(blk, "block") for blk in doc["blocks"]]
+    design = make_design(labels, blocks, lam=doc["lambda"], name=name)
     if design.m != doc["m"] and design.blocks:
         raise ValueError(f"json design: m={doc['m']} but blocks have size {design.m}")
     return design

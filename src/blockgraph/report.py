@@ -1,9 +1,14 @@
 """Analysis reports: census + group data, rendered as text or stable JSON.
 
 The structured rendering uses sorted keys and only exact integer/string/bool
-fields, so a report is byte-identical across runs.  The expected values for
-the three embedded 66-point designs are versioned here and drive the
-``--check-paper`` mode.
+fields, so a report is byte-identical across runs.  Its bytes are those of
+``json.dumps(report_document(r), sort_keys=True, indent=2)`` plus a newline,
+which the tests keep as the reference.  Only the document without its clique
+records goes through ``json.dumps``; each record is written into the records
+gap from a frame rendered once per record shape (every field but the members
+and the witness), with the members and the ``json.dumps`` of the witness
+label filled in.  The expected values for the three embedded 66-point
+designs are versioned here and drive the ``--check-paper`` mode.
 """
 
 from __future__ import annotations
@@ -180,34 +185,33 @@ def _params_dict(validation: ValidationReport) -> dict:
     }
 
 
-def report_document(report: AnalysisReport) -> dict:
-    """The report as a plain dict of exact values (the structured schema)."""
+def _record_fields(rec, labels) -> dict:
+    witness = rec.classification.witness
+    return {
+        "members": list(rec.members),
+        "classification": rec.classification.kind,
+        "witness": None if witness is None else labels[witness],
+        "support_size": rec.support_size,
+        "core_size": rec.core_size,
+        "core_design": None
+        if rec.restricted_params is None
+        else {"n": rec.restricted_params.n, "m": rec.restricted_params.m},
+        "subdesign": {
+            "admissible": bool(
+                rec.subdesign.candidate_params
+                and rec.subdesign.candidate_params.admissible
+            ),
+            "pair_coverage_ok": rec.subdesign.pair_coverage_ok,
+            "is_design": rec.subdesign.is_design,
+        },
+    }
+
+
+def _skeleton(report: AnalysisReport) -> dict:
+    """The structured document with an empty ``records`` list."""
     census = report.census
     design = census.design
-    records = []
-    for rec in census.records:
-        witness = rec.classification.witness
-        records.append(
-            {
-                "members": list(rec.members),
-                "classification": rec.classification.kind,
-                "witness": None if witness is None else design.labels[witness],
-                "support_size": rec.support_size,
-                "core_size": rec.core_size,
-                "core_design": None
-                if rec.restricted_params is None
-                else {"n": rec.restricted_params.n, "m": rec.restricted_params.m},
-                "subdesign": {
-                    "admissible": bool(
-                        rec.subdesign.candidate_params
-                        and rec.subdesign.candidate_params.admissible
-                    ),
-                    "pair_coverage_ok": rec.subdesign.pair_coverage_ok,
-                    "is_design": rec.subdesign.is_design,
-                },
-            }
-        )
-    doc = {
+    return {
         "design": {
             "name": design.name,
             "n": design.n,
@@ -234,7 +238,7 @@ def report_document(report: AnalysisReport) -> dict:
             "total": census.total,
             "canonical": census.canonical_count,
             "noncanonical": census.noncanonical_count,
-            "records": records,
+            "records": [],
         },
         "group": None
         if report.group is None
@@ -259,13 +263,82 @@ def report_document(report: AnalysisReport) -> dict:
             "equals_design_group": report.automorphisms.equals_design_group,
         },
     }
+
+
+def report_document(report: AnalysisReport) -> dict:
+    """The report as a plain dict of exact values (the structured schema)."""
+    doc = _skeleton(report)
+    labels = report.census.design.labels
+    doc["cliques"]["records"] = [_record_fields(r, labels) for r in report.census.records]
     return doc
 
 
+# Layout of json.dumps(..., sort_keys=True, indent=2) around the records:
+# the records list sits at depth 2, each record at depth 3, members at depth 4.
+_RECORDS_GAP = '\n    "records": []'
+_RECORD_BREAK = "\n      "
+_MEMBER_BREAK = "\n          "
+
+
+def _record_frame(rec, labels) -> tuple[str, str, str]:
+    """A record's JSON split around its members and its witness.
+
+    The frame depends only on the record's shape (every field but
+    ``members`` and ``witness``), so it is rendered once per shape.
+    """
+    fields = _record_fields(rec, labels)
+    fields["members"] = []
+    fields["witness"] = None
+    text = json.dumps(fields, sort_keys=True, indent=2).replace("\n", _RECORD_BREAK)
+    head, tail = text.split('"members": []')
+    # "witness" sorts last, so the frame ends with its value and the brace
+    middle, end = tail.rsplit('"witness": null', 1)
+    return head + '"members": [', "]" + middle + '"witness": ', end
+
+
 def render_structured(report: AnalysisReport) -> str:
-    # streamed chunk by chunk: json.dumps would hold every chunk in a list
+    """``json.dumps(report_document(report), sort_keys=True, indent=2)`` + newline.
+
+    The skeleton goes through ``json.dumps`` once; each record is written
+    into the skeleton's records gap from a frame shared by every record of
+    its shape, with the members and the pre-encoded witness label filled in.
+    """
+    census = report.census
+    labels = census.design.labels
+    skeleton = json.dumps(_skeleton(report), sort_keys=True, indent=2)
+    if not census.records:
+        return skeleton + "\n"
+    before, after = skeleton.split(_RECORDS_GAP)
+    witnesses = {None: "null", **{i: json.dumps(label) for i, label in enumerate(labels)}}
+    member_lines = [f"{_MEMBER_BREAK}{i}" for i in range(census.design.b)]
+    frames = {}
     out = io.StringIO()
-    json.dump(report_document(report), out, sort_keys=True, indent=2)
+    out.write(before)
+    out.write('\n    "records": [')
+    sep = _RECORD_BREAK
+    for rec in census.records:
+        core, sub = rec.restricted_params, rec.subdesign
+        shape = (
+            rec.classification.kind,
+            rec.support_size,
+            rec.core_size,
+            None if core is None else (core.n, core.m),
+            bool(sub.candidate_params and sub.candidate_params.admissible),
+            sub.pair_coverage_ok,
+            sub.is_design,
+        )
+        frame = frames.get(shape)
+        if frame is None:
+            frame = frames[shape] = _record_frame(rec, labels)
+        head, middle, end = frame
+        members = ",".join(map(member_lines.__getitem__, rec.members))
+        if members:
+            members += "\n        "
+        witness = witnesses[rec.classification.witness]
+        out.write(f"{sep}{head}{members}{middle}{witness}{end}")
+        sep = "," + _RECORD_BREAK
+    out.write("\n    ]")
+    out.write(after)
     out.write("\n")
     return out.getvalue()
 

@@ -193,18 +193,25 @@ def denniston_params(r: int, s: int) -> FamilyParams:
     return FamilyParams("denniston", (r, s), 2 ** (r + s) + 2**r - 2**s, 2**r)
 
 
+# family -> (parameter function, argument names)
 _FAMILIES = {
-    "affine": affine_params,
-    "projective": projective_params,
-    "unital": unital_params,
-    "denniston": denniston_params,
+    "affine": (affine_params, ("d", "q")),
+    "projective": (projective_params, ("d", "q")),
+    "unital": (unital_params, ("t",)),
+    "denniston": (denniston_params, ("r", "s")),
 }
 
 
 def family_params(family: str, *args: int) -> FamilyParams:
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; know {sorted(_FAMILIES)}")
-    return _FAMILIES[family](*args)
+    params, names = _FAMILIES[family]
+    if len(args) != len(names):
+        raise ValueError(
+            f"{family} takes {len(names)} argument{'s' * (len(names) > 1)} "
+            f"({','.join(names)}), got {len(args)}"
+        )
+    return params(*args)
 
 
 def denniston_may_have_noncanonical(r: int, s: int) -> bool:

@@ -1,9 +1,10 @@
+import random
 import re
 from itertools import combinations, product
 
 import pytest
 
-from blockgraph import builtin_design, census_report, parse_design
+from blockgraph import builtin_design, census_report, make_design, parse_design
 from blockgraph.report import builtin_generators
 
 # ---------------------------------------------------------------------------
@@ -81,6 +82,16 @@ def point_line_blocklist(family, d, p):
         }
     blocks = sorted(" ".join(sorted("v" + "".join(map(str, pt)) for pt in line)) for line in lines)
     return "".join(blk + "\n" for blk in blocks)
+
+
+def random_blocklists(seed=20261018, count=24):
+    """3-uniform blocklists on 7-9 points; blocks may share two points."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(7, 9)
+        labels = [f"p{i}" for i in range(n)]
+        triples = list(combinations(labels, 3))
+        yield make_design(labels, rng.sample(triples, rng.randint(4, 10)), name=f"random{k}")
 
 
 # The 13 blocks of the non-canonical clique analysed in detail for main66

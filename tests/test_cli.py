@@ -340,6 +340,53 @@ def test_non_positive_count_is_usage_error(command, option, value, capsys):
     assert "not a positive integer" in err
 
 
+# A one-block JSON design with one field's raw JSON text replaced per case.
+_JSON_FIELDS = {
+    "n": "3",
+    "m": "3",
+    "lambda": "1",
+    "labels": '["a", "b", "c"]',
+    "blocks": '[["a", "b", "c"]]',
+}
+
+
+@pytest.mark.parametrize(
+    "field, raw",
+    [
+        ("labels", "5"),
+        ("labels", '[["a"], "b", "c"]'),
+        ("labels", '[true, "b", "c"]'),
+        ("blocks", "5"),
+        ("blocks", "[null]"),
+        ("blocks", '[[["a"], "b", "c"]]'),
+        ("lambda", "null"),
+        ("lambda", "1e400"),
+        ("lambda", "true"),
+        ("n", '"3"'),
+    ],
+)
+def test_bad_json_design_is_one_line_error(field, raw, tmp_path, capsys):
+    text = "{" + ", ".join(
+        f'"{key}": {raw if key == field else value}' for key, value in _JSON_FIELDS.items()
+    ) + "}"
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "report", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: json design: ")
+    assert err.count("\n") == 1
+
+
+def test_json_design_with_integer_tokens(tmp_path, capsys):
+    path = tmp_path / "ints.json"
+    path.write_text('{"n": 3, "m": 3, "lambda": 1, "labels": [1, 2, 3], "blocks": [[1, 2, 3]]}')
+    code, out, err = run(capsys, "report", "--input", str(path), "--format", "structured")
+    assert err == ""
+    assert code == 1  # a single block is not a 2-design
+    assert json.loads(out)["cliques"]["records"][0]["witness"] == "1"
+
+
 # ---------------------------------------------------------------------------
 # export and theory
 
@@ -408,3 +455,18 @@ def test_theory_family(capsys):
     )
     assert code == 0
     assert "2-(40,4,1)" in out
+
+
+@pytest.mark.parametrize(
+    "family, args, expected",
+    [
+        ("unital", "", "unital takes 1 argument"),
+        ("projective", "1,2,3", "projective takes 2 arguments"),
+    ],
+)
+def test_theory_family_wrong_arity(family, args, expected, capsys):
+    code, out, err = run(capsys, "theory", "family", "--family", family, "--args", args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {expected} ")
+    assert err.count("\n") == 1

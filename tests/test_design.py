@@ -94,6 +94,19 @@ def test_round_trip_json(main66):
     assert again.labels == main66.labels  # json keeps the exact labelling
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "top level must be an object"),
+        ("5", "top level must be an object"),
+        ('{"n": ' + "[" * 100000 + "]" * 100000 + "}", "bad json design"),
+    ],
+)
+def test_parse_json_rejects_malformed_documents(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_design(text, "json")
+
+
 def test_serialize_idempotent_text():
     d = parse_design("b a\nc a\nc b\n")
     text = serialize_design(d)

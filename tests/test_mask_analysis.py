@@ -8,7 +8,6 @@ does, so the "pair covered twice" and "duplicate restricted block" paths
 are compared too.
 """
 
-import random
 from collections import Counter
 from itertools import combinations
 
@@ -27,6 +26,8 @@ from blockgraph import (
 )
 from blockgraph.cliques import Classification, SubdesignVerdict
 from blockgraph.design import admissibility, make_design, validate_2design
+
+from conftest import random_blocklists
 
 
 def reference_classification(design, members):
@@ -111,16 +112,6 @@ def powerset_cliques(graph):
         for members in [tuple(v for v in range(graph.v) if mask >> v & 1)]
         if all(graph.adjacent(a, b) for a, b in combinations(members, 2))
     ]
-
-
-def random_blocklists(seed=20261018, count=24):
-    """3-uniform blocklists on 7-9 points; blocks may share two points."""
-    rng = random.Random(seed)
-    for k in range(count):
-        n = rng.randint(7, 9)
-        labels = [f"p{i}" for i in range(n)]
-        triples = list(combinations(labels, 3))
-        yield make_design(labels, rng.sample(triples, rng.randint(4, 10)), name=f"random{k}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,184 @@
+"""The structured renderer against its reference.
+
+``render_structured`` writes each clique record from a frame shared by every
+record of the same shape, without encoding the document as a whole.  These
+tests pin its output to ``json.dumps(report_document(r), sort_keys=True,
+indent=2) + "\\n"`` on every kind of report: the paper designs with group
+and automorphism sections, geometric designs up to AG(2,5)'s 15,625
+records, degenerate designs, labels that need escaping, random blocklists
+with every clique of every size, and records whose shapes differ in one
+field at a time.
+"""
+
+import dataclasses
+import json
+import os
+
+import pytest
+
+from blockgraph import (
+    build_block_graph,
+    builtin_design,
+    census_report,
+    classify_clique,
+    core_restriction,
+    enumerate_maximum_cliques,
+    parse_design,
+    subdesign_test,
+)
+from blockgraph.cliques import Classification, CliqueCensus, CliqueRecord
+from blockgraph.design import admissibility, validate_2design
+from blockgraph.report import (
+    AnalysisReport,
+    automorphism_section,
+    build_report,
+    builtin_generators,
+    lift_to_design_automorphism,
+    render_structured,
+    report_document,
+)
+
+from conftest import point_line_blocklist, random_blocklists
+
+
+def assert_renders_like_reference(report):
+    expected = json.dumps(report_document(report), sort_keys=True, indent=2) + "\n"
+    actual = render_structured(report)
+    if actual != expected:
+        # point at the first difference; a full diff of megabytes takes minutes
+        at = len(os.path.commonprefix([actual, expected]))
+        pytest.fail(
+            f"render_structured differs from the reference at offset {at}: "
+            f"{actual[max(at - 80, 0):at + 80]!r} != {expected[max(at - 80, 0):at + 80]!r}"
+        )
+
+
+def plain_report(census):
+    return AnalysisReport(census, validate_2design(census.design), None, None)
+
+
+# AG(2,3) relabelled with points that json.dumps must escape; the name too
+ODD_LABELS = ('a"', "b\\", "é", "𝔽", "\t", " ", "p", "q", "r")
+
+
+@pytest.fixture(scope="module")
+def odd_design():
+    plain = parse_design(point_line_blocklist("affine", 2, 3))
+    relabel = dict(zip(plain.labels, ODD_LABELS))
+    doc = {
+        "n": 9,
+        "m": 3,
+        "lambda": 1,
+        "labels": list(ODD_LABELS),
+        "blocks": [[relabel[t] for t in plain.block_tokens(i)] for i in range(plain.b)],
+    }
+    return parse_design(json.dumps(doc), "json", name='q"\\é')
+
+
+@pytest.mark.parametrize("name", ["main66", "appendixA66", "appendixB66"])
+def test_paper_designs_with_group_and_aut(name):
+    design = builtin_design(name)
+    generators = builtin_generators(design, name)
+    if not generators:
+        # only main66 embeds generators; lift the graph group's instead
+        _, group = automorphism_section(design, census_report(design))
+        generators = [lift_to_design_automorphism(design, g) for g in group.generators]
+    report = build_report(design, generators, "design generators", include_aut=True)
+    assert report.group is not None and report.automorphisms is not None
+    assert report.census.total == 80
+    assert_renders_like_reference(report)
+
+
+@pytest.mark.parametrize("name", ["fano", "ag23", "pg23"])
+def test_small_builtins_with_aut(name):
+    report = build_report(builtin_design(name), include_aut=True)
+    assert report.automorphisms is not None
+    assert_renders_like_reference(report)
+
+
+@pytest.mark.parametrize(
+    "family, d, p, records",
+    [("projective", 3, 2, 30), ("affine", 3, 3, 27), ("affine", 2, 5, 15625)],
+)
+def test_geometric_designs(family, d, p, records):
+    design = parse_design(point_line_blocklist(family, d, p), name=f"{family}{d}{p}")
+    report = build_report(design)
+    assert report.census.total == records
+    assert_renders_like_reference(report)
+
+
+@pytest.mark.parametrize("text, records, aut", [("", 0, False), ("a b c\n", 1, True)])
+def test_empty_and_one_block_designs(text, records, aut):
+    report = build_report(parse_design(text, name="tiny"), include_aut=aut)
+    assert report.census.total == records
+    assert_renders_like_reference(report)
+
+
+def test_labels_and_name_that_need_escaping(odd_design):
+    report = build_report(odd_design, include_aut=True)
+    # one star per point, and 81 - 9 transversals of the four parallel classes
+    assert (report.census.total, report.census.canonical_count) == (81, 9)
+    assert_renders_like_reference(report)
+    doc = json.loads(render_structured(report))
+    assert doc["design"]["name"] == 'q"\\é'
+    assert {rec["witness"] for rec in doc["cliques"]["records"]} == {*ODD_LABELS, None}
+
+
+def test_random_blocklists_every_clique():
+    """Records for every clique of every size, pair-twice cases included."""
+    shapes = set()
+    for design in random_blocklists():
+        graph = build_block_graph(design)
+        records = []
+        size = 1
+        while cliques := enumerate_maximum_cliques(graph, size=size):
+            for members in cliques:
+                core = core_restriction(design, members)
+                verdict = subdesign_test(design, members)
+                records.append(
+                    CliqueRecord(
+                        members=members,
+                        classification=classify_clique(design, members),
+                        support_size=verdict.support_size,
+                        core_size=len(core.core_points),
+                        restricted_params=core.restricted_params,
+                        subdesign=verdict,
+                    )
+                )
+            size += 1
+        census = CliqueCensus(design, graph, None, "not checked", None, size - 1, tuple(records))
+        report = plain_report(census)
+        assert_renders_like_reference(report)
+        for rec in report_document(report)["cliques"]["records"]:
+            del rec["members"], rec["witness"]
+            shapes.add(json.dumps(rec, sort_keys=True))
+    assert len(shapes) >= 30  # many record shapes, so many frames
+
+
+def test_records_differing_in_one_shape_field(odd_design):
+    """Each shape field on its own must select a different frame."""
+    census = census_report(odd_design)
+    base = census.records[0]
+    sub = base.subdesign
+
+    def verdict(**change):
+        return dataclasses.replace(base, subdesign=dataclasses.replace(sub, **change))
+
+    variants = [
+        dataclasses.replace(base, classification=Classification("non-canonical", None)),
+        dataclasses.replace(base, support_size=base.support_size + 1),
+        dataclasses.replace(base, core_size=base.core_size + 1),
+        dataclasses.replace(base, restricted_params=admissibility(13, 4)),
+        dataclasses.replace(base, restricted_params=admissibility(13, 3)),
+        verdict(candidate_params=admissibility(7, 3)),
+        verdict(candidate_params=admissibility(8, 3)),
+        verdict(pair_coverage_ok=not sub.pair_coverage_ok),
+        verdict(is_design=not sub.is_design),
+        dataclasses.replace(base, members=()),
+        dataclasses.replace(base, members=(base.members[0],)),
+    ]
+    records = [base]
+    for variant in variants:
+        records += [variant, base]
+    report = plain_report(dataclasses.replace(census, records=tuple(records)))
+    assert_renders_like_reference(report)

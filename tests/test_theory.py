@@ -228,6 +228,16 @@ def test_family_dispatch_and_validation():
         family_params("grassmann", 4, 2)
 
 
+@pytest.mark.parametrize(
+    "family, args",
+    [("affine", (2,)), ("projective", (1, 2, 3)), ("unital", ()), ("denniston", (2, 3, 4))],
+)
+def test_family_wrong_arity_names_the_count(family, args):
+    count = 1 if family == "unital" else 2
+    with pytest.raises(ValueError, match=rf"{family} takes {count} argument"):
+        family_params(family, *args)
+
+
 def test_is_prime_power():
     def oracle(q):
         for p in range(2, q + 1):
