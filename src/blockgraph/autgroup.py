@@ -16,7 +16,9 @@ clique masks through each vertex.  Refinement is a splitter queue
 counts are the sliced sum of its members' rows, and each cell splits by AND
 with each count's mask, its fragments taking its place in ascending-count
 order.  A split cell that was not queued queues all fragments but its
-first largest.  The trace of (colour, position, (count, size) per
+first largest.  After individualizing a vertex of an equitable partition
+only the new singleton is queued: the rest of its cell splits nothing the
+singleton does not.  The trace of (colour, position, (count, size) per
 fragment) steps is isomorphism-invariant.
 
 The search walks a deterministic tree: refine to an equitable partition,
@@ -28,29 +30,48 @@ processed deepest first.  At each, a child in the orbit of an explored
 child under the automorphisms found so far is skipped, and the search below
 any other child stops at its first verified automorphism and jumps back to
 the first-path node (McKay & Piperno 2014, *Practical graph isomorphism
-II*).  Each kept automorphism therefore enlarges the group, and the group
-is closed by Schreier-Sims with the first path as its base.
+II*).  Each kept automorphism therefore enlarges the group.  Once the node
+at depth i is done, the kept automorphisms all fix the base points before
+it and their orbit of its base point is the i-th basic orbit, so the order
+is the product of those orbit lengths (McKay 1981), with no Schreier-Sims.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
+from dataclasses import dataclass
 from itertools import chain
 
 from .cliques import _bits, enumerate_maximum_cliques
 from .graph import BlockGraph
-from .perms import PermGroup, Permutation, close_group, is_graph_automorphism, orbit
+# close_group is not called here, but perfbench/tracing.py wraps this name
+# and fails when one of its trace targets disappears
+from .perms import Permutation, close_group, is_graph_automorphism, orbit
 
 DEFAULT_NODE_LIMIT = 200_000
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """The backtracking search hit its node limit; partial generators attached."""
+    """The search hit its node limit: nodes visited, generators kept and the order
+    of the pointwise stabilizer of the first-path levels settled so far."""
 
-    def __init__(self, limit: int, generators: tuple[Permutation, ...]):
-        super().__init__(f"automorphism search exceeded {limit} nodes")
-        self.limit = limit
+    def __init__(self, nodes: int, generators: tuple[Permutation, ...], order: int):
+        super().__init__(
+            f"{nodes} nodes visited, {len(generators)} generators kept, "
+            f"settled stabilizer order {order}"
+        )
+        self.nodes = nodes
         self.generators = generators
+        self.order = order
+
+
+@dataclass(frozen=True)
+class GraphGroup:
+    """The kept automorphisms, the first-path base and the group's exact order."""
+
+    generators: tuple[Permutation, ...]
+    base: tuple[int, ...]
+    order: int
 
 
 def default_seed_invariants(graph: BlockGraph, cliques=None) -> list:
@@ -99,8 +120,9 @@ def _count_classes(planes: list[int], within: int) -> list[tuple[int, int]]:
     return sorted(classes)
 
 
-def _edge_colour_rows(graph: BlockGraph, cliques) -> dict[int, list[int]]:
-    """Adjacency split by edge colour = number of maximum cliques on the pair."""
+def _edge_colour_rows(graph: BlockGraph, cliques) -> list[list[int]]:
+    """Adjacency split by edge colour = number of maximum cliques on the
+    pair, one list of rows per colour, ascending by colour."""
     through: list[list[int]] = [[] for _ in range(graph.v)]
     for cl in cliques:
         mask = sum(1 << u for u in cl)
@@ -110,78 +132,68 @@ def _edge_colour_rows(graph: BlockGraph, cliques) -> dict[int, list[int]]:
     for u, row in enumerate(graph.rows):
         for colour, mask in _count_classes(_sliced_sum(through[u]), row):
             by_colour.setdefault(colour, [0] * graph.v)[u] = mask
-    return by_colour
+    return [by_colour[c] for c in sorted(by_colour)]
 
 
-class _Refiner:
-    """Equitable refinement of ordered partitions over an edge-coloured graph.
+def _refine(colour_rows, cells: list[int], splitters=None) -> tuple[list[int], tuple]:
+    """The coarsest equitable partition finer than ``cells``, and the trace
+    of the splits that produced it.
 
     Cells are bitmasks in a list whose order is canonical: a cell's
     fragments take its place in ascending-count order, so positions (and
-    hence the refinement trace) are comparable between search branches.
+    hence the trace) are comparable between search branches.  Splitters
+    come off a queue that starts with ``splitters`` (default: every cell),
+    which must be cells such that the partition is equitable with respect
+    to every other cell.  A split cell's fragments are all queued if it was
+    queued, otherwise all but its first largest, whose counts follow from
+    the cell's and the other fragments' (Hopcroft's rule; Paige & Tarjan
+    1987).
     """
-
-    def __init__(self, colour_rows: dict[int, list[int]]):
-        self.colour_rows = [colour_rows[c] for c in sorted(colour_rows)]
-
-    def refine(self, cells: list[int]) -> tuple[list[int], tuple]:
-        """The coarsest equitable partition finer than ``cells``, and the
-        trace of the splits that produced it.
-
-        Splitters come off a queue that starts with every cell.  A split
-        cell's fragments are all queued if it was queued, otherwise all but
-        its first largest, whose counts follow from the cell's and the
-        other fragments' (Hopcroft's rule; Paige & Tarjan 1987).
-        """
-        cells = list(cells)
-        queue = deque(cells)
-        queued = set(cells)
-        active = sum(cell for cell in cells if cell & (cell - 1))  # non-singletons
-        trace = []
-        while active and queue:
-            splitter = queue.popleft()
-            if splitter not in queued:
-                continue  # a queued cell that has split since
-            queued.remove(splitter)
-            members = _bits(splitter)
-            for colour, rows in enumerate(self.colour_rows):
-                classes = _count_classes(_sliced_sum([rows[u] for u in members]), active)
-                if len(classes) < 2:
-                    continue  # no non-singleton cell can split
-                # the vertices of non-singleton cells with a non-zero count
-                touched = active ^ (classes[0][1] if classes[0][0] == 0 else 0)
-                out: list[int] = []
-                for cell in cells:
-                    if not cell & touched:
-                        out.append(cell)
-                        continue
-                    fragments = [(k, part) for k, mask in classes if (part := cell & mask)]
-                    if len(fragments) == 1:
-                        out.append(cell)
-                        continue
-                    sizes = [part.bit_count() for _, part in fragments]
-                    trace.append((colour, len(out), tuple(zip((k for k, _ in fragments), sizes))))
-                    skip = -1 if cell in queued else sizes.index(max(sizes))
-                    queued.discard(cell)
-                    for i, (_, part) in enumerate(fragments):
-                        out.append(part)
-                        if i != skip:
-                            queue.append(part)
-                            queued.add(part)
-                        if not part & (part - 1):
-                            active ^= part
-                cells = out
-        return cells, tuple(trace)
+    cells = list(cells)
+    queue = deque(cells if splitters is None else splitters)
+    queued = set(queue)
+    active = sum(cell for cell in cells if cell & (cell - 1))  # non-singletons
+    trace = []
+    while active and queue:
+        splitter = queue.popleft()
+        if splitter not in queued:
+            continue  # a queued cell that has split since
+        queued.remove(splitter)
+        members = _bits(splitter)
+        for colour, rows in enumerate(colour_rows):
+            classes = _count_classes(_sliced_sum([rows[u] for u in members]), active)
+            if len(classes) < 2:
+                continue  # no non-singleton cell can split
+            # the vertices of non-singleton cells with a non-zero count
+            touched = active ^ (classes[0][1] if classes[0][0] == 0 else 0)
+            out: list[int] = []
+            for cell in cells:
+                if not cell & touched:
+                    out.append(cell)
+                    continue
+                fragments = [(k, part) for k, mask in classes if (part := cell & mask)]
+                if len(fragments) == 1:
+                    out.append(cell)
+                    continue
+                sizes = [part.bit_count() for _, part in fragments]
+                trace.append((colour, len(out), tuple(zip((k for k, _ in fragments), sizes))))
+                skip = -1 if cell in queued else sizes.index(max(sizes))
+                queued.discard(cell)
+                for i, (_, part) in enumerate(fragments):
+                    out.append(part)
+                    if i != skip:
+                        queue.append(part)
+                        queued.add(part)
+                    if not part & (part - 1):
+                        active ^= part
+            cells = out
+    return cells, tuple(trace)
 
 
 def _first_largest_cell(cells: list[int]) -> int | None:
-    best = None
-    best_size = 1
-    for i, cell in enumerate(cells):
-        size = cell.bit_count()
-        if size > best_size:
-            best, best_size = i, size
-    return best
+    sizes = [cell.bit_count() for cell in cells]
+    largest = max(sizes)
+    return sizes.index(largest) if largest > 1 else None
 
 
 def _lowest(cell: int) -> int:
@@ -193,13 +205,12 @@ def graph_automorphism_group(
     seed_invariants=None,
     cliques=None,
     node_limit: int = DEFAULT_NODE_LIMIT,
-) -> PermGroup:
+) -> GraphGroup:
     """Complete automorphism group of a desk-scale graph.
 
-    Returns the group generated by the automorphisms the search kept, with
-    the first path as base and its exact order.  Raises SearchBudgetExceeded
-    (carrying the generators found so far) if the tree grows past
-    ``node_limit`` nodes.
+    Returns the automorphisms the search kept (none for a trivial group),
+    the first-path base and the exact order.  Raises SearchBudgetExceeded
+    if the tree grows past ``node_limit`` nodes.
     """
     v = graph.v
     if v == 0:
@@ -211,28 +222,29 @@ def graph_automorphism_group(
     if len(seed_invariants) != v:
         raise ValueError("need one seed invariant per vertex")
 
-    refiner = _Refiner(_edge_colour_rows(graph, cliques))
+    colour_rows = _edge_colour_rows(graph, cliques)
     seed_cells: dict = {}
-    for vertex in range(v):
-        key = seed_invariants[vertex]
+    for vertex, key in enumerate(seed_invariants):
         seed_cells[key] = seed_cells.get(key, 0) | (1 << vertex)
 
     generators: list[Permutation] = []
     nodes = 0
+    order = 1  # of the pointwise stabilizer of the settled base prefix
 
     def visit() -> None:
         nonlocal nodes
+        if nodes == node_limit:
+            raise SearchBudgetExceeded(nodes, tuple(generators), order)
         nodes += 1
-        if nodes > node_limit:
-            raise SearchBudgetExceeded(node_limit, tuple(generators))
 
     def individualize(cells: list[int], ci: int, vertex: int):
+        # the parent is equitable, so only the new singleton can split a cell
         split = cells[:ci] + [1 << vertex, cells[ci] & ~(1 << vertex)] + cells[ci + 1:]
-        return refiner.refine(split)
+        return _refine(colour_rows, split, [1 << vertex])
 
     # first path: always the lowest-index vertex of the first largest cell
     visit()
-    cells, _ = refiner.refine([seed_cells[k] for k in sorted(seed_cells)])
+    cells, _ = _refine(colour_rows, [seed_cells[k] for k in sorted(seed_cells)])
     path: list[tuple[list[int], int]] = []
     base_traces: list[tuple] = []
     while (ci := _first_largest_cell(cells)) is not None:
@@ -253,10 +265,7 @@ def graph_automorphism_group(
                 images[a] = _lowest(c)
             candidate = Permutation(tuple(images))
             return candidate if is_graph_automorphism(graph, candidate) else None
-        cell = cells[ci]
-        while cell:
-            vertex = _lowest(cell)
-            cell &= cell - 1
+        for vertex in _bits(cells[ci]):
             child, trace = individualize(cells, ci, vertex)
             if trace == base_traces[depth]:
                 found = automorphism_below(child, depth + 1)
@@ -271,10 +280,7 @@ def graph_automorphism_group(
     for depth in reversed(range(len(path))):
         cells, ci = path[depth]
         explored = {base[depth]}
-        rest = cells[ci] & ~(1 << base[depth])
-        while rest:
-            vertex = _lowest(rest)
-            rest &= rest - 1
+        for vertex in _bits(cells[ci]):
             if vertex in explored:
                 continue
             child, trace = individualize(cells, ci, vertex)
@@ -283,6 +289,7 @@ def graph_automorphism_group(
                 if found is not None:
                     generators.append(found)
             explored = orbit(explored | {vertex}, generators)
+        # the kept automorphisms now reach every child in the basic orbit
+        order *= len(orbit({base[depth]}, generators))
 
-    gens = tuple(generators) if generators else (Permutation.identity(v),)
-    return close_group(gens, base=base)
+    return GraphGroup(tuple(generators), base, order)

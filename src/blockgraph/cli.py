@@ -246,8 +246,7 @@ def cmd_aut(args) -> int:
     print(f"block-graph automorphism group order: {section.order}")
     print(f"generators ({section.generator_count}, acting on block indices):")
     for g in group.generators:
-        if not g.is_identity():
-            print(f"  {format_cycles(g, labels)}")
+        print(f"  {format_cycles(g, labels)}")
     print(
         "equals induced design automorphism group: "
         + ("yes" if section.equals_design_group else "no (graph group is larger)")
@@ -338,6 +337,15 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+MAX_MODULUS = 100_000  # squares lists (p-1)/2 residues; is_prime is trial division
+
+
+def _modulus(text: str) -> int:
+    if not text.strip().isdigit() or not 2 <= int(text) <= MAX_MODULUS:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a modulus in 2..{MAX_MODULUS}")
+    return int(text)
+
+
 def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
@@ -406,12 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--args", type=_int_list, required=True, metavar="A,B",
                    help="family arguments, e.g. 3,2 for projective d=3 q=2")
     t = tsub.add_parser("squares", help="nonzero quadratic residues mod p")
-    t.add_argument("--p", type=int, required=True)
+    t.add_argument("--p", type=_modulus, required=True)
     t = tsub.add_parser("diffset", help="difference multiset of a residue set")
-    t.add_argument("--p", type=int, required=True)
+    t.add_argument("--p", type=_modulus, required=True)
     t.add_argument("--set", type=_int_list, required=True, metavar="A,B,C")
     t = tsub.add_parser("translate", help="|(d+S) ∩ S| for a residue set")
-    t.add_argument("--p", type=int, required=True)
+    t.add_argument("--p", type=_modulus, required=True)
     t.add_argument("--set", type=_int_list, required=True, metavar="A,B,C")
     t.add_argument("--d", type=int, required=True)
     t = tsub.add_parser("certificate", help="orbit-clique certificate of a base block")
@@ -431,7 +439,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SearchBudgetExceeded as exc:
-        print(f"search budget exceeded ({exc.limit} nodes); results are PARTIAL", file=sys.stderr)
+        print(f"search budget exceeded ({exc}); results are PARTIAL", file=sys.stderr)
         return 1
     except SrgVerificationError as exc:
         print(f"error: block graph is not strongly regular: {exc}", file=sys.stderr)

@@ -315,8 +315,9 @@ class ValidationReport:
 def validate_2design(design: Design) -> ValidationReport:
     """Exhaustively check the 2-(n,m,1) axioms by direct counting.
 
-    Every unordered point pair must lie in exactly one block, every block
-    must have size m, and every point must lie in r = (n-1)/(m-1) blocks.
+    Every unordered point pair must lie in exactly lambda blocks, the
+    declared lambda (1 unless a JSON file says otherwise), every block must
+    have size m, and every point must lie in r = (n-1)/(m-1) blocks.
     Failures are reported, not raised.
     """
     violations: list[Violation] = []
@@ -339,9 +340,9 @@ def validate_2design(design: Design) -> ValidationReport:
             pair_counts[(p, q)] += 1
     for p, q in combinations(range(n), 2):
         c = pair_counts.get((p, q), 0)
-        if c != 1:
+        if c != design.lam:
             violations.append(
-                Violation("pair", (design.labels[p], design.labels[q]), c, 1)
+                Violation("pair", (design.labels[p], design.labels[q]), c, design.lam)
             )
     if params.r_integral:
         r = int(params.r)

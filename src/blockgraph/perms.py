@@ -1,14 +1,16 @@
 """Permutations in cycle notation, stabilizer chains, orbits, induced actions.
 
 Permutations always act on points; actions on blocks and on cliques are
-induced from the point action, never stored independently.  A group is
-held as a stabilizer chain built by deterministic Schreier-Sims (Sims 1970;
-Seress, *Permutation Group Algorithms*, 2003, ch. 4): a base, the orbit of
-each base point under the pointwise stabilizer of the points before it,
-and a transversal of that orbit.  The order is the product of the orbit
-lengths and membership is a sift through the chain, so memory grows with
-the degree and the base length, not with the order, and no size cap is
-needed (the symmetric group S13 of order 13! takes 13 levels).
+induced from the point action, never stored independently.  Given
+generators, such as a design's embedded ones, are closed into a stabilizer
+chain by deterministic Schreier-Sims (Sims 1970; Seress, *Permutation
+Group Algorithms*, 2003, ch. 4): a base, the orbit of each base point under
+the pointwise stabilizer of the points before it, and a transversal of
+that orbit.  The order is the product of the orbit lengths and membership
+is a sift through the chain, so memory grows with the degree and the base
+length, not with the order, and no size cap is needed (the symmetric group
+S13 of order 13! takes 13 levels).  The graph automorphism search gets its
+order from its own first path instead (see ``autgroup``).
 """
 
 from __future__ import annotations

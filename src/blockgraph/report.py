@@ -22,7 +22,6 @@ from . import catalog
 from .cliques import CliqueCensus, census_report, core_restriction
 from .design import Design, ValidationReport, validate_2design
 from .perms import (
-    PermGroup,
     Permutation,
     close_group,
     induced_block_action,
@@ -31,7 +30,7 @@ from .perms import (
     orbit_partition,
     parse_cycles,
 )
-from .autgroup import DEFAULT_NODE_LIMIT, graph_automorphism_group
+from .autgroup import DEFAULT_NODE_LIMIT, GraphGroup, graph_automorphism_group
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def lift_to_design_automorphism(design: Design, block_perm: Permutation):
 
 def automorphism_section(
     design: Design, census: CliqueCensus, node_limit: int = DEFAULT_NODE_LIMIT
-) -> tuple[AutSection, PermGroup]:
+) -> tuple[AutSection, GraphGroup]:
     """Full block-graph automorphism group plus its design-group comparison.
 
     ``equals_design_group`` holds when every group element lifts to a design
@@ -139,10 +138,8 @@ def automorphism_section(
     """
     cliques = [r.members for r in census.records]
     group = graph_automorphism_group(census.graph, cliques=cliques, node_limit=node_limit)
-    # a trivial group is closed from an identity placeholder, not a kept generator
-    kept = [g for g in group.generators if not g.is_identity()]
-    equals = all(lift_to_design_automorphism(design, g) is not None for g in kept)
-    section = AutSection(order=group.order, generator_count=len(kept), equals_design_group=equals)
+    equals = all(lift_to_design_automorphism(design, g) is not None for g in group.generators)
+    section = AutSection(group.order, len(group.generators), equals)
     return section, group
 
 

@@ -7,6 +7,7 @@ arbitrary precision, so no overflow and no floats.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -14,28 +15,17 @@ from .points import StructuredPoint
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def is_prime_power(q: int) -> bool:
     """Trial factorization; q is a prime power iff it has one prime divisor."""
     if q < 2:
         return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            while q % d == 0:
-                q //= d
-            return q == 1
-        d += 1
-    return True  # q itself is prime
+    d = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    while q % d == 0:
+        q //= d
+    return q == 1
 
 
 @dataclass(frozen=True)
@@ -54,11 +44,6 @@ class ResidueSet:
         if len(reduced) != len(elements):
             raise ValueError("elements collide after reduction mod p")
         return ResidueSet(modulus, tuple(reduced))
-
-    def translate(self, d: int) -> "ResidueSet":
-        return ResidueSet(
-            self.modulus, tuple(sorted((e + d) % self.modulus for e in self.elements))
-        )
 
     def scale(self, c: int) -> "ResidueSet":
         return ResidueSet.of(self.modulus, [c * e for e in self.elements])

@@ -184,9 +184,11 @@ def test_criterion_06_full_automorphism_search(
         )
     # the main design's group is independently known; compare the groups
     induced = close_group([induced_block_action(main66, g) for g in main66_generators])
-    graph_group = graph_automorphism_group(
+    found = graph_automorphism_group(
         main66_census.graph, cliques=[r.members for r in main66_census.records]
     )
+    graph_group = close_group(found.generators)
+    assert graph_group.order == found.order
     assert same_group(induced, graph_group)
     # configurable budget: exhaustion raises, and the CLI maps it to exit 1
     with pytest.raises(SearchBudgetExceeded):

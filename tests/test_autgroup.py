@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from itertools import combinations, permutations
@@ -19,13 +20,13 @@ from blockgraph import (
 from blockgraph.autgroup import (
     SearchBudgetExceeded,
     _edge_colour_rows,
-    _Refiner,
+    _refine,
     default_seed_invariants,
 )
 from blockgraph.cliques import enumerate_maximum_cliques
 from blockgraph.report import automorphism_section
 
-from conftest import point_line_blocklist, same_group
+from conftest import point_line_blocklist, random_blocklists, same_group
 
 
 def complete_graph(n):
@@ -53,11 +54,13 @@ def path_graph(n):
 
 def test_main66_graph_group(main66, main66_census, main66_generators):
     cliques = [r.members for r in main66_census.records]
-    group = graph_automorphism_group(main66_census.graph, cliques=cliques)
+    found = graph_automorphism_group(main66_census.graph, cliques=cliques)
+    assert found.order == 39
+    for g in found.generators:
+        assert is_graph_automorphism(main66_census.graph, g)
+    group = close_group(found.generators)
     assert group.order == 39
     assert not group.abelian
-    for g in group.generators:
-        assert is_graph_automorphism(main66_census.graph, g)
     # independently closed induced design group is the same group
     induced = close_group(
         [induced_block_action(main66, g) for g in main66_generators]
@@ -93,26 +96,30 @@ def test_petersen_group_matches_s5_oracle():
         oracle.add(Permutation(images))
     for p in oracle:
         assert is_graph_automorphism(graph, p)
-    group = graph_automorphism_group(graph)
-    assert group.order == len(oracle) == 120
+    found = graph_automorphism_group(graph)
+    assert found.order == len(oracle) == 120
+    group = close_group(found.generators)
+    assert group.order == 120
     assert all(p in group for p in oracle)
-    assert all(g in oracle for g in group.generators)
+    assert all(g in oracle for g in found.generators)
 
 
 def test_path_graph_reversal_only():
     graph = path_graph(5)
-    group = graph_automorphism_group(graph)
-    assert group.order == 2
+    found = graph_automorphism_group(graph)
+    assert found.order == 2
     reversal = Permutation(tuple(reversed(range(5))))
-    assert reversal in group
+    assert found.generators == (reversal,)
 
 
 def test_k13_group_is_symmetric():
     # the block graph of PG(2,3) is complete: its group is S13
     graph = build_block_graph(builtin_design("pg23"))
     assert graph.v == 13
-    group = graph_automorphism_group(graph)
-    assert group.order == 6_227_020_800
+    found = graph_automorphism_group(graph)
+    assert found.order == 6_227_020_800
+    group = close_group(found.generators, base=found.base)
+    assert group.order == found.order
     assert Permutation((1, 0) + tuple(range(2, 13))) in group
 
 
@@ -142,6 +149,33 @@ def test_generators_reclose_to_same_order(main66_census):
     assert close_group(group.generators).order == group.order
 
 
+def test_search_never_closes_the_group(monkeypatch, main66_census):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the search ran Schreier-Sims")
+
+    for name in ("blockgraph.autgroup.close_group", "blockgraph.perms._schreier_sims"):
+        monkeypatch.setattr(name, forbidden)
+    group = graph_automorphism_group(
+        main66_census.graph, cliques=[r.members for r in main66_census.records]
+    )
+    assert (group.order, len(group.generators)) == (39, 2)
+
+
+def test_trivial_group_keeps_no_generator():
+    # a triangle with a pendant path of length 2 at one corner and a
+    # pendant edge at another: only the identity preserves it
+    rows = [0] * 6
+    for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 5)):
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    graph = BlockGraph(6, tuple(rows))
+    assert [p for p in permutations(range(6)) if is_graph_automorphism(graph, Permutation(p))] == [
+        tuple(range(6))
+    ]
+    group = graph_automorphism_group(graph)
+    assert (group.generators, group.order) == ((), 1)
+
+
 def test_budget_exceeded(main66_census):
     with pytest.raises(SearchBudgetExceeded) as info:
         graph_automorphism_group(
@@ -149,8 +183,33 @@ def test_budget_exceeded(main66_census):
             cliques=[r.members for r in main66_census.records],
             node_limit=1,
         )
-    assert info.value.limit == 1
-    assert isinstance(info.value.generators, tuple)
+    assert (info.value.nodes, info.value.generators, info.value.order) == (1, (), 1)
+
+
+def test_budget_exceeded_reports_settled_stabilizer():
+    # Every budget short of the full search stops with the order of the
+    # pointwise stabilizer of a settled suffix of the first path: a product
+    # of the basic orbit lengths of a chain independently closed on the
+    # same base, from some level to the last, growing with the budget.
+    census = census_report(builtin_design("ag23"))
+    cliques = [r.members for r in census.records]
+    full = graph_automorphism_group(census.graph, cliques=cliques)
+    chain = close_group(full.generators, base=full.base).chain
+    suffixes = [math.prod(len(level.transversal) for level in chain[i:]) for i in range(len(chain))]
+    seen = []
+    for limit in range(1, 200):
+        try:
+            graph_automorphism_group(census.graph, cliques=cliques, node_limit=limit)
+        except SearchBudgetExceeded as exc:
+            assert exc.nodes == limit
+            assert exc.order in suffixes + [1]
+            assert all(is_graph_automorphism(census.graph, g) for g in exc.generators)
+            seen.append(exc.order)
+        else:
+            break
+    assert seen == sorted(seen)
+    assert seen[0] == 1 and 1 < seen[-1] < full.order
+    assert len(set(seen)) == len(full.base)
 
 
 def test_seed_invariants_validated(main66_census):
@@ -172,7 +231,6 @@ def test_default_seed_invariants_are_invariant(main66_census):
 def all_cells_refine(colour_rows, cells):
     """Reference refinement: re-sign every vertex of every non-singleton cell
     by its per-colour neighbour counts in every cell, until nothing splits."""
-    colour_rows = [colour_rows[c] for c in sorted(colour_rows)]
     cells = list(cells)
     changed = True
     while changed:
@@ -199,7 +257,7 @@ def pair_counter_colours(graph, cliques):
             rows = by_colour.setdefault(pair_counts[(i, j)], [0] * graph.v)
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-    return by_colour
+    return [by_colour[c] for c in sorted(by_colour)]
 
 
 def per_edge_is_automorphism(graph, perm):
@@ -256,8 +314,7 @@ def graph_case(request):
         else:
             census = census_report(request.getfixturevalue(request.param))
         graph, cliques = census.graph, [r.members for r in census.records]
-    group = graph_automorphism_group(graph, cliques=cliques)
-    return graph, cliques, group.generators
+    return graph, cliques, graph_automorphism_group(graph, cliques=cliques)
 
 
 def seed_partition(graph, cliques):
@@ -282,35 +339,83 @@ def image_mask(perm, mask):
     return sum(1 << perm(v) for v in range(perm.degree) if mask >> v & 1)
 
 
+def closed_order(group, degree):
+    """The order of the group the kept generators generate, by Schreier-Sims."""
+    return close_group(group.generators or [Permutation.identity(degree)]).order
+
+
+def test_first_path_order_matches_closure(graph_case):
+    graph, _, group = graph_case
+    assert group.order == closed_order(group, graph.v)
+
+
+@pytest.mark.parametrize("seed", range(8, 40))
+def test_first_path_order_matches_closure_on_random_graphs(seed):
+    graph = random_graph(seed)
+    group = graph_automorphism_group(graph)
+    assert all(is_graph_automorphism(graph, g) for g in group.generators)
+    assert group.order == closed_order(group, graph.v)
+
+
+def test_first_path_order_matches_closure_on_random_block_graphs():
+    for design in random_blocklists():
+        graph = build_block_graph(design)
+        group = graph_automorphism_group(graph)
+        assert group.order == closed_order(group, graph.v)
+
+
 def test_refine_matches_all_cells_reference(graph_case):
     graph, cliques, _ = graph_case
     colours = _edge_colour_rows(graph, cliques)
-    refiner = _Refiner(colours)
     rng = random.Random(graph.v)
     starts = [seed_partition(graph, cliques), [(1 << graph.v) - 1]]
-    cells, _ = refiner.refine(starts[0])
+    cells, _ = _refine(colours, starts[0])
     for vertex in rng.sample(unsettled(cells), min(len(unsettled(cells)), 6)):
         starts.append(individualized(cells, vertex))
-        once, _ = refiner.refine(starts[-1])
+        once, _ = _refine(colours, starts[-1])
         if unsettled(once):
             starts.append(individualized(once, rng.choice(unsettled(once))))
     for start in starts:
-        got, _ = refiner.refine(start)
+        got, _ = _refine(colours, start)
         assert set(got) == set(all_cells_refine(colours, start))
         assert sum(got) == (1 << graph.v) - 1
 
 
+def test_singleton_splitter_refines_like_all_cells(graph_case):
+    # from an equitable partition, queueing only an individualized vertex
+    # reaches the same coarsest equitable partition as queueing every cell
+    graph, cliques, _ = graph_case
+    colours = _edge_colour_rows(graph, cliques)
+    cells, _ = _refine(colours, seed_partition(graph, cliques))
+    rng = random.Random(2 * graph.v)
+    for _ in range(4):
+        if not unsettled(cells):
+            break
+        vertex = rng.choice(unsettled(cells))
+        start = individualized(cells, vertex)
+        got, _ = _refine(colours, start, [1 << vertex])
+        assert set(got) == set(all_cells_refine(colours, start))
+        cells = got
+
+
 def test_refine_trace_is_invariant(graph_case):
     # refining the image of a partition under an automorphism gives the
-    # image of the refined partition, cell for cell, with the same trace
-    graph, cliques, generators = graph_case
-    refiner = _Refiner(_edge_colour_rows(graph, cliques))
-    cells, _ = refiner.refine(seed_partition(graph, cliques))
-    for g in generators:
+    # image of the refined partition, cell for cell, with the same trace,
+    # whether every cell or only the new singleton is queued
+    graph, cliques, group = graph_case
+    colours = _edge_colour_rows(graph, cliques)
+    cells, _ = _refine(colours, seed_partition(graph, cliques))
+    for g in group.generators:
         for vertex in unsettled(cells)[::5]:
             start = individualized(cells, vertex)
-            got, trace = refiner.refine(start)
-            moved, moved_trace = refiner.refine([image_mask(g, c) for c in start])
+            got, trace = _refine(colours, start)
+            moved, moved_trace = _refine(colours, [image_mask(g, c) for c in start])
+            assert moved == [image_mask(g, c) for c in got]
+            assert moved_trace == trace
+            got, trace = _refine(colours, start, [1 << vertex])
+            moved, moved_trace = _refine(
+                colours, [image_mask(g, c) for c in start], [1 << g(vertex)]
+            )
             assert moved == [image_mask(g, c) for c in got]
             assert moved_trace == trace
 
@@ -326,7 +431,8 @@ def test_seed_invariants_match_per_neighbour_counter(graph_case):
 
 
 def test_automorphism_check_matches_per_edge_loop(graph_case):
-    graph, _, generators = graph_case
+    graph, _, group = graph_case
+    generators = group.generators
     rng = random.Random(1000 + graph.v)
     perms = list(generators) + [g.then(h) for g in generators for h in generators]
     for g in generators[:4]:
@@ -354,6 +460,9 @@ def test_automorphism_check_rejects_other_degree(main66_census):
 # S13); that of ag23 is K(3,3,3,3) (S3 wr S4); PG(3,q) gives
 # 2|PGL(4,q)| (Klein duality) and AG(3,3) gives |AGL(3,3)|.  The generator
 # counts pin the search decisions: one kept automorphism per explored orbit.
+# Refining from the individualized vertex alone changed the tree below the
+# first path on two designs: AG(3,3) now keeps 8 generators (was 7) and
+# PG(3,3) keeps 7 (was 8), with the same orders.
 GROUP_TABLE = {
     "main66": (39, 2, True),
     "appendixA66": (39, 2, True),
@@ -362,8 +471,8 @@ GROUP_TABLE = {
     "ag23": (6**4 * 24, 8, False),
     "pg23": (6_227_020_800, 12, False),
     "pg32": (2 * 20160, 8, False),
-    "ag33": (27 * 26 * 24 * 18, 7, True),
-    "pg33": (2 * 12_130_560, 8, False),
+    "ag33": (27 * 26 * 24 * 18, 8, True),
+    "pg33": (2 * 12_130_560, 7, False),
 }
 
 
@@ -377,4 +486,22 @@ def test_group_table(name, request):
         design = builtin_design(name)
     section, group = automorphism_section(design, census_report(design))
     assert (section.order, section.generator_count, section.equals_design_group) == GROUP_TABLE[name]
-    assert group.order == section.order
+    assert group.order == section.order == close_group(group.generators).order
+
+
+# |PGL(4,5)| = (5^4-1)(5^4-5)(5^4-5^2)(5^4-5^3)/(5-1), doubled by duality;
+# |AGL(4,3)| = 3^4 * (3^4-1)(3^4-3)(3^4-3^2)(3^4-3^3)
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "family, d, p, order",
+    [
+        ("projective", 3, 5, 2 * 624 * 620 * 600 * 500 // 4),
+        ("affine", 4, 3, 81 * 80 * 78 * 72 * 54),
+    ],
+)
+def test_large_geometric_group_orders(family, d, p, order):
+    design = parse_design(point_line_blocklist(family, d, p))
+    census = census_report(design)
+    group = graph_automorphism_group(census.graph, cliques=[r.members for r in census.records])
+    assert group.order == order
+    assert all(is_graph_automorphism(census.graph, g) for g in group.generators)

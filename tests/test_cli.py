@@ -31,6 +31,20 @@ def test_verify_fano_degenerate(capsys):
     assert "degenerate" in out
 
 
+@pytest.mark.parametrize("lam", [0, -1, 2])
+def test_verify_rejects_wrong_declared_lambda(tmp_path, capsys, lam):
+    # fano covers every pair once, so any other declared lambda is violated
+    doc = json.loads(serialize_design(builtin_design("fano"), "json"))
+    doc["lambda"] = lam
+    path = tmp_path / "fano.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--input", str(path))
+    assert code == 1
+    assert f"design: 2-(7,3,{lam}) with 7 blocks" in out
+    assert "valid: NO" in out
+    assert f"violation: pair ('0', '1') count=1 expected={lam}" in out
+
+
 def test_verify_duplicate_block_file(tmp_path, capsys):
     bad = tmp_path / "broken.blk"
     bad.write_text("1 2 3\n1 2 3\n")
@@ -312,7 +326,22 @@ def test_report_aut_budget_exhaustion(capsys):
     code, out, err = run(capsys, "report", "--builtin", "main66", "--aut", "--node-limit", "1")
     assert code == 1
     assert out == ""
-    assert err == "search budget exceeded (1 nodes); results are PARTIAL\n"
+    assert err == (
+        "search budget exceeded (1 nodes visited, 0 generators kept, "
+        "settled stabilizer order 1); results are PARTIAL\n"
+    )
+
+
+def test_aut_budget_exhaustion_says_how_far_it_got(capsys):
+    # ag23's search settles six of its eight first-path levels within 30
+    # nodes: a stabilizer of order 288 = 6*3*2*2*2*2 of 31104
+    code, out, err = run(capsys, "aut", "--builtin", "ag23", "--node-limit", "30")
+    assert code == 1
+    assert len(out.splitlines()) == 6
+    assert err == (
+        "search budget exceeded (30 nodes visited, 6 generators kept, "
+        "settled stabilizer order 288); results are PARTIAL\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -447,6 +476,29 @@ def test_theory_squares(capsys):
     code, out, _ = run(capsys, "theory", "squares", "--p", "13")
     assert code == 0
     assert out.strip() == "1 3 4 9 10 12"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("squares", "--p", "1000000007"),
+        ("diffset", "--p", "1000000000000000000000000000057", "--set", "1,2"),
+        ("translate", "--p", "100003", "--set", "1,2", "--d", "1"),
+        ("squares", "--p", "1"),
+        ("diffset", "--p", "-13", "--set", "1,2"),
+    ],
+)
+def test_theory_modulus_out_of_range_is_usage_error(argv, capsys):
+    code, out, err = run(capsys, "theory", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].endswith("is not a modulus in 2..100000")
+
+
+def test_theory_largest_modulus_is_accepted(capsys):
+    code, out, _ = run(capsys, "theory", "squares", "--p", "99991")
+    assert code == 0
+    assert len(out.split()) == 99990 // 2
 
 
 def test_theory_family(capsys):
