@@ -39,8 +39,8 @@ is the product of those orbit lengths (McKay 1981), with no Schreier-Sims.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .cliques import _bits, enumerate_maximum_cliques
 from .graph import BlockGraph
@@ -65,8 +65,7 @@ class SearchBudgetExceeded(RuntimeError):
         self.order = order
 
 
-@dataclass(frozen=True)
-class GraphGroup:
+class GraphGroup(NamedTuple):
     """The kept automorphisms, the first-path base and the group's exact order."""
 
     generators: tuple[Permutation, ...]

@@ -7,7 +7,7 @@ designs are parsed from embedded block listings; ``fano``, ``ag23`` and
 
 from __future__ import annotations
 
-from importlib import resources
+import pkgutil
 
 from .design import Design, develop_base_blocks, make_design, parse_design
 from .points import parse_block
@@ -96,7 +96,7 @@ def builtin_design(name: str) -> Design:
         )
     if name in ("appendixA66", "appendixB66"):
         fname = "appendix_a.blk" if name == "appendixA66" else "appendix_b.blk"
-        text = resources.files("blockgraph.data").joinpath(fname).read_text()
+        text = pkgutil.get_data("blockgraph", f"data/{fname}").decode()
         return parse_design(text, "blocklist", name=name)
     if name == "fano":
         return _difference_design(7, (0, 1, 3), "fano")

@@ -337,12 +337,9 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-MAX_MODULUS = 100_000  # squares lists (p-1)/2 residues; is_prime is trial division
-
-
 def _modulus(text: str) -> int:
-    if not text.strip().isdigit() or not 2 <= int(text) <= MAX_MODULUS:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a modulus in 2..{MAX_MODULUS}")
+    if not text.strip().isdigit() or not 2 <= int(text) <= theory.MAX_MODULUS:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a modulus in 2..{theory.MAX_MODULUS}")
     return int(text)
 
 

@@ -13,9 +13,9 @@ test are counting identities on them, exact for any blocklist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .design import Design, DesignParameters, admissibility
 from .graph import (
@@ -146,8 +146,7 @@ def enumerate_maximum_cliques(
 # ---------------------------------------------------------------------------
 # clique structure relative to the design
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str  # "canonical" | "non-canonical"
     witness: int | None  # point contained in every member block
 
@@ -156,15 +155,13 @@ class Classification:
         return self.kind == "canonical"
 
 
-@dataclass(frozen=True)
-class CoreRestriction:
+class CoreRestriction(NamedTuple):
     core_points: tuple[int, ...]
     restricted_blocks: tuple[tuple[int, ...], ...]
     restricted_params: DesignParameters | None  # set iff restriction is a 2-design
 
 
-@dataclass(frozen=True)
-class SubdesignVerdict:
+class SubdesignVerdict(NamedTuple):
     support: tuple[int, ...]
     support_size: int
     candidate_params: DesignParameters | None
@@ -299,8 +296,7 @@ def subdesign_test(design: Design, members) -> SubdesignVerdict:
 # ---------------------------------------------------------------------------
 # full census
 
-@dataclass(frozen=True)
-class CliqueRecord:
+class CliqueRecord(NamedTuple):
     members: tuple[int, ...]
     classification: Classification
     support_size: int
@@ -309,8 +305,7 @@ class CliqueRecord:
     subdesign: SubdesignVerdict
 
 
-@dataclass(frozen=True)
-class CliqueCensus:
+class CliqueCensus(NamedTuple):
     design: Design
     graph: BlockGraph
     srg: SrgParams | None
@@ -346,28 +341,15 @@ def census_report(design: Design) -> CliqueCensus:
     omega = clique_number(graph, upper_bound=bound)
     cliques = enumerate_maximum_cliques(graph, size=omega)
     full = (1 << design.n) - 1
+    block_masks = design.block_masks
     records = []
     for members in cliques:
         members = check_clique(design, members)
-        masks = [design.block_masks[i] for i in members]
+        masks = [block_masks[i] for i in members]
         common, support, core, twice = _summary(masks, full)
         verdict = _verdict(design, masks, support, twice)
-        records.append(
-            CliqueRecord(
-                members=members,
-                classification=_classification(common),
-                support_size=verdict.support_size,
-                core_size=core.bit_count(),
-                restricted_params=_core_params(masks, core, twice),
-                subdesign=verdict,
-            )
-        )
-    return CliqueCensus(
-        design=design,
-        graph=graph,
-        srg=srg,
-        degenerate=degenerate,
-        delsarte=bound,
-        clique_number=omega,
-        records=tuple(records),
-    )
+        records.append(CliqueRecord(
+            members, _classification(common), verdict.support_size, core.bit_count(),
+            _core_params(masks, core, twice), verdict,
+        ))
+    return CliqueCensus(design, graph, srg, degenerate, bound, omega, tuple(records))

@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .points import StructuredPoint, point_universe
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
-@dataclass(frozen=True)
-class DesignParameters:
+class DesignParameters(NamedTuple):
     """Replication and block counts for a hypothetical 2-(n,m,1) design."""
 
     n: int
@@ -59,21 +58,14 @@ def admissibility(n: int, m: int) -> DesignParameters:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Design:
+class Design(namedtuple("Design", "n m lam labels blocks name", defaults=("",))):
     """A block design in canonical form.
 
     ``blocks`` are sorted tuples of dense indices into ``labels``; the block
     list is sorted lexicographically.  Instances are immutable; construct via
     :func:`make_design`, :func:`parse_design` or :func:`develop_base_blocks`.
+    Equality and hash ignore ``name``.  No ``__slots__``: cached properties need a ``__dict__``.
     """
-
-    n: int
-    m: int
-    lam: int
-    labels: tuple[str, ...]
-    blocks: tuple[tuple[int, ...], ...]
-    name: str = field(default="", compare=False)
 
     @cached_property
     def token_blocks(self) -> frozenset[frozenset[str]]:
@@ -108,6 +100,11 @@ class Design:
             (self.n, self.m, self.lam) == (other.n, other.m, other.lam)
             and self.token_blocks == other.token_blocks
         )
+
+    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's field-wise !=
+
+    def __setattr__(self, name, value):  # cached properties write __dict__ directly
+        raise AttributeError(f"cannot assign to Design.{name}: designs are immutable")
 
     def __hash__(self) -> int:
         return hash((self.n, self.m, self.lam, self.token_blocks))
@@ -292,8 +289,7 @@ def develop_base_blocks(base_blocks, modulus: int = 13, name: str = "") -> Desig
 # ---------------------------------------------------------------------------
 # validation
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed design axiom: a pair, a point, or a block."""
 
     kind: str  # "pair" | "replication" | "block_size" | "parameters"
@@ -302,8 +298,7 @@ class Violation:
     expected: object
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     params: DesignParameters | None
     violations: tuple[Violation, ...]
@@ -321,7 +316,7 @@ def validate_2design(design: Design) -> ValidationReport:
     Failures are reported, not raised.
     """
     violations: list[Violation] = []
-    n, m = design.n, design.m
+    n, m, lam = design.n, design.m, design.lam
     if m < 2 or n <= m:
         violations.append(Violation("parameters", (n, m), 0, "n > m >= 2"))
         return ValidationReport(False, None, tuple(violations))
@@ -340,10 +335,8 @@ def validate_2design(design: Design) -> ValidationReport:
             pair_counts[(p, q)] += 1
     for p, q in combinations(range(n), 2):
         c = pair_counts.get((p, q), 0)
-        if c != design.lam:
-            violations.append(
-                Violation("pair", (design.labels[p], design.labels[q]), c, design.lam)
-            )
+        if c != lam:
+            violations.append(Violation("pair", (design.labels[p], design.labels[q]), c, lam))
     if params.r_integral:
         r = int(params.r)
         for p in range(n):

@@ -8,8 +8,8 @@ here are integral, so no numerical solver is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .design import Design, admissibility
 
@@ -22,8 +22,7 @@ class SrgVerificationError(Exception):
     """The graph failed an exhaustive strong-regularity check."""
 
 
-@dataclass(frozen=True)
-class BlockGraph:
+class BlockGraph(NamedTuple):
     """Intersection graph of a design's blocks (symmetric, irreflexive)."""
 
     v: int
@@ -41,7 +40,7 @@ class BlockGraph:
 
     def is_complete(self) -> bool:
         full = (1 << self.v) - 1
-        return all(self.rows[i] == full & ~(1 << i) for i in range(self.v))
+        return all(row == full & ~(1 << i) for i, row in enumerate(self.rows))
 
     def is_empty(self) -> bool:
         return all(r == 0 for r in self.rows)
@@ -59,8 +58,7 @@ class BlockGraph:
         return BlockGraph(len(verts), tuple(rows), self.design_ref)
 
 
-@dataclass(frozen=True)
-class SrgParams:
+class SrgParams(NamedTuple):
     v: int
     k: int
     lambda_param: int
@@ -122,10 +120,11 @@ def verify_srg(graph: BlockGraph) -> SrgParams:
     k = degrees.pop()
 
     lam = mu = None
+    rows = graph.rows
     for i in range(v):
-        ri = graph.rows[i]
+        ri = rows[i]
         for j in range(i + 1, v):
-            c = (ri & graph.rows[j]).bit_count()
+            c = (ri & rows[j]).bit_count()
             if ri >> j & 1:
                 if lam is None:
                     lam = c

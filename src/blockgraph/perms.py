@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import itemgetter
+from typing import NamedTuple
 
 from .design import Design
 from .graph import BlockGraph
@@ -35,15 +36,19 @@ def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(namedtuple("Permutation", "images")):
     """A bijection of 0..n-1 stored as its image array."""
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
+    def __new__(cls, images: tuple[int, ...]):
+        if sorted(images) != list(range(len(images))):
             raise ValueError("images are not a bijection on 0..n-1")
+        return tuple.__new__(cls, (images,))
+
+    @classmethod
+    def _make(cls, fields):  # what _replace builds through: validate here too
+        return cls(*fields)
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -204,19 +209,31 @@ def _schreier_sims(gens, base, n: int) -> list[_Level]:
     return chain
 
 
-@dataclass(frozen=True)
-class PermGroup:
+class PermGroup(NamedTuple):
     """A permutation group held as a stabilizer chain, never as its elements.
 
     ``order`` is the product of the basic orbit lengths; ``perm in group``
-    sifts perm through the chain.
+    sifts perm through the chain.  The chain is left out of equality, hash
+    and repr.
     """
 
     generators: tuple[Permutation, ...]
     base: tuple[int, ...]
     order: int
     abelian: bool
-    chain: tuple[_Level, ...] = field(repr=False, compare=False)
+    chain: tuple[_Level, ...]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PermGroup) and self[:4] == other[:4]
+
+    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's field-wise !=
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[:4], self))
+        return f"PermGroup({fields})"
 
     def __contains__(self, perm: Permutation) -> bool:
         n = self.generators[0].degree
@@ -239,8 +256,7 @@ def close_group(generators, base=()) -> PermGroup:
     return PermGroup(gens, tuple(level.point for level in chain), order, abelian, chain)
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(NamedTuple):
     domain_size: int
     orbits: tuple[tuple[int, ...], ...]
 
@@ -253,10 +269,11 @@ def orbit(points, perms) -> set[int]:
     """The union of the orbits of ``points`` under the group the perms generate."""
     out = set(points)
     frontier = list(out)
+    images = [g.images for g in perms]
     while frontier:
         x = frontier.pop()
-        for g in perms:
-            y = g(x)
+        for g in images:
+            y = g[x]
             if y not in out:
                 out.add(y)
                 frontier.append(y)
@@ -324,9 +341,8 @@ def is_design_automorphism(design: Design, perm: Permutation) -> bool:
     if perm.degree != design.n:
         return False
     blocks = set(design.blocks)
-    return all(
-        tuple(sorted(perm(p) for p in blk)) in blocks for blk in design.blocks
-    )
+    images = perm.images
+    return all(tuple(sorted([images[p] for p in blk])) in blocks for blk in design.blocks)
 
 
 def is_graph_automorphism(graph: BlockGraph, perm: Permutation) -> bool:

@@ -9,7 +9,7 @@ greatest.  That order is what assigns dense indices to built-in designs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 MODULUS = 13
 TAGS = ("0", "1", "2", "a", "b")
@@ -18,20 +18,24 @@ INF_TOKEN = "inf"
 _TAG_RANK = {t: i for i, t in enumerate(TAGS)}
 
 
-@dataclass(frozen=True)
-class StructuredPoint:
-    """A residue point ``value_tag`` or the infinity point (value/tag None)."""
+class StructuredPoint(namedtuple("StructuredPoint", "value tag")):
+    """A residue point ``value_tag`` or the infinity point (value/tag None),
+    ordered by :meth:`sort_key`, never by the inherited tuple comparison."""
 
-    value: int | None
-    tag: str | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.value is None) != (self.tag is None):
+    def __new__(cls, value: int | None, tag: str | None):
+        if (value is None) != (tag is None):
             raise ValueError("residue points need both value and tag")
-        if self.tag is not None:
-            if self.tag not in _TAG_RANK:
-                raise ValueError(f"unknown tag {self.tag!r}")
-            object.__setattr__(self, "value", self.value % MODULUS)
+        if tag is not None:
+            if tag not in _TAG_RANK:
+                raise ValueError(f"unknown tag {tag!r}")
+            value %= MODULUS
+        return tuple.__new__(cls, (value, tag))
+
+    @classmethod
+    def _make(cls, fields):  # what _replace builds through: validate here too
+        return cls(*fields)
 
     @property
     def is_infinity(self) -> bool:
@@ -50,6 +54,15 @@ class StructuredPoint:
 
     def __lt__(self, other: "StructuredPoint") -> bool:
         return self.sort_key() < other.sort_key()
+
+    def __le__(self, other: "StructuredPoint") -> bool:
+        return self.sort_key() <= other.sort_key()
+
+    def __gt__(self, other: "StructuredPoint") -> bool:
+        return self.sort_key() > other.sort_key()
+
+    def __ge__(self, other: "StructuredPoint") -> bool:
+        return self.sort_key() >= other.sort_key()
 
     def token(self) -> str:
         if self.is_infinity:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import catalog
 from .cliques import CliqueCensus, census_report, core_restriction
@@ -33,8 +33,7 @@ from .perms import (
 from .autgroup import DEFAULT_NODE_LIMIT, GraphGroup, graph_automorphism_group
 
 
-@dataclass(frozen=True)
-class GroupSection:
+class GroupSection(NamedTuple):
     source: str
     order: int
     abelian: bool
@@ -44,15 +43,13 @@ class GroupSection:
     noncanonical_clique_orbit_lengths: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AutSection:
+class AutSection(NamedTuple):
     order: int
     generator_count: int
     equals_design_group: bool
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     census: CliqueCensus
     validation: ValidationReport
     group: GroupSection | None

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .points import StructuredPoint
+
+MAX_MODULUS = 100_000  # squares lists (p-1)/2 residues; primality tests are trial division
+MAX_EXPONENT = 64  # family dimensions and Denniston r, s: they feed q**(d+1) and 2**(r+s)
 
 
 def is_prime(p: int) -> bool:
@@ -28,8 +31,7 @@ def is_prime_power(q: int) -> bool:
     return q == 1
 
 
-@dataclass(frozen=True)
-class ResidueSet:
+class ResidueSet(NamedTuple):
     """A duplicate-free subset of Z_p, stored sorted and reduced."""
 
     modulus: int
@@ -76,8 +78,7 @@ def translate_intersection(s: ResidueSet, d: int) -> int:
     return sum(1 for e in s.elements if (e + d) % s.modulus in base)
 
 
-@dataclass(frozen=True)
-class OrbitCliqueCertificate:
+class OrbitCliqueCertificate(NamedTuple):
     """Why the 13 translates of a two-fibre base block pairwise intersect.
 
     ``shift_totals[d]`` is how many points block B and its d-shift share;
@@ -138,8 +139,7 @@ def only_canonical_guaranteed(n: int, m: int) -> bool:
     return n > gm_threshold(m)
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     family: str
     args: tuple[int, ...]
     n: int
@@ -148,33 +148,33 @@ class FamilyParams:
 
 def affine_params(d: int, q: int) -> FamilyParams:
     """Point-line design of AG(d,q): 2-(q^d, q, 1)."""
-    if d < 2:
-        raise ValueError("affine dimension must be at least 2")
-    if not is_prime_power(q):
-        raise ValueError(f"{q} is not a prime power")
+    if not 2 <= d <= MAX_EXPONENT:
+        raise ValueError(f"affine dimension must be in 2..{MAX_EXPONENT}")
+    if not (q <= MAX_MODULUS and is_prime_power(q)):
+        raise ValueError(f"{q} is not a prime power in 2..{MAX_MODULUS}")
     return FamilyParams("affine", (d, q), q**d, q)
 
 
 def projective_params(d: int, q: int) -> FamilyParams:
     """Point-line design of PG(d,q): 2-((q^(d+1)-1)/(q-1), q+1, 1)."""
-    if d < 2:
-        raise ValueError("projective dimension must be at least 2")
-    if not is_prime_power(q):
-        raise ValueError(f"{q} is not a prime power")
+    if not 2 <= d <= MAX_EXPONENT:
+        raise ValueError(f"projective dimension must be in 2..{MAX_EXPONENT}")
+    if not (q <= MAX_MODULUS and is_prime_power(q)):
+        raise ValueError(f"{q} is not a prime power in 2..{MAX_MODULUS}")
     return FamilyParams("projective", (d, q), (q ** (d + 1) - 1) // (q - 1), q + 1)
 
 
 def unital_params(t: int) -> FamilyParams:
     """A unital is a 2-(t^3+1, t+1, 1) design."""
-    if t < 2:
-        raise ValueError("unital parameter must be at least 2")
+    if not 2 <= t <= MAX_MODULUS:
+        raise ValueError(f"unital parameter must be in 2..{MAX_MODULUS}")
     return FamilyParams("unital", (t,), t**3 + 1, t + 1)
 
 
 def denniston_params(r: int, s: int) -> FamilyParams:
     """Denniston design: 2-(2^(r+s) + 2^r - 2^s, 2^r, 1) with 2 <= r < s."""
-    if not 2 <= r < s:
-        raise ValueError("need 2 <= r < s")
+    if not 2 <= r < s <= MAX_EXPONENT:
+        raise ValueError(f"need 2 <= r < s <= {MAX_EXPONENT}")
     return FamilyParams("denniston", (r, s), 2 ** (r + s) + 2**r - 2**s, 2**r)
 
 

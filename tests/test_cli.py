@@ -522,3 +522,41 @@ def test_theory_family_wrong_arity(family, args, expected, capsys):
     assert out == ""
     assert err.startswith(f"error: {expected} ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("family", "--family", "projective", "--args", "3,1000000000000000000000000000057"),
+         "1000000000000000000000000000057 is not a prime power in 2..100000"),
+        (("family", "--family", "affine", "--args", "2,100003"),
+         "100003 is not a prime power in 2..100000"),
+        (("family", "--family", "projective", "--args", "1000000000,3"),
+         "projective dimension must be in 2..64"),
+        (("family", "--family", "affine", "--args", "65,2"), "affine dimension must be in 2..64"),
+        (("family", "--family", "unital", "--args", "100001"),
+         "unital parameter must be in 2..100000"),
+        (("family", "--family", "denniston", "--args", "2,1000000000"), "need 2 <= r < s <= 64"),
+        (("denniston", "--r", "2", "--s", "1000000000"), "need 2 <= r < s <= 64"),
+    ],
+)
+def test_theory_family_argument_out_of_range_is_usage_error(argv, expected, capsys):
+    code, out, err = run(capsys, "theory", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize(
+    "family, args, design",
+    [
+        ("projective", "64,2", f"2-({2**65 - 1},3,1)"),
+        ("affine", "2,99991", "2-(9998200081,99991,1)"),
+        ("unital", "100000", "2-(1000000000000001,100001,1)"),
+        ("denniston", "63,64", f"2-({2**127 + 2**63 - 2**64},{2**63},1)"),
+    ],
+)
+def test_theory_family_largest_arguments_are_accepted(family, args, design, capsys):
+    code, out, _ = run(capsys, "theory", "family", "--family", family, "--args", args)
+    assert code == 0
+    assert design in out

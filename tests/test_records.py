@@ -1,0 +1,126 @@
+"""Value records: immutable named tuples, with the semantics the four
+classes that carry an invariant or their own equality must keep, and an
+import that stays free of ``dataclasses`` and ``inspect``."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from blockgraph import (
+    builtin_design,
+    close_group,
+    core_restriction,
+    family_params,
+    make_design,
+    orbit_clique_certificate,
+    orbit_partition,
+    parse_block,
+    parse_point,
+    validate_2design,
+)
+from blockgraph.points import INFINITY, StructuredPoint, point_universe
+from blockgraph.perms import Permutation
+from blockgraph.report import automorphism_section, build_report, builtin_generators
+from blockgraph.theory import ResidueSet
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # -S: no site, so no .pth file can preload modules the package does not import
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import blockgraph, blockgraph.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
+def public_records():
+    design = builtin_design("main66")
+    generators = builtin_generators(design, "main66")
+    report = build_report(design, generators, "embedded generators", include_aut=True)
+    census = report.census
+    section, group = automorphism_section(design, census)
+    noncanonical = next(r for r in census.records if not r.classification.canonical)
+    invalid = validate_2design(make_design("abcd", ["ab", "cd"]))
+    return [
+        design, report, census, report.validation, report.group, report.automorphisms,
+        report.validation.params, census.graph, census.srg, noncanonical,
+        noncanonical.classification, noncanonical.subdesign,
+        core_restriction(design, noncanonical.members), invalid.violations[0],
+        section, group, close_group(generators), orbit_partition(generators), generators[0],
+        parse_point("3_a"), INFINITY, ResidueSet.of(13, [1, 3, 9]),
+        orbit_clique_certificate(parse_block("2_a 6_a 5_a 4_b 12_b 10_b")),
+        family_params("projective", 3, 2),
+    ]
+
+
+def test_every_public_record_field_is_read_only():
+    records = public_records()
+    assert len({type(r) for r in records}) == 22  # every record type in the package
+    for record in records:
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+
+
+def test_design_equality_and_hash_ignore_name():
+    a = make_design("abc", ["ab", "bc", "ac"], name="one")
+    b = make_design("cba", ["ca", "ba", "cb"], name="two")
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != make_design("abc", ["ab", "bc"], name="one")
+    assert repr(a) == "<one: 2-(3,2,1), 3 blocks>"
+    assert a.block_masks == (3, 5, 6)  # a cached property on the instance
+    for name in ("block_masks", "token_blocks", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert a.block_masks == (3, 5, 6)
+
+
+def test_perm_group_chain_is_outside_equality_hash_and_repr():
+    generators = builtin_generators(builtin_design("main66"), "main66")
+    one, two = close_group(generators), close_group(generators)
+    assert one.chain is not two.chain
+    assert one == two and not one != two
+    assert hash(one) == hash(two)
+    assert "chain" not in repr(one) and repr(one).startswith("PermGroup(generators=")
+
+
+@pytest.mark.parametrize("images", [(0, 0), (1, 2), (0, 2, 1, 1)])
+def test_permutation_rejects_a_non_bijection(images):
+    with pytest.raises(ValueError, match="bijection"):
+        Permutation(images)
+    with pytest.raises(ValueError, match="bijection"):
+        Permutation.identity(len(images))._replace(images=images)
+
+
+def test_structured_point_normalises_and_validates():
+    assert StructuredPoint(-1, "a").value == 12
+    assert parse_point("5_a")._replace(value=18) == parse_point("5_a")
+    for value, tag in ((1, "c"), (1, "A"), (None, "0"), (1, None)):
+        with pytest.raises(ValueError):
+            StructuredPoint(value, tag)
+        with pytest.raises(ValueError):
+            parse_point("0_0")._replace(value=value, tag=tag)
+
+
+def test_point_comparisons_follow_sort_key():
+    universe = point_universe()
+    key = StructuredPoint.sort_key
+    # tuple order would put 12_0 after 0_1 and cannot compare None with an int
+    points = [parse_point(t) for t in ("12_0", "0_1", "5_b", "0_a", "12_2")] + [INFINITY]
+    for pts in (points, points[::-1], list(universe), list(reversed(universe))):
+        assert sorted(pts) == sorted(pts, key=key)
+        assert min(pts) == min(pts, key=key)
+        assert max(pts) == max(pts, key=key)
+    low, high = parse_point("12_0"), parse_point("0_1")
+    assert low < high and low <= high and high > low and high >= low
+    assert not (high < low or high <= low or low > high or low >= high)
+    assert max(low, high) == high and min(INFINITY, high) == high

@@ -10,7 +10,6 @@ with every clique of every size, and records whose shapes differ in one
 field at a time.
 """
 
-import dataclasses
 import json
 import os
 
@@ -162,23 +161,23 @@ def test_records_differing_in_one_shape_field(odd_design):
     sub = base.subdesign
 
     def verdict(**change):
-        return dataclasses.replace(base, subdesign=dataclasses.replace(sub, **change))
+        return base._replace(subdesign=sub._replace(**change))
 
     variants = [
-        dataclasses.replace(base, classification=Classification("non-canonical", None)),
-        dataclasses.replace(base, support_size=base.support_size + 1),
-        dataclasses.replace(base, core_size=base.core_size + 1),
-        dataclasses.replace(base, restricted_params=admissibility(13, 4)),
-        dataclasses.replace(base, restricted_params=admissibility(13, 3)),
+        base._replace(classification=Classification("non-canonical", None)),
+        base._replace(support_size=base.support_size + 1),
+        base._replace(core_size=base.core_size + 1),
+        base._replace(restricted_params=admissibility(13, 4)),
+        base._replace(restricted_params=admissibility(13, 3)),
         verdict(candidate_params=admissibility(7, 3)),
         verdict(candidate_params=admissibility(8, 3)),
         verdict(pair_coverage_ok=not sub.pair_coverage_ok),
         verdict(is_design=not sub.is_design),
-        dataclasses.replace(base, members=()),
-        dataclasses.replace(base, members=(base.members[0],)),
+        base._replace(members=()),
+        base._replace(members=(base.members[0],)),
     ]
     records = [base]
     for variant in variants:
         records += [variant, base]
-    report = plain_report(dataclasses.replace(census, records=tuple(records)))
+    report = plain_report(census._replace(records=tuple(records)))
     assert_renders_like_reference(report)
