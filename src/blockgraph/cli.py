@@ -10,8 +10,8 @@ output uses point tokens.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
 
 from . import catalog, theory
 from .autgroup import DEFAULT_NODE_LIMIT, SearchBudgetExceeded
@@ -54,19 +54,27 @@ def _add_design_source(p: argparse.ArgumentParser) -> None:
     src.add_argument("--input", metavar="FILE", help="design file (blocklist or json)")
 
 
+def _read_text(path: str) -> str:
+    with open(path) as f:
+        return f.read()
+
+
 def _load_design(args):
     if args.builtin:
         return catalog.builtin_design(args.builtin)
-    text = Path(args.input).read_text()
+    text = _read_text(args.input)
     fmt = "json" if text.lstrip().startswith("{") else "blocklist"
-    return parse_design(text, fmt, name=Path(args.input).stem)
+    # the file name without its last suffix; ".x" and "x." have none
+    base = os.path.basename(args.input)
+    stem, _, suffix = base.rpartition(".")
+    return parse_design(text, fmt, name=stem if stem and suffix else base)
 
 
 def _load_generators(args, design):
     """Generators from --generators FILE, or the embedded ones for main66."""
     if getattr(args, "generators", None):
         perms = []
-        for line in Path(args.generators).read_text().splitlines():
+        for line in _read_text(args.generators).splitlines():
             line = line.split("#", 1)[0].strip()
             if line:
                 perms.append(parse_cycles(line, design.labels))
@@ -93,7 +101,7 @@ def _parse_expect(text: str) -> dict[str, int]:
 
 def _load_clique_file(path: str) -> list[tuple[int, ...]]:
     cliques = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,10 +1,11 @@
 """Exhaustive maximum-clique census and subdesign analysis.
 
-The search is a branch-and-bound over bitset candidate sets with greedy
-colouring bounds (vertices branched in decreasing-degree order, ties by
-index, so runs are reproducible).  Enumeration keeps every branch that can
-still reach the maximum size, so the census is complete; completeness is
-cross-checked against brute force in the test suite.
+One branch-and-bound core serves ``clique_number`` and
+``enumerate_maximum_cliques``.  Each node colours its bitset candidates
+greedily, one class at a time (MCQ, Tomita & Seki 2003; BBMC, San Segundo
+et al. 2011); classes numbered below the size still needed are coloured but
+never listed or branched on.  Completeness is cross-checked against brute
+force in the test suite.
 
 Each maximum clique is analysed in one pass over its member blocks' point
 bitmasks (AND, OR and pairwise ANDs); pair coverage and the core's 2-design
@@ -28,33 +29,73 @@ from .graph import (
 )
 
 
-def _colour_order(candidates: int, rows) -> list[tuple[int, int]]:
-    """Greedy colouring of the candidate set.
+def _search(rows, roots, best: int, stop_at: int | None = None, found: list | None = None):
+    """Colour-bounded branch and bound below each root ``(clique, candidates)``.
 
-    Returns (vertex, colour) pairs in colour-ascending order; the number of
-    colours bounds the largest clique inside the candidates.
+    Best mode (``found`` None): ``best`` grows with every larger clique and
+    the search stops once it reaches ``stop_at``.  Target mode: ``best``
+    stays fixed and every clique of ``best + 1`` vertices goes to ``found``.
+    Returns ``best`` and the number of nodes (colourings) expanded.
     """
-    order = []
-    colour = 0
-    uncoloured = candidates
-    while uncoloured:
-        colour += 1
-        avail = uncoloured
-        while avail:
-            v = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            order.append((v, colour))
-            avail &= ~rows[v]
-            uncoloured &= ~(1 << v)
-    return order
+    nrows = [~(row | 1 << v) for v, row in enumerate(rows)]
+    stack: list[int] = []
+    nodes = 0
 
+    def expand(candidates: int) -> bool:  # True: stop_at reached
+        nonlocal best, nodes
+        nodes += 1
+        size = len(stack)
+        need = best + 1 - size
+        # greedy colouring one class at a time; only classes numbered >= need
+        # can extend the stack past best, so the lower ones are not listed
+        colour = 0
+        uncoloured = candidates
+        while uncoloured and colour + 1 < need:
+            colour += 1
+            avail = uncoloured
+            while avail:
+                low = avail & -avail
+                uncoloured ^= low
+                avail &= nrows[low.bit_length() - 1]
+        order = []
+        while uncoloured:
+            colour += 1
+            avail = uncoloured
+            while avail:
+                low = avail & -avail
+                uncoloured ^= low
+                v = low.bit_length() - 1
+                avail &= nrows[v]
+                order.append((v, colour))
+        # one colour per candidate: the candidates are a clique of exactly need
+        if found is not None and colour == need == candidates.bit_count():
+            found.append(tuple(sorted([*stack, *_bits(candidates)])))
+            return False
+        for v, c in reversed(order):
+            if size + c <= best:
+                return False
+            stack.append(v)
+            if size == best and found is not None:
+                found.append(tuple(sorted(stack)))
+            else:
+                if size == best:
+                    best += 1
+                    if stop_at is not None and best >= stop_at:
+                        return True
+                rest = candidates & rows[v]
+                if rest and expand(rest):
+                    return True
+            stack.pop()
+            candidates ^= 1 << v
+        return False
 
-def _branch_order(graph: BlockGraph) -> list[int]:
-    return sorted(range(graph.v), key=lambda u: (-graph.degree(u), u))
-
-
-class _BoundAttained(Exception):
-    pass
+    for prefix, candidates in roots:
+        stack[:] = prefix
+        if len(stack) > best:  # the root alone is a clique of best + 1
+            found.append(tuple(stack))
+        elif expand(candidates):
+            break
+    return best, nodes
 
 
 def clique_number(graph: BlockGraph, upper_bound: int | None = None) -> int:
@@ -65,60 +106,7 @@ def clique_number(graph: BlockGraph, upper_bound: int | None = None) -> int:
     """
     if graph.v == 0:
         return 0
-    best = 0
-    rows = graph.rows
-
-    def expand(size: int, candidates: int) -> None:
-        nonlocal best
-        for v, c in reversed(_colour_order(candidates, rows)):
-            if size + c <= best:
-                return
-            if size + 1 > best:
-                best = size + 1
-                if upper_bound is not None and best >= upper_bound:
-                    raise _BoundAttained
-            rest = candidates & rows[v]
-            if rest:
-                expand(size + 1, rest)
-            candidates &= ~(1 << v)
-
-    root = 0
-    for v in _branch_order(graph):
-        root |= 1 << v
-    try:
-        expand(0, root)
-    except _BoundAttained:
-        pass
-    return best
-
-
-def _collect_at_size(rows, start: int, candidates: int, target: int, out: list) -> None:
-    """Collect every clique of exactly ``target`` vertices extending [start]."""
-    stack = [start]
-
-    def expand(candidates: int) -> None:
-        order = _colour_order(candidates, rows)
-        # one colour per candidate: each is adjacent to every later one
-        if order[-1][1] == len(order) and len(stack) + len(order) == target:
-            out.append(tuple(sorted(stack + [v for v, _ in order])))
-            return
-        for v, c in reversed(order):
-            if len(stack) + c < target:
-                return
-            stack.append(v)
-            if len(stack) == target:
-                out.append(tuple(sorted(stack)))
-            else:
-                rest = candidates & rows[v]
-                if rest:
-                    expand(rest)
-            stack.pop()
-            candidates &= ~(1 << v)
-
-    if target == 1:
-        out.append((start,))
-    else:
-        expand(candidates)
+    return _search(graph.rows, [((), (1 << graph.v) - 1)], 0, upper_bound)[0]
 
 
 def enumerate_maximum_cliques(
@@ -126,20 +114,22 @@ def enumerate_maximum_cliques(
 ) -> list[tuple[int, ...]]:
     """All cliques of maximum size, sorted lexicographically.
 
-    The search space is split over root vertices: each clique is rooted at
-    its first member in branch order and extends into the root's neighbours
-    that come later in that order.
+    Each clique is rooted at its first member in decreasing-degree order
+    (ties by index, so runs are reproducible) and extends into the root's
+    neighbours that come later in that order.
     """
     if graph.v == 0:
         return []
     target = clique_number(graph) if size is None else size
-    found: list[tuple[int, ...]] = []
-    after = (1 << graph.v) - 1  # the vertices later in branch order than v
-    for v in _branch_order(graph):
-        after &= ~(1 << v)
+    roots = []
+    after = (1 << graph.v) - 1  # the vertices later in that order than v
+    for v in sorted(range(graph.v), key=lambda u: (-graph.degree(u), u)):
+        after ^= 1 << v
         later = graph.rows[v] & after
         if later.bit_count() + 1 >= target:
-            _collect_at_size(graph.rows, v, later, target, found)
+            roots.append(((v,), later))
+    found: list[tuple[int, ...]] = []
+    _search(graph.rows, roots, target - 1, found=found)
     return sorted(found)
 
 

@@ -96,25 +96,26 @@ def group_section(
 def lift_to_design_automorphism(design: Design, block_perm: Permutation):
     """Point permutation inducing the given block permutation, if one exists.
 
-    For a lam=1 design with replication >= 2, a point is determined by the
-    set of blocks through it, so the lift (when it exists) is found by
-    intersecting the images of the blocks through each point.
+    Points lying on the same set of blocks (twins) are interchangeable, so
+    the points are grouped by that set and each class is mapped, in
+    ascending order, onto the class on the image set of blocks.
     """
-    through: list[list[int]] = [[] for _ in range(design.n)]
+    through = [0] * design.n
+    moved = [0] * design.n
     for i, blk in enumerate(design.blocks):
         for p in blk:
-            through[p].append(design.block_masks[block_perm(i)])
-    images = []
-    full = (1 << design.n) - 1
-    for masks in through:
-        common = full
-        for mask in masks:
-            common &= mask
-        if common.bit_count() != 1:
+            through[p] |= 1 << i
+            moved[p] |= 1 << block_perm(i)
+    classes: dict[int, list[int]] = {}
+    for p, blocks in enumerate(through):
+        classes.setdefault(blocks, []).append(p)
+    images = list(range(design.n))
+    for points in classes.values():
+        target = classes.get(moved[points[0]], ())
+        if len(target) != len(points):
             return None
-        images.append(common.bit_length() - 1)
-    if sorted(images) != list(range(design.n)):
-        return None
+        for p, q in zip(points, target):
+            images[p] = q
     perm = Permutation(tuple(images))
     if not is_design_automorphism(design, perm):
         return None

@@ -1,4 +1,5 @@
 import json
+import locale
 
 import pytest
 
@@ -267,6 +268,36 @@ def test_aut_single_block_keeps_no_generator(tmp_path, capsys):
     assert code == 1  # one block is not a valid 2-design
     assert "graph automorphism group: order 1 (0 generators), " in out
     assert out.endswith("equals induced design group: yes\n")
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        "a b\nc d\n",  # a, b lie on block 0 only and c, d on block 1 only
+        "a b c\nc d e\n",  # twins a, b and d, e; c fixed
+        "a b c\na d e\nb d f\n",  # c, e, f each on one block, no twins
+    ],
+)
+def test_aut_lifts_swaps_of_twin_points(tmp_path, capsys, blocks):
+    path = tmp_path / "twins.blk"
+    path.write_text(blocks)
+    code, out, _ = run(capsys, "aut", "--input", str(path))
+    assert code == 0
+    assert out.endswith("equals induced design automorphism group: yes\n")
+    code, out, _ = run(capsys, "report", "--aut", "--input", str(path))
+    assert code == 1  # not a valid 2-design
+    assert out.endswith("equals induced design group: yes\n")
+
+
+def test_aut_twin_classes_of_different_sizes_do_not_lift(tmp_path, capsys):
+    # the block graph is K3, but blocks 1 and 2 share two points and block 0
+    # has two points of its own, so only (1 2) lifts (c <-> d)
+    path = tmp_path / "k3.blk"
+    path.write_text("a b p\np q c\np q d\n")
+    code, out, _ = run(capsys, "aut", "--input", str(path))
+    assert code == 0
+    assert "order: 6\n" in out
+    assert out.endswith("equals induced design automorphism group: no (graph group is larger)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -560,3 +591,55 @@ def test_theory_family_largest_arguments_are_accepted(family, args, design, caps
     code, out, _ = run(capsys, "theory", "family", "--family", family, "--args", args)
     assert code == 0
     assert design in out
+
+
+# ---------------------------------------------------------------------------
+# file inputs
+
+FILE_OPTIONS = [
+    ("verify", "--input"),
+    ("subdesign", "--builtin", "fano", "--cliques"),
+    ("orbits", "--builtin", "main66", "--generators"),
+]
+
+
+@pytest.mark.parametrize("argv", FILE_OPTIONS)
+def test_missing_file_is_one_error_line(tmp_path, capsys, argv):
+    path = tmp_path / "missing.txt"
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+@pytest.mark.skipif(
+    locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+    reason="files are read in the locale's encoding, and this one decodes every byte",
+)
+# not orbits: cmd_orbits prints a bad generator file's ValueError itself, with exit 1
+@pytest.mark.parametrize("argv", FILE_OPTIONS[:2])
+def test_undecodable_file_is_one_error_line(tmp_path, capsys, argv):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
+
+@pytest.mark.parametrize(
+    "filename, name",
+    [
+        ("plane.blk", "plane"),
+        ("my.plane.blk", "my.plane"),
+        ("plane", "plane"),
+        (".plane", ".plane"),
+        (".plane.blk", ".plane"),
+        ("plane.", "plane."),
+        ("plane..", "plane.."),
+    ],
+)
+def test_design_name_is_the_file_stem(tmp_path, capsys, filename, name):
+    path = tmp_path / filename
+    path.write_text(serialize_design(builtin_design("fano")))
+    code, out, _ = run(capsys, "report", "--input", str(path))
+    assert code == 0
+    assert out.startswith(f"{name}: 2-(7,3,1) with 7 blocks")

@@ -1,3 +1,5 @@
+import math
+import random
 from itertools import combinations
 
 import pytest
@@ -17,9 +19,15 @@ from blockgraph import (
     subdesign_test,
     validate_2design,
 )
-from blockgraph.design import make_design
+from blockgraph import cliques
+from blockgraph.design import make_design, parse_design
 
-from conftest import PLANE_CLIQUE_BLOCKS, orbit_clique_members, members_from_tokens
+from conftest import (
+    PLANE_CLIQUE_BLOCKS,
+    members_from_tokens,
+    orbit_clique_members,
+    point_line_blocklist,
+)
 
 
 def powerset_maximum_cliques(graph):
@@ -92,6 +100,86 @@ def test_enumerate_matches_powerset_on_induced_subgraphs(main66_graph):
         verts = rng.sample(range(main66_graph.v), 14)
         sub = main66_graph.induced(verts)
         assert enumerate_maximum_cliques(sub) == powerset_maximum_cliques(sub)
+
+
+def graph_from_edges(n, edges):
+    rows = [0] * n
+    for a, b in edges:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return BlockGraph(n, tuple(rows))
+
+
+def random_graphs(seed=20261018, count=24):
+    """Seeded G(n, p) graphs, not block graphs: 10-16 vertices, p in 0.3-0.9."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(10, 16)
+        p = rng.uniform(0.3, 0.9)
+        yield graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def powerset_cliques_by_size(graph):
+    """Literal subset scan: every vertex subset that is a clique, by size."""
+    closed = [row | 1 << v for v, row in enumerate(graph.rows)]
+    by_size = {}
+    for mask in range(1, 1 << graph.v):
+        members = [v for v in range(graph.v) if mask >> v & 1]
+        if all(closed[v] & mask == mask for v in members):
+            by_size.setdefault(len(members), []).append(tuple(members))
+    return by_size
+
+
+def test_enumerate_every_size_matches_powerset_on_random_graphs():
+    for graph in random_graphs():
+        by_size = powerset_cliques_by_size(graph)
+        omega = max(by_size)
+        assert clique_number(graph) == omega
+        for s in range(1, omega + 2):
+            assert enumerate_maximum_cliques(graph, size=s) == sorted(by_size.get(s, []))
+
+
+def test_clique_number_stops_at_upper_bound(main66_graph):
+    # the bound is an early exit: a smaller one is attained and returned
+    for graph in [main66_graph, *random_graphs(count=8)]:
+        omega = clique_number(graph)
+        for b in range(1, omega + 3):
+            assert clique_number(graph, upper_bound=b) == min(b, omega)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerate_complete_graph_below_its_size(n):
+    # the candidates below every root form a clique larger than needed
+    graph = graph_from_edges(n, combinations(range(n), 2))
+    for s in range(1, n + 2):
+        found = enumerate_maximum_cliques(graph, size=s)
+        assert found == list(combinations(range(n), s))
+        assert len(found) == math.comb(n, s)
+
+
+def test_search_nodes_main66(monkeypatch, main66_graph):
+    # the colourings the search expands; a change to the search tree shows here
+    nodes = []
+    search = cliques._search
+
+    def counting_search(*args, **kwargs):
+        best, count = search(*args, **kwargs)
+        nodes.append(count)
+        return best, count
+
+    monkeypatch.setattr(cliques, "_search", counting_search)
+    assert len(enumerate_maximum_cliques(main66_graph, size=13)) == 80
+    assert clique_number(main66_graph, upper_bound=13) == 13
+    assert clique_number(main66_graph) == 13
+    assert nodes == [935, 13, 407]
+
+
+def test_census_pg33_planes_and_points():
+    # PG(3,3): 40 points and 40 planes, each with 13 lines through it or in it
+    design = parse_design(point_line_blocklist("projective", 3, 3), name="PG(3,3)")
+    c = census_report(design)
+    assert c.clique_number == 13
+    assert (c.total, c.canonical_count, c.noncanonical_count) == (80, 40, 40)
 
 
 # ---------------------------------------------------------------------------

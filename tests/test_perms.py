@@ -12,7 +12,9 @@ from blockgraph import (
     orbit_partition,
     parse_cycles,
 )
+from blockgraph.design import make_design
 from blockgraph.perms import format_cycles
+from blockgraph.report import lift_to_design_automorphism
 
 from conftest import orbit_clique_members, members_from_tokens
 
@@ -260,6 +262,34 @@ def test_non_automorphism_of_graph():
     images[i], images[j] = j, i
     # a transposition of adjacent vertices in K3,3,3,3 is not an automorphism
     assert not is_graph_automorphism(g, Permutation(tuple(images)))
+
+
+# ---------------------------------------------------------------------------
+# lifting block permutations to point permutations
+
+def test_lift_maps_twin_points_class_onto_class():
+    # a, b lie on block 0 only and c, d on block 1 only: a->c, b->d induces (0 1)
+    design = make_design("abcd", ["ab", "cd"])
+    assert lift_to_design_automorphism(design, Permutation((1, 0))) == Permutation((2, 3, 0, 1))
+
+
+def test_lift_points_on_one_block():
+    # c, e and f each lie on one block and no two points share their blocks
+    design = make_design("abcdef", ["abc", "ade", "bdf"])
+    lift = lift_to_design_automorphism(design, Permutation((0, 2, 1)))
+    assert lift == Permutation((1, 0, 2, 3, 5, 4))  # (a b)(e f)
+
+
+def test_lift_rejects_twin_classes_of_different_sizes():
+    # blocks 0 and 2 are swapped by the path automorphism, but block 0 has
+    # two points of its own and block 2 only one
+    design = make_design("abcpqs", ["abp", "pqs", "qcs"])
+    assert lift_to_design_automorphism(design, Permutation((2, 1, 0))) is None
+
+
+def test_lift_recovers_main66_generators(main66, main66_generators):
+    for g in main66_generators:
+        assert lift_to_design_automorphism(main66, induced_block_action(main66, g)) == g
 
 
 def test_clique_action_undefined_for_partial_list(main66, main66_census, main66_generators):

@@ -32,7 +32,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     # -S: no site, so no .pth file can preload modules the package does not import
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import blockgraph, blockgraph.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'pathlib') if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
