@@ -1,6 +1,5 @@
 """Exact analysis of 2-(n,m,1) block designs and their block graphs."""
 
-from .points import INFINITY, StructuredPoint, parse_block, parse_point
 from .design import (
     Design,
     DesignParameters,

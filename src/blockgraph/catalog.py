@@ -1,8 +1,10 @@
 """Built-in designs and their known automorphism generators.
 
-``main66`` is developed from its 11 base blocks over Z13; the two appendix
-designs are parsed from embedded block listings; ``fano``, ``ag23`` and
-``pg23`` are small standard designs used as oracles in tests.
+``main66`` is developed from its 11 base blocks over Z13, ``fano`` and
+``pg23`` from the perfect difference sets {0,1,3} mod 7 and {0,1,3,9}
+mod 13, all three by :func:`develop_base_blocks`; the two appendix designs
+are parsed from embedded block listings; ``ag23`` is the affine plane of
+order 3.  The small designs serve as oracles in tests.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import pkgutil
 
 from .design import Design, develop_base_blocks, make_design, parse_design
-from .points import parse_block
 
 # The 11 base blocks of the 66-point design.  Developing each one through
 # Z13 (tags fixed, infinity fixed) yields the 143 blocks.
@@ -69,13 +70,6 @@ APPENDIX_REPRESENTATIVE_CLIQUES = {
 }
 
 
-def _difference_design(p: int, base: tuple[int, ...], name: str) -> Design:
-    """Develop one perfect difference set mod p into a symmetric design."""
-    labels = [str(i) for i in range(p)]
-    blocks = [[str((d + e) % p) for d in base] for e in range(p)]
-    return make_design(labels, blocks, name=name)
-
-
 def _affine_plane_order3() -> Design:
     """Lines of AG(2,3): a 2-(9,3,1) design, point (x,y) labelled str(3x+y)."""
     labels = [str(i) for i in range(9)]
@@ -91,19 +85,17 @@ def _affine_plane_order3() -> Design:
 def builtin_design(name: str) -> Design:
     """Construct one of the embedded designs by name."""
     if name == "main66":
-        return develop_base_blocks(
-            [parse_block(b) for b in BASE_BLOCKS], name="main66"
-        )
+        return develop_base_blocks([b.split() for b in BASE_BLOCKS], 13, "main66")
     if name in ("appendixA66", "appendixB66"):
         fname = "appendix_a.blk" if name == "appendixA66" else "appendix_b.blk"
         text = pkgutil.get_data("blockgraph", f"data/{fname}").decode()
         return parse_design(text, "blocklist", name=name)
     if name == "fano":
-        return _difference_design(7, (0, 1, 3), "fano")
+        return develop_base_blocks([("0", "1", "3")], 7, "fano")
     if name == "ag23":
         return _affine_plane_order3()
     if name == "pg23":
-        return _difference_design(13, (0, 1, 3, 9), "pg23")
+        return develop_base_blocks([("0", "1", "3", "9")], 13, "pg23")
     raise ValueError(f"unknown builtin design {name!r}; know {BUILTIN_NAMES}")
 
 

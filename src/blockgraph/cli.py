@@ -37,7 +37,6 @@ from .perms import (
     orbit_partition,
     parse_cycles,
 )
-from .points import parse_block
 from .report import (
     automorphism_section,
     build_report,
@@ -71,8 +70,12 @@ def _load_design(args):
 
 
 def _load_generators(args, design):
-    """Generators from --generators FILE, or the embedded ones for main66."""
-    if getattr(args, "generators", None):
+    """Generators from --generators FILE, else the embedded ones (main66's).
+
+    A file that cannot be read or parsed raises ValueError or OSError (a
+    parse error, exit 2); an empty list means no generators are known.
+    """
+    if args.generators:
         perms = []
         for line in _read_text(args.generators).splitlines():
             line = line.split("#", 1)[0].strip()
@@ -80,11 +83,8 @@ def _load_generators(args, design):
                 perms.append(parse_cycles(line, design.labels))
         if not perms:
             raise ValueError(f"no generators found in {args.generators}")
-        return perms, args.generators
-    embedded = builtin_generators(design, getattr(args, "builtin", "") or "")
-    if embedded:
-        return embedded, "embedded generators"
-    raise ValueError("no generator file given and no embedded generators for this design")
+        return perms
+    return builtin_generators(design, args.builtin or "")
 
 
 def _parse_expect(text: str) -> dict[str, int]:
@@ -204,10 +204,14 @@ def cmd_subdesign(args) -> int:
 
 def cmd_orbits(args) -> int:
     design = _load_design(args)
+    generators = _load_generators(args, design)
+    if not generators:
+        print("no generator file given and no embedded generators for this design",
+              file=sys.stderr)
+        return 1
     try:
-        generators, _source = _load_generators(args, design)
         block_perms = [induced_block_action(design, g) for g in generators]
-    except ValueError as exc:
+    except ValueError as exc:  # a generator that is not a design automorphism
         print(str(exc), file=sys.stderr)
         return 1
     if args.domain == "points":
@@ -321,8 +325,7 @@ def cmd_theory(args) -> int:
         s = theory.ResidueSet.of(args.p, args.set)
         print(theory.translate_intersection(s, args.d))
     elif args.theory_cmd == "certificate":
-        block = parse_block(args.block)
-        cert = theory.orbit_clique_certificate(block)
+        cert = theory.orbit_clique_certificate(args.block.split())
         print(f"a-part: {list(cert.a_part.elements)}  b-part: {list(cert.b_part.elements)}")
         for d, total in sorted(cert.shift_totals.items()):
             print(f"shift {d}: intersection {total}")

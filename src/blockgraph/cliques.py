@@ -116,8 +116,11 @@ def enumerate_maximum_cliques(
 
     Each clique is rooted at its first member in decreasing-degree order
     (ties by index, so runs are reproducible) and extends into the root's
-    neighbours that come later in that order.
+    neighbours that come later in that order.  A given ``size`` must be at
+    least 1.
     """
+    if size is not None and size < 1:
+        raise ValueError(f"clique size must be at least 1, got {size}")
     if graph.v == 0:
         return []
     target = clique_number(graph) if size is None else size
@@ -329,7 +332,7 @@ def census_report(design: Design) -> CliqueCensus:
     except DegenerateGraphError as exc:
         degenerate = str(exc)
     omega = clique_number(graph, upper_bound=bound)
-    cliques = enumerate_maximum_cliques(graph, size=omega)
+    cliques = enumerate_maximum_cliques(graph, size=omega) if omega else []
     full = (1 << design.n) - 1
     block_masks = design.block_masks
     records = []

@@ -2,10 +2,10 @@
 
 A design is stored densely: ``labels`` maps point indices to tokens and each
 block is a sorted tuple of point indices, with the block list itself sorted.
-Dense index assignment is an internal detail (built-in designs use the
-structured-point order, parsed designs use first-appearance order), so two
-designs are equal when they have the same parameters and the same blocks *as
-sets of tokens*.
+Dense index assignment is an internal detail (developed designs order their
+labels by tag, then residue, with ``inf`` last; parsed designs use
+first-appearance order), so two designs are equal when they have the same
+parameters and the same blocks *as sets of tokens*.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
-
-from .points import StructuredPoint, point_universe
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -249,41 +247,62 @@ def serialize_design(design: Design, format: str = "blocklist") -> str:
 
 
 # ---------------------------------------------------------------------------
-# development of base blocks mod 13
+# cyclic development of base blocks
 
-def develop_base_blocks(base_blocks, modulus: int = 13, name: str = "") -> Design:
-    """Develop base blocks through Z13: B_i^e for every shift e.
+INF_TOKEN = "inf"
+_RESIDUE_RE = re.compile(r"([0-9]+)(?:_([A-Za-z0-9]+))?\Z")
 
-    Each shift adds e mod 13 to the residue value of every non-infinity
-    point, leaving tags (and infinity) fixed.  The design of interest has
-    full orbits, so a duplicate developed block signals corrupt input and is
-    an error rather than silently deduplicated.
+
+def residue_token(token: str, modulus: int) -> tuple[str, int]:
+    """Split ``<digits>`` or ``<digits>_<tag>`` into (tag, value mod modulus).
+
+    An untagged residue has tag ``""``, which sorts before every tag.
     """
-    if modulus != 13:
-        raise ValueError("structured points are defined over Z13")
-    base = [tuple(blk) for blk in base_blocks]
-    for blk in base:
-        if not all(isinstance(p, StructuredPoint) for p in blk):
-            raise ValueError("base blocks must consist of StructuredPoints")
-        if len(set(blk)) != len(blk):
-            raise ValueError("duplicate point within a base block")
-    developed: set[frozenset[StructuredPoint]] = set()
-    ordered: list[frozenset[StructuredPoint]] = []
-    for i, blk in enumerate(base):
+    match = _RESIDUE_RE.match(token)
+    if match is None:
+        raise ValueError(f"not a residue token: {token!r}")
+    return match.group(2) or "", int(match.group(1)) % modulus
+
+
+def develop_base_blocks(base_blocks, modulus: int, name: str = "") -> Design:
+    """Develop base blocks of point tokens through Z_modulus.
+
+    ``inf`` is fixed by every shift; any other token is a residue
+    ``<digits>`` or ``<digits>_<tag>`` and shift e adds e mod ``modulus`` to
+    its value, keeping the tag.  Labels are ordered by tag (untagged first),
+    then by value, with ``inf`` last.  The designs developed here have full
+    orbits, so a duplicate developed block signals corrupt input and is an
+    error rather than silently deduplicated.
+    """
+    if modulus < 1:
+        raise ValueError(f"modulus must be at least 1, got {modulus}")
+    developed: set[frozenset] = set()
+    for i, blk in enumerate(base_blocks):
+        points = [None if tok == INF_TOKEN else residue_token(tok, modulus) for tok in blk]
+        if len(set(points)) != len(points):
+            raise ValueError(f"duplicate point within base block {tuple(blk)}")
         for e in range(modulus):
-            image = frozenset(p.shifted(e) for p in blk)
-            if len(image) != len(blk):
-                raise ValueError(f"block {i} collapsed under shift {e}")
+            image = frozenset(
+                None if p is None else (p[0], (p[1] + e) % modulus) for p in points
+            )
             if image in developed:
                 raise ValueError(
                     f"development produced a duplicate block (base {i}, shift {e})"
                 )
             developed.add(image)
-            ordered.append(image)
-    support = sorted({p for blk in ordered for p in blk})
-    labels = [p.token() for p in support]
-    token_blocks = [sorted(p.token() for p in blk) for blk in ordered]
-    return make_design(labels, token_blocks, name=name)
+
+    def token(p):
+        if p is None:
+            return INF_TOKEN
+        tag, value = p
+        return f"{value}_{tag}" if tag else str(value)
+
+    support = sorted(set().union(*developed), key=lambda p: (p is None, p or ()))
+    return make_design(
+        [token(p) for p in support],
+        [[token(p) for p in blk] for blk in developed],
+        name=name,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -45,18 +45,6 @@ class BlockGraph(NamedTuple):
     def is_empty(self) -> bool:
         return all(r == 0 for r in self.rows)
 
-    def induced(self, vertices) -> "BlockGraph":
-        """Subgraph induced on the given vertices, relabelled 0..k-1."""
-        verts = sorted(vertices)
-        rows = []
-        for a, i in enumerate(verts):
-            row = 0
-            for b, j in enumerate(verts):
-                if a != b and self.adjacent(i, j):
-                    row |= 1 << b
-            rows.append(row)
-        return BlockGraph(len(verts), tuple(rows), self.design_ref)
-
 
 class SrgParams(NamedTuple):
     v: int

@@ -11,7 +11,7 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .points import StructuredPoint
+from .design import residue_token
 
 MAX_MODULUS = 100_000  # squares lists (p-1)/2 residues; primality tests are trial division
 MAX_EXPONENT = 64  # family dimensions and Denniston r, s: they feed q**(d+1) and 2**(r+s)
@@ -94,17 +94,17 @@ class OrbitCliqueCertificate(NamedTuple):
 
 
 def orbit_clique_certificate(base_block, p: int = 13) -> OrbitCliqueCertificate:
-    """Certify the clique property of a base block's Z13 orbit by differences.
+    """Certify the clique property of a base block's Z_p orbit by differences.
 
-    The block must split into residues tagged ``a`` and residues tagged
-    ``b``; the shared-point count of B and B+d is then the number of ways d
-    occurs as a difference within each tagged part.
+    ``base_block`` is a sequence of residue tokens (``2_a``, ``10_b``); the
+    block must split into residues tagged ``a`` and residues tagged ``b``.
+    The shared-point count of B and B+d is then the number of ways d occurs
+    as a difference within each tagged part.
     """
     parts: dict[str, list[int]] = {}
-    for point in base_block:
-        if not isinstance(point, StructuredPoint) or point.is_infinity:
-            raise ValueError("base block must consist of finite structured points")
-        parts.setdefault(point.tag, []).append(point.value)
+    for token in base_block:
+        tag, value = residue_token(token, p)
+        parts.setdefault(tag, []).append(value)
     if sorted(parts) != ["a", "b"]:
         raise ValueError(
             f"base block must split into tags a and b, found {sorted(parts)}"

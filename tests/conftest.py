@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from blockgraph import builtin_design, census_report, make_design, parse_design
+from blockgraph import BlockGraph, builtin_design, census_report, make_design, parse_design
 from blockgraph.report import builtin_generators
 
 # ---------------------------------------------------------------------------
@@ -42,6 +42,16 @@ def members_from_tokens(design, token_blocks):
         idx = tuple(sorted(design.label_index[tok] for tok in blk.split()))
         out.append(design.block_index[idx])
     return tuple(sorted(out))
+
+
+def induced_subgraph(graph, vertices):
+    """Subgraph induced on the given vertices, relabelled 0..k-1 in sorted order."""
+    verts = sorted(vertices)
+    rows = tuple(
+        sum(1 << b for b, j in enumerate(verts) if a != b and graph.adjacent(i, j))
+        for a, i in enumerate(verts)
+    )
+    return BlockGraph(len(verts), rows, graph.design_ref)
 
 
 def same_group(a, b):

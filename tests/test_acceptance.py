@@ -40,11 +40,10 @@ from blockgraph import (
 from blockgraph.autgroup import SearchBudgetExceeded
 from blockgraph.catalog import APPENDIX_REPRESENTATIVE_CLIQUES, BASE_BLOCKS
 from blockgraph.cli import main as cli_main
-from blockgraph.points import parse_block
 from blockgraph.report import lift_to_design_automorphism
 from blockgraph.theory import denniston_params, nonsquares_mod, projective_params
 
-from conftest import TWO_FIBRE_BLOCK, members_from_tokens, same_group
+from conftest import TWO_FIBRE_BLOCK, induced_subgraph, members_from_tokens, same_group
 
 
 def powerset_maximum_cliques(graph):
@@ -84,7 +83,7 @@ def dfs_maximum_cliques(graph):
 
 
 def test_criterion_01_construction():
-    design = develop_base_blocks([parse_block(b) for b in BASE_BLOCKS])
+    design = develop_base_blocks([b.split() for b in BASE_BLOCKS], 13)
     assert design.b == 143
     assert (design.n, design.m, design.lam) == (66, 6, 1)
     report = validate_2design(design)
@@ -238,7 +237,7 @@ def test_criterion_08_difference_set_propositions(main66):
     assert {d for d, c in two_r_diffs.items() if d != 0} == nonsquares
     assert all(c == 1 for d, c in two_r_diffs.items() if d != 0)
 
-    cert = orbit_clique_certificate(parse_block(TWO_FIBRE_BLOCK))
+    cert = orbit_clique_certificate(TWO_FIBRE_BLOCK.split())
     assert cert.pairwise_intersecting
     assert set(cert.shift_totals.values()) == {1}
 
@@ -272,7 +271,7 @@ def test_criterion_09_oracle_equivalence(main66_census):
     big = main66_census.graph
     for trial in range(12):
         size = rng.randint(8, 20)
-        sub = big.induced(rng.sample(range(big.v), size))
+        sub = induced_subgraph(big, rng.sample(range(big.v), size))
         fast = enumerate_maximum_cliques(sub)
         if size <= 13:
             assert fast == powerset_maximum_cliques(sub)

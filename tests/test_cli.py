@@ -226,6 +226,26 @@ def test_orbits_non_automorphism_generator(tmp_path, capsys):
     assert "not a design automorphism" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(0_0 zz)\n", "unknown point token 'zz' in cycle"),
+        ("(0_0 1_0\n", "malformed cycle notation: '(0_0 1_0'"),
+        ("(0_0 1_0)(1_0 2_0)\n", "point '1_0' appears in more than one place"),
+        ("# nothing here\n\n", "no generators found in {}"),
+    ],
+    ids=["unknown-token", "unclosed-cycle", "repeated-point", "empty"],
+)
+def test_orbits_bad_generator_file_is_one_error_line(tmp_path, capsys, text, message):
+    # a file that does not parse is a usage error, not a failed claim
+    gens = tmp_path / "gens.txt"
+    gens.write_text(text)
+    code, out, err = run(
+        capsys, "orbits", "--builtin", "main66", "--generators", str(gens)
+    )
+    assert (code, out, err) == (2, "", f"error: {message.format(gens)}\n")
+
+
 def test_orbits_without_generators_for_plain_design(capsys):
     code, _, err = run(capsys, "orbits", "--builtin", "fano", "--domain", "points")
     assert code == 1
@@ -503,6 +523,16 @@ def test_theory_certificate(capsys):
     assert out.count("intersection 1") == 12
 
 
+@pytest.mark.parametrize(
+    "block, token",
+    [("inf 0_a 0_b", "inf"), ("zz", "zz"), ("2_a 6_a!", "6_a!")],
+    ids=["infinity", "unknown", "bad-tag"],
+)
+def test_theory_certificate_bad_token_is_one_error_line(capsys, block, token):
+    code, out, err = run(capsys, "theory", "certificate", "--block", block)
+    assert (code, out, err) == (2, "", f"error: not a residue token: {token!r}\n")
+
+
 def test_theory_squares(capsys):
     code, out, _ = run(capsys, "theory", "squares", "--p", "13")
     assert code == 0
@@ -615,8 +645,7 @@ def test_missing_file_is_one_error_line(tmp_path, capsys, argv):
     locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
     reason="files are read in the locale's encoding, and this one decodes every byte",
 )
-# not orbits: cmd_orbits prints a bad generator file's ValueError itself, with exit 1
-@pytest.mark.parametrize("argv", FILE_OPTIONS[:2])
+@pytest.mark.parametrize("argv", FILE_OPTIONS)
 def test_undecodable_file_is_one_error_line(tmp_path, capsys, argv):
     path = tmp_path / "binary.txt"
     path.write_bytes(b"\xff\xfe\n")

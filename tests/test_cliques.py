@@ -24,6 +24,7 @@ from blockgraph.design import make_design, parse_design
 
 from conftest import (
     PLANE_CLIQUE_BLOCKS,
+    induced_subgraph,
     members_from_tokens,
     orbit_clique_members,
     point_line_blocklist,
@@ -98,7 +99,7 @@ def test_enumerate_matches_powerset_on_induced_subgraphs(main66_graph):
     rng = random.Random(20240613)
     for _ in range(8):
         verts = rng.sample(range(main66_graph.v), 14)
-        sub = main66_graph.induced(verts)
+        sub = induced_subgraph(main66_graph, verts)
         assert enumerate_maximum_cliques(sub) == powerset_maximum_cliques(sub)
 
 
@@ -137,6 +138,17 @@ def test_enumerate_every_size_matches_powerset_on_random_graphs():
         assert clique_number(graph) == omega
         for s in range(1, omega + 2):
             assert enumerate_maximum_cliques(graph, size=s) == sorted(by_size.get(s, []))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [BlockGraph(3, (2, 1, 0)), graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])],
+    ids=["edge-and-vertex", "triangle"],
+)
+@pytest.mark.parametrize("size", [0, -2])
+def test_enumerate_rejects_size_below_one(graph, size):
+    with pytest.raises(ValueError, match="at least 1"):
+        enumerate_maximum_cliques(graph, size=size)
 
 
 def test_clique_number_stops_at_upper_bound(main66_graph):

@@ -14,7 +14,6 @@ from blockgraph import (
     validate_2design,
 )
 from blockgraph.catalog import BASE_BLOCKS, BUILTIN_NAMES
-from blockgraph.points import parse_block
 
 
 def recount_pairs(design):
@@ -134,15 +133,15 @@ def test_serialize_deterministic(main66):
 # development
 
 def test_develop_zero_shift_is_identity():
-    blk = parse_block("inf 0_0 0_1 0_2 0_a 0_b")
-    d = develop_base_blocks([blk])
+    blk = "inf 0_0 0_1 0_2 0_a 0_b".split()
+    d = develop_base_blocks([blk], 13)
     assert frozenset("inf 0_0 0_1 0_2 0_a 0_b".split()) in d.token_blocks
 
 
 def test_develop_matches_listed_translate():
     # shifting the first base block by 11 must give the block recorded for it
-    blk = parse_block("2_0 5_0 4_1 9_1 0_a 6_a")
-    d = develop_base_blocks([blk])
+    blk = "2_0 5_0 4_1 9_1 0_a 6_a".split()
+    d = develop_base_blocks([blk], 13)
     assert frozenset("0_0 3_0 2_1 7_1 11_a 4_a".split()) in d.token_blocks
 
 
@@ -152,15 +151,15 @@ def test_develop_full_design(main66):
 
 
 def test_develop_count_is_13_per_base_block():
-    blocks = [parse_block(b) for b in BASE_BLOCKS[:4]]
-    assert develop_base_blocks(blocks).b == 13 * 4
+    blocks = [b.split() for b in BASE_BLOCKS[:4]]
+    assert develop_base_blocks(blocks, 13).b == 13 * 4
 
 
 def test_develop_duplicate_orbit_rejected():
-    b1 = parse_block("2_0 5_0 4_1 9_1 0_a 6_a")
-    b1_shift = tuple(p.shifted(1) for p in b1)
-    with pytest.raises(ValueError, match="duplicate"):
-        develop_base_blocks([b1, b1_shift])
+    b1 = "2_0 5_0 4_1 9_1 0_a 6_a".split()
+    b1_shift = "3_0 6_0 5_1 10_1 1_a 7_a".split()
+    with pytest.raises(ValueError, match="duplicate block"):
+        develop_base_blocks([b1, b1_shift], 13)
 
 
 # ---------------------------------------------------------------------------

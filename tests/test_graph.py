@@ -14,6 +14,8 @@ from blockgraph import (
     verify_srg,
 )
 
+from conftest import induced_subgraph
+
 
 @pytest.fixture(scope="module")
 def main66_graph(main66):
@@ -171,7 +173,9 @@ def test_serialize_graph_formats():
 
 
 def test_induced_subgraph(main66_graph):
-    sub = main66_graph.induced(range(10))
+    # the helper the powerset and DFS oracles in test_cliques and
+    # test_acceptance run on: it must keep adjacency between kept vertices
+    sub = induced_subgraph(main66_graph, range(10))
     assert sub.v == 10
     for a in range(10):
         for b in range(10):

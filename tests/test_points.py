@@ -1,56 +1,74 @@
+"""Point tokens of cyclically developed designs: the grammar
+``develop_base_blocks`` reads, the shift it applies and its label order."""
+
 import pytest
 
-from blockgraph.points import (
-    INFINITY,
-    StructuredPoint,
-    parse_block,
-    parse_point,
-    point_universe,
-)
+from blockgraph import builtin_design, develop_base_blocks, validate_2design
+from blockgraph.design import residue_token
 
 
 def test_token_round_trip():
-    for tok in ("0_0", "12_b", "7_a", "inf"):
-        assert parse_point(tok).token() == tok
+    # the zero shift gives back the base block's own tokens
+    toks = ("0_0", "12_b", "7_a", "inf", "5", "3_c", "4_tag2")
+    assert frozenset(toks) in develop_base_blocks([toks], 13).token_blocks
 
 
 def test_value_reduced_mod_13():
-    assert StructuredPoint(15, "0") == StructuredPoint(2, "0")
-    assert parse_point("15_0").value == 2
+    assert residue_token("15_0", 13) == ("0", 2)
+    assert residue_token("15", 13) == ("", 2)
+    assert develop_base_blocks([("15_0", "0_a")], 13) == develop_base_blocks(
+        [("2_0", "0_a")], 13
+    )
 
 
-@pytest.mark.parametrize("bad", ["", "x", "5", "_a", "13a", "5_c", "inf_a", "a_5"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "x", "_a", "13a", "inf_a", "a_5", "5_", "x_a", "-1_a", "5_a!", "\u0663_a"],
+)
 def test_bad_tokens_rejected(bad):
-    with pytest.raises(ValueError):
-        parse_point(bad)
+    with pytest.raises(ValueError, match="not a residue token"):
+        develop_base_blocks([(bad, "0_0")], 13)
 
 
 def test_total_order():
-    universe = point_universe()
-    assert len(universe) == 66
-    assert sorted(universe, key=lambda p: p.sort_key()) == list(universe)
-    # tags 0 < 1 < 2 < a < b, residues by (tag, value), infinity greatest
-    assert parse_point("12_0") < parse_point("0_1")
-    assert parse_point("12_2") < parse_point("0_a")
-    assert parse_point("12_a") < parse_point("0_b")
-    assert all(p < INFINITY for p in universe[:-1])
-    assert universe[-1] is INFINITY or universe[-1] == INFINITY
+    # tags in string order (0 < 1 < 2 < a < b), then values, inf last
+    main66 = builtin_design("main66")
+    assert list(main66.labels) == (
+        [f"{v}_{t}" for t in "012ab" for v in range(13)] + ["inf"]
+    )
+    assert builtin_design("fano").labels == tuple(str(v) for v in range(7))
+    assert builtin_design("pg23").labels == tuple(str(v) for v in range(13))
+    # untagged residues come before every tag
+    mixed = develop_base_blocks([("inf", "0_a", "0")], 3)
+    assert mixed.labels == ("0", "1", "2", "0_a", "1_a", "2_a", "inf")
 
 
 def test_shift_fixes_infinity_and_tags():
-    assert INFINITY.shifted(5) == INFINITY
-    p = parse_point("11_a")
-    assert p.shifted(4) == parse_point("2_a")
-    assert p.shifted(0) == p
+    d = develop_base_blocks([("inf", "11_a", "3")], 13)
+    for e in range(13):
+        shifted = {"inf", f"{(11 + e) % 13}_a", str((3 + e) % 13)}
+        assert frozenset(shifted) in d.token_blocks
+    assert frozenset({"inf", "2_a", "7"}) in d.token_blocks  # shift 4
 
 
-def test_parse_block():
-    blk = parse_block("inf 0_0 0_1")
-    assert blk == (INFINITY, parse_point("0_0"), parse_point("0_1"))
+def test_duplicate_point_in_base_block_rejected():
+    with pytest.raises(ValueError, match="duplicate point"):
+        develop_base_blocks([("2_0", "15_0", "0_a")], 13)
+    with pytest.raises(ValueError, match="duplicate point"):
+        develop_base_blocks([("inf", "inf", "0_a")], 13)
 
 
-def test_infinity_needs_no_value():
-    with pytest.raises(ValueError):
-        StructuredPoint(3, None)
-    with pytest.raises(ValueError):
-        StructuredPoint(None, "a")
+def test_two_base_blocks_over_another_modulus():
+    # {0,1,4} and {0,2,7} are a (13,3,1) difference family: together their
+    # differences cover every nonzero residue once
+    d = develop_base_blocks([("0", "1", "4"), ("0", "2", "7")], 13, "dfam13")
+    assert (d.n, d.m, d.b) == (13, 3, 26)
+    assert validate_2design(d).valid
+    # one base block over Z7 is the Fano plane
+    assert develop_base_blocks([("0", "1", "3")], 7) == builtin_design("fano")
+
+
+@pytest.mark.parametrize("modulus", [0, -7])
+def test_modulus_below_one_rejected(modulus):
+    with pytest.raises(ValueError, match="at least 1"):
+        develop_base_blocks([("0", "1", "3")], modulus)

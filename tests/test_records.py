@@ -1,4 +1,4 @@
-"""Value records: immutable named tuples, with the semantics the four
+"""Value records: immutable named tuples, with the semantics the three
 classes that carry an invariant or their own equality must keep, and an
 import that stays free of ``dataclasses`` and ``inspect``."""
 
@@ -16,11 +16,8 @@ from blockgraph import (
     make_design,
     orbit_clique_certificate,
     orbit_partition,
-    parse_block,
-    parse_point,
     validate_2design,
 )
-from blockgraph.points import INFINITY, StructuredPoint, point_universe
 from blockgraph.perms import Permutation
 from blockgraph.report import automorphism_section, build_report, builtin_generators
 from blockgraph.theory import ResidueSet
@@ -29,13 +26,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    # -S: no site, so no .pth file can preload modules the package does not import
+    # -S: no site, so no .pth file can preload modules the package does not
+    # import; -W error: importing the package must not warn either
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import blockgraph, blockgraph.cli; "
         "print(' '.join(m for m in ('dataclasses', 'inspect', 'pathlib') if m in sys.modules))"
     )
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-W", "error", "-c", code],
+        capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
@@ -55,15 +54,15 @@ def public_records():
         noncanonical.classification, noncanonical.subdesign,
         core_restriction(design, noncanonical.members), invalid.violations[0],
         section, group, close_group(generators), orbit_partition(generators), generators[0],
-        parse_point("3_a"), INFINITY, ResidueSet.of(13, [1, 3, 9]),
-        orbit_clique_certificate(parse_block("2_a 6_a 5_a 4_b 12_b 10_b")),
+        ResidueSet.of(13, [1, 3, 9]),
+        orbit_clique_certificate("2_a 6_a 5_a 4_b 12_b 10_b".split()),
         family_params("projective", 3, 2),
     ]
 
 
 def test_every_public_record_field_is_read_only():
     records = public_records()
-    assert len({type(r) for r in records}) == 22  # every record type in the package
+    assert len({type(r) for r in records}) == 21  # every record type in the package
     for record in records:
         for field in record._fields:
             with pytest.raises(AttributeError):
@@ -99,28 +98,3 @@ def test_permutation_rejects_a_non_bijection(images):
         Permutation(images)
     with pytest.raises(ValueError, match="bijection"):
         Permutation.identity(len(images))._replace(images=images)
-
-
-def test_structured_point_normalises_and_validates():
-    assert StructuredPoint(-1, "a").value == 12
-    assert parse_point("5_a")._replace(value=18) == parse_point("5_a")
-    for value, tag in ((1, "c"), (1, "A"), (None, "0"), (1, None)):
-        with pytest.raises(ValueError):
-            StructuredPoint(value, tag)
-        with pytest.raises(ValueError):
-            parse_point("0_0")._replace(value=value, tag=tag)
-
-
-def test_point_comparisons_follow_sort_key():
-    universe = point_universe()
-    key = StructuredPoint.sort_key
-    # tuple order would put 12_0 after 0_1 and cannot compare None with an int
-    points = [parse_point(t) for t in ("12_0", "0_1", "5_b", "0_a", "12_2")] + [INFINITY]
-    for pts in (points, points[::-1], list(universe), list(reversed(universe))):
-        assert sorted(pts) == sorted(pts, key=key)
-        assert min(pts) == min(pts, key=key)
-        assert max(pts) == max(pts, key=key)
-    low, high = parse_point("12_0"), parse_point("0_1")
-    assert low < high and low <= high and high > low and high >= low
-    assert not (high < low or high <= low or low > high or low >= high)
-    assert max(low, high) == high and min(INFINITY, high) == high
