@@ -2,11 +2,11 @@
 
 Plain degree refinement cannot split a strongly regular graph (degrees and
 common-neighbour counts are constant by definition), so vertices are seeded
-with maximum-clique membership counts and common-neighbour-count multisets,
-and the refinement additionally distinguishes edges by how many maximum
-cliques contain both endpoints.  All of these are preserved by any graph
-automorphism, so the seeded search still finds the full group; on the block
-graphs of interest they shrink the search tree to a handful of nodes.
+with their maximum-clique counts alone, and the refinement additionally
+distinguishes edges by how many maximum cliques contain both endpoints.
+Both are preserved by any graph automorphism, so the seeded search still
+finds the full group; on the block graphs of interest they shrink the
+search tree to a handful of nodes.
 
 Counting is bit-sliced: a sum of vertex bitmasks is held as planes, bit v
 of plane j being bit j of v's count, so one ripple-carry add per mask
@@ -73,17 +73,14 @@ class GraphGroup(NamedTuple):
     order: int
 
 
-def default_seed_invariants(graph: BlockGraph, cliques=None) -> list:
-    """Per-vertex invariant: (max cliques through v, common-neighbour multiset)."""
+def default_seed_invariants(graph: BlockGraph, cliques=None) -> list[int]:
+    """The number of maximum cliques through each vertex.  No common-neighbour
+    profile: it is the same at every vertex of an SRG, K_v or an empty graph,
+    and elsewhere refinement still reaches the exact group without it."""
     if cliques is None:
         cliques = enumerate_maximum_cliques(graph)
     counts = Counter(chain.from_iterable(cliques))
-    rows = graph.rows
-    invariants = []
-    for v, row in enumerate(rows):
-        profile = Counter(map(int.bit_count, map(row.__and__, [rows[u] for u in _bits(row)])))
-        invariants.append((counts[v], tuple(sorted(profile.items()))))
-    return invariants
+    return [counts[v] for v in range(graph.v)]
 
 
 def _sliced_sum(masks) -> list[int]:
@@ -201,11 +198,11 @@ def _lowest(cell: int) -> int:
 
 def graph_automorphism_group(
     graph: BlockGraph,
-    seed_invariants=None,
     cliques=None,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> GraphGroup:
-    """Complete automorphism group of a desk-scale graph.
+    """Complete automorphism group of a desk-scale graph, seeded with the
+    cells of equal maximum-clique counts.
 
     Returns the automorphisms the search kept (none for a trivial group),
     the first-path base and the exact order.  Raises SearchBudgetExceeded
@@ -216,14 +213,10 @@ def graph_automorphism_group(
         raise ValueError("empty graph has no vertex domain")
     if cliques is None:
         cliques = enumerate_maximum_cliques(graph)
-    if seed_invariants is None:
-        seed_invariants = default_seed_invariants(graph, cliques)
-    if len(seed_invariants) != v:
-        raise ValueError("need one seed invariant per vertex")
 
     colour_rows = _edge_colour_rows(graph, cliques)
-    seed_cells: dict = {}
-    for vertex, key in enumerate(seed_invariants):
+    seed_cells: dict[int, int] = {}
+    for vertex, key in enumerate(default_seed_invariants(graph, cliques)):
         seed_cells[key] = seed_cells.get(key, 0) | (1 << vertex)
 
     generators: list[Permutation] = []

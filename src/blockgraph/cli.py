@@ -33,7 +33,6 @@ from .graph import (
 from .perms import (
     format_cycles,
     induced_block_action,
-    induced_clique_action,
     orbit_partition,
     parse_cycles,
 )
@@ -42,6 +41,7 @@ from .report import (
     build_report,
     builtin_generators,
     check_paper_claims,
+    clique_orbits,
     render_structured,
     render_text,
 )
@@ -126,8 +126,8 @@ def cmd_verify(args) -> int:
         print("valid: NO")
         for v in validation.violations[:20]:
             print(f"  violation: {v.kind} {v.subject} count={v.count} expected={v.expected}")
-        if len(validation.violations) > 20:
-            print(f"  ... {len(validation.violations) - 20} more violations")
+        if validation.violation_count > 20:
+            print(f"  ... {validation.violation_count - 20} more violations")
         return 1
     graph = build_block_graph(design)
     try:
@@ -225,23 +225,14 @@ def cmd_orbits(args) -> int:
             print(" ".join(str(i) for i in orbit))
         print(f"# orbit lengths: {sorted(part.lengths, reverse=True)}")
     else:
-        census = census_report(design)
-        for label, members_list in (
-            ("canonical", [r.members for r in census.records if r.classification.canonical]),
-            ("non-canonical", [r.members for r in census.records if not r.classification.canonical]),
-        ):
-            if not members_list:
+        orbits = clique_orbits(census_report(design), block_perms)
+        for label, (members_list, part) in zip(("canonical", "non-canonical"), orbits):
+            if part is None:
                 print(f"# no {label} maximum cliques")
                 continue
-            actions = [induced_clique_action(bp, members_list) for bp in block_perms]
-            part = orbit_partition(actions)
             print(f"# {label} clique orbit lengths: {sorted(part.lengths, reverse=True)}")
             for orbit in part.orbits:
-                print(
-                    " | ".join(
-                        " ".join(str(v) for v in members_list[i]) for i in orbit
-                    )
-                )
+                print(" | ".join(" ".join(map(str, members_list[i])) for i in orbit))
     return 0
 
 

@@ -35,14 +35,15 @@ def _search(rows, roots, best: int, stop_at: int | None = None, found: list | No
     Best mode (``found`` None): ``best`` grows with every larger clique and
     the search stops once it reaches ``stop_at``.  Target mode: ``best``
     stays fixed and every clique of ``best + 1`` vertices goes to ``found``.
-    Returns ``best`` and the number of nodes (colourings) expanded.
+    Returns ``best`` and the number of nodes (colourings) expanded.  Open
+    nodes wait on a list, not in nested calls, so no recursion limit applies.
     """
     nrows = [~(row | 1 << v) for v, row in enumerate(rows)]
     stack: list[int] = []
     nodes = 0
 
-    def expand(candidates: int) -> bool:  # True: stop_at reached
-        nonlocal best, nodes
+    def expand(candidates: int) -> tuple | None:  # (order, candidates, size) to branch
+        nonlocal nodes
         nodes += 1
         size = len(stack)
         need = best + 1 - size
@@ -70,31 +71,42 @@ def _search(rows, roots, best: int, stop_at: int | None = None, found: list | No
         # one colour per candidate: the candidates are a clique of exactly need
         if found is not None and colour == need == candidates.bit_count():
             found.append(tuple(sorted([*stack, *_bits(candidates)])))
-            return False
-        for v, c in reversed(order):
-            if size + c <= best:
-                return False
-            stack.append(v)
-            if size == best and found is not None:
-                found.append(tuple(sorted(stack)))
-            else:
-                if size == best:
-                    best += 1
-                    if stop_at is not None and best >= stop_at:
-                        return True
-                rest = candidates & rows[v]
-                if rest and expand(rest):
-                    return True
-            stack.pop()
-            candidates ^= 1 << v
-        return False
+            return None
+        return order, candidates, size
 
     for prefix, candidates in roots:
         stack[:] = prefix
         if len(stack) > best:  # the root alone is a clique of best + 1
             found.append(tuple(stack))
-        elif expand(candidates):
-            break
+            continue
+        order, candidates, size = expand(candidates) or ([], 0, 0)
+        parents = []  # the open nodes above this one
+        while True:
+            # branch on the highest colours first, while one can beat best
+            if order:
+                v, c = order.pop()
+                if size + c > best:
+                    stack.append(v)
+                    if size == best and found is not None:
+                        found.append(tuple(sorted(stack)))
+                    else:
+                        if size == best:
+                            best += 1
+                            if stop_at is not None and best >= stop_at:
+                                return best, nodes
+                        rest = candidates & rows[v]
+                        node = expand(rest) if rest else None
+                        if node is not None:
+                            parents.append((order, candidates, size))
+                            order, candidates, size = node
+                            continue
+                    stack.pop()
+                    candidates ^= 1 << v
+                    continue
+            if not parents:
+                break
+            order, candidates, size = parents.pop()
+            candidates ^= 1 << stack.pop()  # the vertex the parent branched on
     return best, nodes
 
 

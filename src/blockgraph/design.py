@@ -15,7 +15,7 @@ import re
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import NamedTuple
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -317,10 +317,14 @@ class Violation(NamedTuple):
     expected: object
 
 
+LISTED_PAIR_VIOLATIONS = 20  # C(n,2) pairs can fail; no caller prints more than 20
+
+
 class ValidationReport(NamedTuple):
     valid: bool
     params: DesignParameters | None
-    violations: tuple[Violation, ...]
+    violations: tuple[Violation, ...]  # only the first LISTED_PAIR_VIOLATIONS pair failures
+    violation_count: int  # every failure
 
     def violations_of(self, kind: str) -> tuple[Violation, ...]:
         return tuple(v for v in self.violations if v.kind == kind)
@@ -332,13 +336,14 @@ def validate_2design(design: Design) -> ValidationReport:
     Every unordered point pair must lie in exactly lambda blocks, the
     declared lambda (1 unless a JSON file says otherwise), every block must
     have size m, and every point must lie in r = (n-1)/(m-1) blocks.
-    Failures are reported, not raised.
+    Failures are reported, not raised.  Pair failures are counted from the
+    covered pairs; the uncovered ones are walked only to list the first few.
     """
     violations: list[Violation] = []
     n, m, lam = design.n, design.m, design.lam
     if m < 2 or n <= m:
         violations.append(Violation("parameters", (n, m), 0, "n > m >= 2"))
-        return ValidationReport(False, None, tuple(violations))
+        return ValidationReport(False, None, tuple(violations), 1)
     params = admissibility(n, m)
 
     for bi, blk in enumerate(design.blocks):
@@ -352,10 +357,17 @@ def validate_2design(design: Design) -> ValidationReport:
             repl[p] += 1
         for p, q in combinations(blk, 2):
             pair_counts[(p, q)] += 1
-    for p, q in combinations(range(n), 2):
-        c = pair_counts.get((p, q), 0)
-        if c != lam:
-            violations.append(Violation("pair", (design.labels[p], design.labels[q]), c, lam))
+    # an uncovered pair fails unless lambda is 0, when only covered pairs can
+    pair_failures = sum(c != lam for c in pair_counts.values())
+    if lam:
+        pair_failures += n * (n - 1) // 2 - len(pair_counts)
+    failing = (
+        Violation("pair", (design.labels[p], design.labels[q]), c, lam)
+        for p, q in (combinations(range(n), 2) if lam else sorted(pair_counts))
+        if (c := pair_counts.get((p, q), 0)) != lam
+    )
+    listed = min(pair_failures, LISTED_PAIR_VIOLATIONS)
+    violations += islice(failing, listed)  # the walk ends at the last one listed
     if params.r_integral:
         r = int(params.r)
         for p in range(n):
@@ -368,4 +380,4 @@ def validate_2design(design: Design) -> ValidationReport:
     valid = not violations and params.admissible and design.b == int(params.b)
     if not violations and not valid:
         violations.append(Violation("parameters", (n, m), design.b, params.b))
-    return ValidationReport(valid, params, tuple(violations))
+    return ValidationReport(valid, params, tuple(violations), len(violations) + pair_failures - listed)

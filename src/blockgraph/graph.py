@@ -27,7 +27,6 @@ class BlockGraph(NamedTuple):
 
     v: int
     rows: tuple[int, ...]
-    design_ref: str = ""
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -71,7 +70,7 @@ def build_block_graph(design: Design) -> BlockGraph:
         for p in blk:
             row |= through[p]
         rows.append(row & ~(1 << i))
-    return BlockGraph(v, tuple(rows), design.name or f"2-({design.n},{design.m},{design.lam})")
+    return BlockGraph(v, tuple(rows))
 
 
 def _integral_eigenvalues(k: int, lam: int, mu: int) -> tuple[int, int]:

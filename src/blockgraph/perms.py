@@ -257,7 +257,6 @@ def close_group(generators, base=()) -> PermGroup:
 
 
 class OrbitPartition(NamedTuple):
-    domain_size: int
     orbits: tuple[tuple[int, ...], ...]
 
     @property
@@ -297,7 +296,7 @@ def orbit_partition(perms) -> OrbitPartition:
             found = orbit({start}, perms)
             seen |= found
             orbits.append(tuple(sorted(found)))
-    return OrbitPartition(n, tuple(orbits))
+    return OrbitPartition(tuple(orbits))
 
 
 # ---------------------------------------------------------------------------

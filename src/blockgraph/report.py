@@ -22,6 +22,7 @@ from . import catalog
 from .cliques import CliqueCensus, census_report, core_restriction
 from .design import Design, ValidationReport, validate_2design
 from .perms import (
+    OrbitPartition,
     Permutation,
     close_group,
     induced_block_action,
@@ -56,8 +57,21 @@ class AnalysisReport(NamedTuple):
     automorphisms: AutSection | None
 
 
-def _orbit_lengths(perms) -> tuple[int, ...]:
-    return tuple(sorted(orbit_partition(perms).lengths, reverse=True))
+def _lengths(part: OrbitPartition) -> tuple[int, ...]:
+    return tuple(sorted(part.lengths, reverse=True))
+
+
+def clique_orbits(census: CliqueCensus, block_perms) -> list[tuple[list, OrbitPartition | None]]:
+    """(members, orbits under the induced action, or None if no members) of
+    the canonical and then the non-canonical maximum cliques."""
+    out = []
+    for canonical in (True, False):
+        members = [r.members for r in census.records if r.classification.canonical == canonical]
+        part = None
+        if members:
+            part = orbit_partition([induced_clique_action(bp, members) for bp in block_perms])
+        out.append((members, part))
+    return out
 
 
 def group_section(
@@ -70,26 +84,17 @@ def group_section(
     """
     group = close_group(generators)
     block_perms = [induced_block_action(design, g) for g in group.generators]
-    canonical = [r.members for r in census.records if r.classification.canonical]
-    noncanonical = [r.members for r in census.records if not r.classification.canonical]
-    sections = []
-    for cliques in (canonical, noncanonical):
-        if cliques:
-            sections.append(
-                _orbit_lengths(
-                    [induced_clique_action(bp, cliques) for bp in block_perms]
-                )
-            )
-        else:
-            sections.append(())
+    canonical, noncanonical = (
+        () if part is None else _lengths(part) for _, part in clique_orbits(census, block_perms)
+    )
     return GroupSection(
         source=source,
         order=group.order,
         abelian=group.abelian,
-        point_orbit_lengths=_orbit_lengths(group.generators),
-        block_orbit_lengths=_orbit_lengths(block_perms),
-        canonical_clique_orbit_lengths=sections[0],
-        noncanonical_clique_orbit_lengths=sections[1],
+        point_orbit_lengths=_lengths(orbit_partition(group.generators)),
+        block_orbit_lengths=_lengths(orbit_partition(block_perms)),
+        canonical_clique_orbit_lengths=canonical,
+        noncanonical_clique_orbit_lengths=noncanonical,
     )
 
 
@@ -235,28 +240,8 @@ def _skeleton(report: AnalysisReport) -> dict:
             "noncanonical": census.noncanonical_count,
             "records": [],
         },
-        "group": None
-        if report.group is None
-        else {
-            "source": report.group.source,
-            "order": report.group.order,
-            "abelian": report.group.abelian,
-            "point_orbit_lengths": list(report.group.point_orbit_lengths),
-            "block_orbit_lengths": list(report.group.block_orbit_lengths),
-            "canonical_clique_orbit_lengths": list(
-                report.group.canonical_clique_orbit_lengths
-            ),
-            "noncanonical_clique_orbit_lengths": list(
-                report.group.noncanonical_clique_orbit_lengths
-            ),
-        },
-        "automorphisms": None
-        if report.automorphisms is None
-        else {
-            "order": report.automorphisms.order,
-            "generator_count": report.automorphisms.generator_count,
-            "equals_design_group": report.automorphisms.equals_design_group,
-        },
+        "group": None if report.group is None else report.group._asdict(),
+        "automorphisms": None if report.automorphisms is None else report.automorphisms._asdict(),
     }
 
 
@@ -351,8 +336,8 @@ def render_text(report: AnalysisReport) -> str:
     if not report.validation.valid:
         for v in report.validation.violations[:10]:
             lines.append(f"  violation: {v.kind} {v.subject} count={v.count} expected={v.expected}")
-        if len(report.validation.violations) > 10:
-            lines.append(f"  ... {len(report.validation.violations) - 10} more")
+        if report.validation.violation_count > 10:
+            lines.append(f"  ... {report.validation.violation_count - 10} more")
     if census.srg is not None:
         s = census.srg
         lines.append(

@@ -63,19 +63,27 @@ def nonsquares_mod(p: int) -> ResidueSet:
     return ResidueSet(p, tuple(i for i in range(1, p) if i not in sq))
 
 
+def _overlap(s: ResidueSet):
+    """d -> |(d + s) ∩ s|: s held as a bitmask of Z_p, rotated by d, ANDed
+    with itself and popcounted."""
+    p = s.modulus
+    digits = bytearray(b"0" * p)
+    for e in s.elements:
+        digits[-1 - e] = ord("1")  # bit e
+    mask = int(digits, 2)
+    return lambda d: (mask & (mask << d % p | mask >> (p - d % p))).bit_count()
+
+
 def difference_multiset(s: ResidueSet) -> Counter:
-    """Multiset {a - b mod p : a, b in s}, zero differences included."""
-    out: Counter = Counter()
-    for a in s.elements:
-        for b in s.elements:
-            out[(a - b) % s.modulus] += 1
-    return out
+    """Multiset {a - b mod p : a, b in s}, zero differences included; d occurs
+    |(d + s) ∩ s| times."""
+    overlap = _overlap(s)
+    return Counter({d: c for d in range(s.modulus) if (c := overlap(d))})
 
 
 def translate_intersection(s: ResidueSet, d: int) -> int:
     """|(d + s) ∩ s|; for d != 0 this equals the multiplicity of d in s - s."""
-    base = set(s.elements)
-    return sum(1 for e in s.elements if (e + d) % s.modulus in base)
+    return _overlap(s)(d)
 
 
 class OrbitCliqueCertificate(NamedTuple):

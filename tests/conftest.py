@@ -51,7 +51,7 @@ def induced_subgraph(graph, vertices):
         sum(1 << b for b, j in enumerate(verts) if a != b and graph.adjacent(i, j))
         for a, i in enumerate(verts)
     )
-    return BlockGraph(len(verts), rows, graph.design_ref)
+    return BlockGraph(len(verts), rows)
 
 
 def same_group(a, b):
@@ -68,7 +68,8 @@ def point_line_blocklist(family, d, p):
 
     A projective point is a nonzero vector of length d+1 scaled so that its
     first nonzero coordinate is 1; an affine point is any vector of length d
-    and an affine line is a point plus all multiples of a direction.
+    and an affine line is a point plus all multiples of a direction.  A point's
+    token is v and its coordinates, joined by _ when p > 10.
     """
     def normal(vec):
         inv = pow(next(x for x in vec if x), -1, p)
@@ -79,10 +80,16 @@ def point_line_blocklist(family, d, p):
 
     if family == "projective":
         points = sorted({normal(v) for v in product(range(p), repeat=d + 1) if any(v)})
-        lines = {
-            frozenset(normal(combine(s, x, t, y)) for s in range(p) for t in range(p) if s or t)
-            for x, y in combinations(points, 2)
-        }
+        # the line through x and y is x and every y + t x; a point already on
+        # a line through x needs no line of its own
+        lines = set()
+        for i, x in enumerate(points):
+            covered = set()
+            for y in points[i + 1:]:
+                if y not in covered:
+                    line = frozenset([x, *(normal(combine(1, y, t, x)) for t in range(p))])
+                    lines.add(line)
+                    covered |= line
     else:
         directions = {normal(v) for v in product(range(p), repeat=d) if any(v)}
         lines = {
@@ -90,7 +97,8 @@ def point_line_blocklist(family, d, p):
             for x in product(range(p), repeat=d)
             for u in directions
         }
-    blocks = sorted(" ".join(sorted("v" + "".join(map(str, pt)) for pt in line)) for line in lines)
+    sep = "" if p <= 10 else "_"  # coordinates of one digit need no separator
+    blocks = sorted(" ".join(sorted("v" + sep.join(map(str, pt)) for pt in line)) for line in lines)
     return "".join(blk + "\n" for blk in blocks)
 
 

@@ -212,11 +212,6 @@ def test_budget_exceeded_reports_settled_stabilizer():
     assert len(set(seen)) == len(full.base)
 
 
-def test_seed_invariants_validated(main66_census):
-    with pytest.raises(ValueError, match="one seed invariant per vertex"):
-        graph_automorphism_group(main66_census.graph, seed_invariants=[1, 2, 3])
-
-
 def test_default_seed_invariants_are_invariant(main66_census):
     # vertices in the same true orbit must get equal seed invariants
     graph = main66_census.graph
@@ -268,8 +263,14 @@ def per_edge_is_automorphism(graph, perm):
     )
 
 
-def per_neighbour_invariants(graph, cliques):
+def membership_counts(graph, cliques):
     through = Counter(v for cl in cliques for v in cl)
+    return [through[v] for v in range(graph.v)]
+
+
+def common_neighbour_profiles(graph):
+    """The seed profile the search no longer uses: each vertex's multiset of
+    common-neighbour counts with its neighbours."""
     out = []
     for v in range(graph.v):
         profile = Counter(
@@ -277,7 +278,7 @@ def per_neighbour_invariants(graph, cliques):
             for u in range(graph.v)
             if graph.adjacent(v, u)
         )
-        out.append((through[v], tuple(sorted(profile.items()))))
+        out.append(tuple(sorted(profile.items())))
     return out
 
 
@@ -427,7 +428,7 @@ def test_edge_colours_match_pair_counter(graph_case):
 
 def test_seed_invariants_match_per_neighbour_counter(graph_case):
     graph, cliques, _ = graph_case
-    assert default_seed_invariants(graph, cliques) == per_neighbour_invariants(graph, cliques)
+    assert default_seed_invariants(graph, cliques) == membership_counts(graph, cliques)
 
 
 def test_automorphism_check_matches_per_edge_loop(graph_case):
@@ -476,17 +477,29 @@ GROUP_TABLE = {
 }
 
 
+def group_table_design(name, request):
+    if name in ("pg32", "ag33"):
+        return request.getfixturevalue(name)
+    if name == "pg33":
+        return parse_design(point_line_blocklist("projective", 3, 3), name="PG(3,3)")
+    return builtin_design(name)
+
+
 @pytest.mark.parametrize("name", sorted(GROUP_TABLE))
 def test_group_table(name, request):
-    if name in ("pg32", "ag33"):
-        design = request.getfixturevalue(name)
-    elif name == "pg33":
-        design = parse_design(point_line_blocklist("projective", 3, 3), name="PG(3,3)")
-    else:
-        design = builtin_design(name)
+    design = group_table_design(name, request)
     section, group = automorphism_section(design, census_report(design))
     assert (section.order, section.generator_count, section.equals_design_group) == GROUP_TABLE[name]
     assert group.order == section.order == close_group(group.generators).order
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_TABLE))
+def test_common_neighbour_profile_never_splits(name, request):
+    # the premise for seeding with clique counts alone: on every block graph
+    # searched here (an SRG or K_v) the common-neighbour profile is one
+    # value, so it could not split a seed cell
+    graph = build_block_graph(group_table_design(name, request))
+    assert len(set(common_neighbour_profiles(graph))) == 1
 
 
 # |PGL(4,5)| = (5^4-1)(5^4-5)(5^4-5^2)(5^4-5^3)/(5-1), doubled by duality;

@@ -1,12 +1,18 @@
 import json
 import locale
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from blockgraph import builtin_design, serialize_design
 from blockgraph.cli import main
 
-from conftest import PLANE_CLIQUE_BLOCKS, members_from_tokens
+from conftest import PLANE_CLIQUE_BLOCKS, members_from_tokens, point_line_blocklist
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -110,6 +116,29 @@ def test_cliques_ag23(capsys):
         "total=81,canonical=9,size=4",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "name, summary",
+    [
+        # PG(2,31): any two lines meet, so the block graph is K_993
+        ("pg231", "# 1 maximum cliques of size 993: 0 canonical, 1 non-canonical"),
+        # 1100 pairs through one point: K_1100 again
+        ("star1100", "# 1 maximum cliques of size 1100: 1 canonical, 0 non-canonical"),
+    ],
+)
+def test_cliques_complete_block_graph_deeper_than_recursion_limit(tmp_path, capsys, name, summary):
+    # one clique member per search level: the levels outnumber the frames
+    # Python allows a recursive search
+    if name == "pg231":
+        text = point_line_blocklist("projective", 2, 31)
+    else:
+        text = "".join(f"x a{i}\n" for i in range(1100))
+    path = tmp_path / f"{name}.blk"
+    path.write_text(text)
+    code, out, err = run(capsys, "cliques", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == summary
 
 
 def test_cliques_bad_expect_key(capsys):
@@ -512,6 +541,22 @@ def test_theory_diffset(capsys):
     assert code == 0
     assert out.splitlines()[0] == "0: 3"
     assert "1: 1" in out and "12: 1" in out
+
+
+def test_theory_diffset_large_set_in_subprocess():
+    # 20,000 residues mod 99991: about 4e8 pairs for a double loop
+    residues = ",".join(map(str, range(20_000)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "blockgraph.cli", "theory", "diffset", "--p", "99991",
+         "--set", residues],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    # d and -d occur 20000 - d times for 0 < d < 20000, 0 occurs 20000 times
+    assert len(lines) == 2 * 19_999 + 1
+    assert lines[:2] == ["0: 20000", "1: 19999"] and lines[-1] == "99990: 19999"
 
 
 def test_theory_certificate(capsys):

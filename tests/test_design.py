@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,10 @@ from blockgraph import (
     validate_2design,
 )
 from blockgraph.catalog import BASE_BLOCKS, BUILTIN_NAMES
+
+from conftest import random_blocklists
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def recount_pairs(design):
@@ -202,6 +210,64 @@ def test_validate_lambda_2_coverage_rejected():
     report = validate_2design(d)
     assert not report.valid
     assert any(v.count == 2 for v in report.violations_of("pair"))
+
+
+def all_violations(design):
+    """Reference: every failure, walking all C(n,2) pairs."""
+    n, m, lam = design.n, design.m, design.lam
+    params = admissibility(n, m)
+    out = [("block_size", (i,)) for i, blk in enumerate(design.blocks) if len(blk) != m]
+    pairs = Counter(pair for blk in design.blocks for pair in combinations(blk, 2))
+    out += [
+        ("pair", (design.labels[p], design.labels[q]))
+        for p, q in combinations(range(n), 2)
+        if pairs[(p, q)] != lam
+    ]
+    through = Counter(p for blk in design.blocks for p in blk)
+    if params.r_integral:
+        out += [("replication", (design.labels[p],)) for p in range(n) if through[p] != params.r]
+    else:
+        out.append(("parameters", (n, m)))
+    if not out and not (params.admissible and design.b == params.b):
+        out.append(("parameters", (n, m)))
+    return out
+
+
+@pytest.mark.parametrize("lam", [0, 1, 2])
+def test_validate_lists_leading_pair_violations_and_counts_all(lam):
+    pairs = make_design([f"p{i}" for i in range(60)], [(f"p{i}", f"p{i + 1}") for i in range(0, 60, 2)])
+    main = builtin_design("main66")
+    broken = make_design(main.labels, [main.block_tokens(i) for i in range(1, main.b)])
+    for design in [pairs, broken, builtin_design("fano"), *random_blocklists()]:
+        design = make_design(design.labels, [design.block_tokens(i) for i in range(design.b)], lam=lam)
+        report = validate_2design(design)
+        full = all_violations(design)
+        listed = (
+            [v for v in full if v[0] == "block_size"]
+            + [v for v in full if v[0] == "pair"][:20]
+            + [v for v in full if v[0] in ("replication", "parameters")]
+        )
+        assert [(v.kind, v.subject) for v in report.violations] == listed
+        assert report.violation_count == len(full)
+        assert report.valid == (not full)
+
+
+def test_validate_disjoint_pairs_in_linear_memory():
+    # 3000 points, 1500 disjoint pairs: 4,497,000 uncovered pairs and 3000
+    # points off their replication; the old per-pair list took ~700 MB
+    code = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20)); "
+        "from blockgraph import make_design, validate_2design; "
+        "r = validate_2design(make_design([f'p{i}' for i in range(3000)], "
+        "[(f'p{i}', f'p{i + 1}') for i in range(0, 3000, 2)])); "
+        "print(r.violation_count, len(r.violations_of('pair')), len(r.violations_of('replication')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(4_497_000 + 3000), "20", "3000"]
 
 
 # ---------------------------------------------------------------------------

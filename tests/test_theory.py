@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -102,6 +103,37 @@ def test_translate_matches_difference_multiplicity():
             diffs = difference_multiset(s)
             for d in range(1, p):
                 assert translate_intersection(s, d) == diffs.get(d, 0)
+
+
+def double_loop_differences(s):
+    """Reference: every ordered pair's difference, counted one by one."""
+    out = Counter()
+    for a in s.elements:
+        for b in s.elements:
+            out[(a - b) % s.modulus] += 1
+    return out
+
+
+def double_loop_translate(s, d):
+    base = set(s.elements)
+    return sum(1 for e in s.elements if (e + d) % s.modulus in base)
+
+
+def test_bitmask_differences_match_double_loop():
+    rng = random.Random(20261018)
+    for p in (2, 3, 5, 13, 61, 127, 257, 1009):
+        for size in sorted({0, 1, 2, p // 3, p - 1, p}):
+            s = ResidueSet.of(p, rng.sample(range(p), size))
+            assert difference_multiset(s) == double_loop_differences(s)
+            for d in (*range(-2, 3), p - 1, p, p + 5, rng.randrange(-3 * p, 3 * p)):
+                assert translate_intersection(s, d) == double_loop_translate(s, d)
+
+
+def test_differences_of_every_residue():
+    # all of Z_p: every difference occurs p times, at the largest modulus
+    p = 99991  # the largest prime the CLI accepts
+    diffs = difference_multiset(ResidueSet.of(p, range(p)))
+    assert len(diffs) == p and set(diffs.values()) == {p}
 
 
 def test_residue_set_rejects_collisions():
