@@ -8,8 +8,9 @@ never listed or branched on.  Completeness is cross-checked against brute
 force in the test suite.
 
 Each maximum clique is analysed in one pass over its member blocks' point
-bitmasks (AND, OR and pairwise ANDs); pair coverage and the core's 2-design
-test are counting identities on them, exact for any blocklist.
+bitmasks (AND, OR and pairwise ANDs, where an empty one flags a non-clique);
+pair coverage and the core's 2-design test are counting identities on them,
+exact for any blocklist.
 """
 
 from __future__ import annotations
@@ -174,15 +175,21 @@ class SubdesignVerdict(NamedTuple):
     is_design: bool
 
 
-def check_clique(design: Design, members) -> tuple[int, ...]:
-    """Validate that the member blocks pairwise intersect; return sorted members."""
+def _checked_members(design: Design, members) -> tuple[int, ...]:
+    """Sorted members, checked for repeats and range (not for intersection)."""
     members = tuple(sorted(members))
     if len(set(members)) != len(members):
         raise ValueError("repeated block index in clique")
-    masks = design.block_masks
     for i in members:
-        if not 0 <= i < len(masks):
+        if not 0 <= i < design.b:
             raise ValueError(f"block index out of range: {i}")
+    return members
+
+
+def check_clique(design: Design, members) -> tuple[int, ...]:
+    """Validate that the member blocks pairwise intersect; return sorted members."""
+    members = _checked_members(design, members)
+    masks = design.block_masks
     for i, j in combinations(members, 2):
         if not masks[i] & masks[j]:
             raise ValueError(f"blocks {i} and {j} do not intersect")
@@ -194,11 +201,12 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple([p for p, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"])
 
 
-def _summary(masks: list[int], full: int) -> tuple[int, int, int, bool]:
+def _summary(masks: list[int], full: int) -> tuple[int, int, int, bool, bool]:
     """The masks' AND (from ``full``), OR and OR of pairwise ANDs, i.e. the
-    common points, support and core, and whether some pairwise AND has >= 2
-    bits, i.e. whether a point pair is covered twice."""
-    common, support, core, twice = full, 0, 0, False
+    common points, support and core; whether some pairwise AND has >= 2
+    bits, i.e. whether a point pair is covered twice; and whether some
+    pairwise AND is empty, i.e. whether the blocks are not a clique."""
+    common, support, core, twice, apart = full, 0, 0, False, False
     for a, x in enumerate(masks):
         common &= x
         support |= x
@@ -207,7 +215,9 @@ def _summary(masks: list[int], full: int) -> tuple[int, int, int, bool]:
             core |= shared
             if shared & (shared - 1):
                 twice = True
-    return common, support, core, twice
+            elif not shared:
+                apart = True
+    return common, support, core, twice, apart
 
 
 # A census asks for the same few (n, m) once per clique; the results are frozen.
@@ -282,7 +292,7 @@ def core_restriction(design: Design, members) -> CoreRestriction:
     carry no parameters.
     """
     masks = [design.block_masks[i] for i in members]
-    _, _, core, twice = _summary(masks, 0)
+    _, _, core, twice, _ = _summary(masks, 0)
     restricted = tuple(tuple(p for p in design.blocks[i] if core >> p & 1) for i in members)
     return CoreRestriction(_bits(core), restricted, _core_params(masks, core, twice))
 
@@ -294,7 +304,7 @@ def subdesign_test(design: Design, members) -> SubdesignVerdict:
     negative, with a definitive pair-coverage check over the support.
     """
     masks = [design.block_masks[i] for i in check_clique(design, members)]
-    _, support, _, twice = _summary(masks, 0)
+    _, support, _, twice, _ = _summary(masks, 0)
     return _verdict(design, masks, support, twice)
 
 
@@ -349,9 +359,11 @@ def census_report(design: Design) -> CliqueCensus:
     block_masks = design.block_masks
     records = []
     for members in cliques:
-        members = check_clique(design, members)
+        members = _checked_members(design, members)
         masks = [block_masks[i] for i in members]
-        common, support, core, twice = _summary(masks, full)
+        common, support, core, twice, apart = _summary(masks, full)
+        if apart:
+            check_clique(design, members)  # names the first disjoint pair
         verdict = _verdict(design, masks, support, twice)
         records.append(CliqueRecord(
             members, _classification(common), verdict.support_size, core.bit_count(),

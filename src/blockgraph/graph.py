@@ -2,12 +2,17 @@
 
 Adjacency rows are python ints used as bit vectors, so common-neighbour
 counts (and the clique search built on top) reduce to word-parallel ``&``
-plus popcount.  All spectral quantities are exact integers: SRG eigenvalues
-here are integral, so no numerical solver is involved.
+plus popcount.  The SRG check tests A^2 = kI + lambda A + mu (J - I - A)
+(Brouwer & Van Maldeghem 2022, 1.1) a row at a time: rows packed into byte
+fields, one strip of columns at a time, sum to a row of A^2 in one C-level
+``sum``; a mismatch is rescanned pair by pair to name the first witness.
+All spectral quantities are exact integers: SRG eigenvalues here are
+integral, so no numerical solver is involved.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from math import isqrt
 from typing import NamedTuple
 
@@ -85,13 +90,53 @@ def _integral_eigenvalues(k: int, lam: int, mu: int) -> tuple[int, int]:
     return ((d + s) // 2, (d - s) // 2)
 
 
+# Bytes of packed adjacency fields verify_srg holds at once (one column strip)
+_STRIP_BYTES = 1 << 19
+# format(row, "b") digits to 0/1 bytes, so a row flags its neighbours
+_BINARY = bytes.maketrans(b"01", b"\0\1")
+
+
+def _packed(row: int, width: int, w: int) -> int:
+    """The low ``width`` bits of a row, one w-byte field per bit."""
+    digits = format(row & ((1 << width) - 1), f"0{width}b")[::-1]
+    digits = digits.replace("0", "0" * w).replace("1", "1" + "0" * (w - 1))
+    return int.from_bytes(digits.encode().translate(_BINARY), "little")
+
+
+def _strip_matches(rows: tuple[int, ...], start: int, width: int, w: int,
+                   k: int, lam: int, mu: int) -> bool:
+    """Whether rows [0, start + width) of A^2 equal kI + lambda A + mu (J - I - A)
+    on the columns [start, start + width)."""
+    packed = [_packed(r >> start, width, w) for r in rows]
+    ones = _packed(-1, width, w)
+    spec = f"0{len(rows)}b"
+    for i in range(start + width):
+        unit = 1 << 8 * w * (i - start) if i >= start else 0
+        flags = format(rows[i], spec)[::-1].encode().translate(_BINARY)
+        if sum(compress(packed, flags)) != (
+            lam * packed[i] + mu * (ones - packed[i] - unit) + k * unit
+        ):
+            return False
+    return True
+
+
+def _pair_counts(rows: tuple[int, ...]):
+    """(i, j, adjacent, common neighbours) of every pair i < j, row-major."""
+    for i, ri in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            yield i, j, ri >> j & 1, (ri & rows[j]).bit_count()
+
+
 def verify_srg(graph: BlockGraph) -> SrgParams:
     """Exhaustively verify strong regularity and return its parameters.
 
-    Checks constant degree, then counts common neighbours of every vertex
-    pair: adjacent pairs must agree on lambda, non-adjacent pairs on mu.
+    Checks constant degree k; lambda and mu come from the first adjacent and
+    non-adjacent pair in row-major order.  Row i of A^2 is the sum of its
+    neighbours' rows packed into w = ceil(bit_length(k) / 8) bytes per vertex
+    (no entry exceeds k, so no field carries), taken over column strips of
+    ``_STRIP_BYTES`` and only rows before the strip's end (A^2 is symmetric).
     Raises DegenerateGraphError for complete/empty/too-small graphs and
-    SrgVerificationError (with a witness pair) otherwise.
+    SrgVerificationError (with the first failing pair, rescanned) otherwise.
     """
     v = graph.v
     if v < 2:
@@ -106,27 +151,22 @@ def verify_srg(graph: BlockGraph) -> SrgParams:
         raise SrgVerificationError(f"not regular: degrees {sorted(degrees)}")
     k = degrees.pop()
 
-    lam = mu = None
+    # complete/empty were excluded, so both kinds of pair occur in row 0
     rows = graph.rows
-    for i in range(v):
-        ri = rows[i]
-        for j in range(i + 1, v):
-            c = (ri & rows[j]).bit_count()
-            if ri >> j & 1:
-                if lam is None:
-                    lam = c
-                elif c != lam:
-                    raise SrgVerificationError(
-                        f"adjacent pair ({i},{j}) has {c} common neighbours, expected {lam}"
-                    )
-            else:
-                if mu is None:
-                    mu = c
-                elif c != mu:
-                    raise SrgVerificationError(
-                        f"non-adjacent pair ({i},{j}) has {c} common neighbours, expected {mu}"
-                    )
-    # complete/empty were excluded, so both kinds of pair exist
+    lam = next(c for _, _, adjacent, c in _pair_counts(rows) if adjacent)
+    mu = next(c for _, _, adjacent, c in _pair_counts(rows) if not adjacent)
+    w = (k.bit_length() + 7) // 8
+    step = max(1, _STRIP_BYTES // (v * w))
+    if not all(_strip_matches(rows, start, min(step, v - start), w, k, lam, mu)
+               for start in range(0, v, step)):
+        for i, j, adjacent, c in _pair_counts(rows):
+            expected = lam if adjacent else mu
+            if c != expected:
+                kind = "adjacent" if adjacent else "non-adjacent"
+                raise SrgVerificationError(
+                    f"{kind} pair ({i},{j}) has {c} common neighbours, expected {expected}"
+                )
+        raise AssertionError("a row of A^2 is wrong but every pair count is right")
     r_eig, s_eig = _integral_eigenvalues(k, lam, mu)
     params = SrgParams(v, k, lam, mu, r_eig, s_eig)
     if k * (k - lam - 1) != (v - k - 1) * mu:

@@ -141,6 +141,19 @@ def test_cliques_complete_block_graph_deeper_than_recursion_limit(tmp_path, caps
     assert out.splitlines()[-1] == summary
 
 
+def test_cliques_six_cycle_names_first_failing_pair(tmp_path, capsys):
+    # the block graph is C6: regular, but its non-adjacent pairs have 1 or 0
+    # common neighbours; the witness is the first wrong pair in row-major order
+    path = tmp_path / "c6.blk"
+    path.write_text("a b\nb c\nc d\nd e\ne f\nf a\n")
+    code, out, err = run(capsys, "cliques", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: block graph is not strongly regular: "
+        "non-adjacent pair (0,4) has 0 common neighbours, expected 1\n"
+    )
+
+
 def test_cliques_bad_expect_key(capsys):
     code, _, err = run(capsys, "cliques", "--builtin", "ag23", "--expect", "cake=3")
     assert code == 2

@@ -228,6 +228,32 @@ def test_classify_rejects_non_clique(main66):
         classify_clique(main66, (0, other))
 
 
+@pytest.mark.parametrize("kind", ["disjoint", "repeated", "out of range"])
+def test_census_rejects_non_clique_like_check_clique(monkeypatch, main66, kind):
+    # the census checks pairwise intersection only through _summary's flag,
+    # so a member list from the search that is not a clique must still fail
+    # with check_clique's own text
+    masks = main66.block_masks
+    other = next(j for j in range(main66.b) if not masks[0] & masks[j])
+    members = {
+        "disjoint": (other, 0, 1), "repeated": (0, 0, 1), "out of range": (0, 1, 10**6)
+    }[kind]
+    with pytest.raises(ValueError) as direct:
+        cliques.check_clique(main66, members)
+    monkeypatch.setattr(cliques, "enumerate_maximum_cliques", lambda graph, size: [members])
+    with pytest.raises(ValueError) as exc:
+        census_report(main66)
+    assert str(exc.value) == str(direct.value)
+
+
+def test_summary_apart_flag_matches_pairwise_and():
+    rng = random.Random(11)
+    for _ in range(300):
+        masks = [rng.getrandbits(12) | 1 << rng.randrange(12) for _ in range(rng.randrange(1, 7))]
+        apart = any(not x & y for x, y in combinations(masks, 2))
+        assert cliques._summary(masks, 0)[4] == apart
+
+
 def test_clique_support_sizes(main66):
     plane_clique = members_from_tokens(main66, PLANE_CLIQUE_BLOCKS)
     assert len(clique_support(main66, plane_clique)) == 39

@@ -14,7 +14,10 @@ from blockgraph import (
     verify_srg,
 )
 
-from conftest import induced_subgraph
+from blockgraph import graph as graph_module
+from blockgraph.graph import _integral_eigenvalues, _strip_matches
+
+from conftest import induced_subgraph, point_line_blocklist
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +173,190 @@ def test_serialize_graph_formats():
     assert serialize_graph(g, "edges") == "0 1\n"
     with pytest.raises(ValueError):
         serialize_graph(g, "dot")
+
+
+# ---------------------------------------------------------------------------
+# verify_srg against a pair-at-a-time reference
+
+
+def reference_verify_srg(graph):
+    """Strong regularity checked one pair at a time, in row-major order."""
+    v = graph.v
+    if v < 2:
+        raise DegenerateGraphError(f"graph with {v} vertices")
+    if graph.is_complete():
+        raise DegenerateGraphError("complete graph")
+    if graph.is_empty():
+        raise DegenerateGraphError("empty graph")
+    degrees = {graph.degree(i) for i in range(v)}
+    if len(degrees) != 1:
+        raise SrgVerificationError(f"not regular: degrees {sorted(degrees)}")
+    k = degrees.pop()
+    lam = mu = None
+    rows = graph.rows
+    for i in range(v):
+        for j in range(i + 1, v):
+            c = (rows[i] & rows[j]).bit_count()
+            if graph.adjacent(i, j):
+                if lam is None:
+                    lam = c
+                elif c != lam:
+                    raise SrgVerificationError(
+                        f"adjacent pair ({i},{j}) has {c} common neighbours, expected {lam}"
+                    )
+            elif mu is None:
+                mu = c
+            elif c != mu:
+                raise SrgVerificationError(
+                    f"non-adjacent pair ({i},{j}) has {c} common neighbours, expected {mu}"
+                )
+    r_eig, s_eig = _integral_eigenvalues(k, lam, mu)
+    params = SrgParams(v, k, lam, mu, r_eig, s_eig)
+    if k * (k - lam - 1) != (v - k - 1) * mu:
+        raise SrgVerificationError(f"infeasible parameter set {params.as_tuple()}")
+    return params
+
+
+def outcome(check, graph):
+    """The parameters a check returns, or the type and text of what it raises."""
+    try:
+        return check(graph)
+    except (DegenerateGraphError, SrgVerificationError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_reference(graph):
+    got = outcome(verify_srg, graph)
+    assert got == outcome(reference_verify_srg, graph)
+    return got
+
+
+def from_edges(v, edges):
+    rows = [0] * v
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return BlockGraph(v, tuple(rows))
+
+
+def flipped(graph, *pairs):
+    rows = list(graph.rows)
+    for i, j in pairs:
+        rows[i] ^= 1 << j
+        rows[j] ^= 1 << i
+    return BlockGraph(graph.v, tuple(rows))
+
+
+def switched(graph, a, c):
+    """Swap edges a~b, c~d for a~d, c~b, with b and d as late as possible;
+    every degree stays the same, so only the pair counts can go wrong."""
+    def last(x, y):  # the last neighbour of x that is neither y nor next to y
+        cand = graph.rows[x] & ~graph.rows[y] & ~(1 << y)
+        return cand.bit_length() - 1
+
+    b, d = last(a, c), last(c, a)
+    return flipped(graph, (a, b), (c, d), (a, d), (c, b))
+
+
+@pytest.fixture(scope="module")
+def pg35_graph():
+    return build_block_graph(parse_design(point_line_blocklist("projective", 3, 5)))
+
+
+@pytest.mark.parametrize(
+    "name", ["main66", "appendixA66", "appendixB66", "fano", "ag23", "pg23"]
+)
+def test_verify_srg_matches_reference_on_builtins(name):
+    assert_matches_reference(build_block_graph(builtin_design(name)))
+
+
+@pytest.mark.parametrize("family, d, p", [("projective", 3, 2), ("affine", 3, 3)])
+def test_verify_srg_matches_reference_on_geometries(family, d, p):
+    graph = build_block_graph(parse_design(point_line_blocklist(family, d, p)))
+    got = assert_matches_reference(graph)
+    assert isinstance(got, SrgParams)
+
+
+def test_verify_srg_matches_reference_on_pg35(pg35_graph):
+    assert assert_matches_reference(pg35_graph).as_tuple() == (806, 180, 54, 36)
+
+
+@pytest.mark.parametrize("graph_name", ["main66_graph", "pg35_graph"])
+def test_verify_srg_matches_reference_after_flips(request, graph_name):
+    graph = request.getfixturevalue(graph_name)
+    v = graph.v
+    # one flip, then two in different column strips; and degree-preserving
+    # switches, which only the row check (and the rescan) can catch
+    for broken in (
+        flipped(graph, (0, v - 1)),
+        flipped(graph, (0, v - 1), (5, 10)),
+        switched(graph, 0, 1),
+        switched(graph, 5, v - 1),
+        switched(graph, v - 2, v - 1),
+    ):
+        exc_type, _ = assert_matches_reference(broken)
+        assert exc_type is SrgVerificationError
+
+
+def test_verify_srg_matches_reference_on_small_graphs():
+    c6 = from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    p3 = from_edges(3, [(0, 1), (1, 2)])
+    k4s = from_edges(
+        20, [(4 * q + a, 4 * q + b) for q in range(5) for a in range(4) for b in range(a)]
+    )
+    assert assert_matches_reference(c6)[0] is SrgVerificationError
+    assert assert_matches_reference(p3) == (SrgVerificationError, "not regular: degrees [1, 2]")
+    # mu = 0: every non-adjacent pair has no common neighbour
+    assert assert_matches_reference(k4s).as_tuple() == (20, 3, 2, 0)
+
+
+@pytest.mark.parametrize("s", [255, 256])
+def test_verify_srg_field_width_edge(s):
+    # k = 255 is the largest degree with 1-byte fields, k = 256 needs 2 bytes:
+    # a diagonal entry of A^2 is k, so a too-narrow field would carry
+    kss = from_edges(2 * s, [(i, s + j) for i in range(s) for j in range(s)])
+    srg = verify_srg(kss)
+    assert srg.as_tuple() == (2 * s, s, 0, s)
+    assert (srg.r_eig, srg.s_eig) == (0, -s)
+    assert assert_matches_reference(flipped(kss, (0, 2 * s - 1)))[0] is SrgVerificationError
+    # remove 0~s and 1~s+1, add 0~1 and s~s+1: still s-regular
+    broken = flipped(kss, (0, s), (1, s + 1), (0, 1), (s, s + 1))
+    assert assert_matches_reference(broken)[0] is SrgVerificationError
+
+
+@pytest.mark.parametrize("strip_bytes", [143, 143 * 8, 143 * 50])
+def test_verify_srg_matches_reference_in_narrow_strips(monkeypatch, main66_graph, strip_bytes):
+    # 1, 8 and 50 columns a strip instead of one strip for all 143
+    monkeypatch.setattr(graph_module, "_STRIP_BYTES", strip_bytes)
+    assert assert_matches_reference(main66_graph).as_tuple() == (143, 72, 36, 36)
+    for a, c in ((0, 1), (0, 142), (70, 71), (141, 142)):
+        assert assert_matches_reference(switched(main66_graph, a, c))[0] is SrgVerificationError
+
+
+def test_strip_matches_a_squared_on_every_5_vertex_graph():
+    # every graph on 5 vertices, every strip, against A^2 entry by entry;
+    # a strip covers the rows before its end, not just its own rows
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    outcomes = set()
+    for mask in range(1 << len(pairs)):
+        g = from_edges(5, [p for bit, p in enumerate(pairs) if mask >> bit & 1])
+        rows = g.rows
+        k = g.degree(0)
+        counts = [(rows[i] & rows[j]).bit_count() for i, j in pairs[:4]]
+        lam = next((c for (i, j), c in zip(pairs, counts) if g.adjacent(i, j)), 0)
+        mu = next((c for (i, j), c in zip(pairs, counts) if not g.adjacent(i, j)), 0)
+        for start in range(5):
+            for width in range(1, 6 - start):
+                expected = all(
+                    (rows[i] & rows[j]).bit_count()
+                    == (k if i == j else lam if g.adjacent(i, j) else mu)
+                    for i in range(start + width)
+                    for j in range(start, start + width)
+                )
+                for w in (1, 2):
+                    assert _strip_matches(rows, start, width, w, k, lam, mu) == expected
+                outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_induced_subgraph(main66_graph):
