@@ -1,11 +1,12 @@
 """Exhaustive maximum-clique census and subdesign analysis.
 
-One branch-and-bound core serves ``clique_number`` and
-``enumerate_maximum_cliques``.  Each node colours its bitset candidates
-greedily, one class at a time (MCQ, Tomita & Seki 2003; BBMC, San Segundo
-et al. 2011); classes numbered below the size still needed are coloured but
-never listed or branched on.  Completeness is cross-checked against brute
-force in the test suite.
+One branch-and-bound core, searching from a single root that holds every
+vertex, serves ``clique_number`` and ``enumerate_maximum_cliques``.  Each
+node colours its bitset candidates greedily, one class at a time (MCQ,
+Tomita & Seki 2003; BBMC, San Segundo et al. 2011); classes numbered below
+the size still needed are coloured but never listed or branched on, and
+candidates with one vertex per class form a clique that is taken whole.
+Completeness is cross-checked against brute force in the test suite.
 
 Each maximum clique is analysed in one pass over its member blocks' point
 bitmasks (AND, OR and pairwise ANDs, where an empty one flags a non-clique);
@@ -30,21 +31,22 @@ from .graph import (
 )
 
 
-def _search(rows, roots, best: int, stop_at: int | None = None, found: list | None = None):
-    """Colour-bounded branch and bound below each root ``(clique, candidates)``.
+def _search(rows, best: int, stop_at: int | None = None, found: list | None = None):
+    """Colour-bounded branch and bound from the root holding every vertex.
 
     Best mode (``found`` None): ``best`` grows with every larger clique and
-    the search stops once it reaches ``stop_at``.  Target mode: ``best``
-    stays fixed and every clique of ``best + 1`` vertices goes to ``found``.
-    Returns ``best`` and the number of nodes (colourings) expanded.  Open
-    nodes wait on a list, not in nested calls, so no recursion limit applies.
+    the search returns ``stop_at`` once ``best`` reaches it.  Target mode:
+    ``best`` stays fixed and every clique of ``best + 1`` vertices goes to
+    ``found``.  Returns ``best`` and the number of nodes (colourings)
+    expanded.  Open nodes wait on a list, not in nested calls, so no
+    recursion limit applies.
     """
     nrows = [~(row | 1 << v) for v, row in enumerate(rows)]
     stack: list[int] = []
     nodes = 0
 
     def expand(candidates: int) -> tuple | None:  # (order, candidates, size) to branch
-        nonlocal nodes
+        nonlocal nodes, best
         nodes += 1
         size = len(stack)
         need = best + 1 - size
@@ -69,46 +71,43 @@ def _search(rows, roots, best: int, stop_at: int | None = None, found: list | No
                 v = low.bit_length() - 1
                 avail &= nrows[v]
                 order.append((v, colour))
-        # one colour per candidate: the candidates are a clique of exactly need
-        if found is not None and colour == need == candidates.bit_count():
-            found.append(tuple(sorted([*stack, *_bits(candidates)])))
-            return None
+        # one colour per candidate: the candidates are a clique, taken whole
+        if colour == candidates.bit_count():
+            if found is None:
+                best = max(best, size + colour)
+                return None
+            if colour == need:
+                found.append(tuple(sorted([*stack, *_bits(candidates)])))
+                return None
         return order, candidates, size
 
-    for prefix, candidates in roots:
-        stack[:] = prefix
-        if len(stack) > best:  # the root alone is a clique of best + 1
-            found.append(tuple(stack))
-            continue
-        order, candidates, size = expand(candidates) or ([], 0, 0)
-        parents = []  # the open nodes above this one
-        while True:
-            # branch on the highest colours first, while one can beat best
-            if order:
-                v, c = order.pop()
-                if size + c > best:
-                    stack.append(v)
-                    if size == best and found is not None:
-                        found.append(tuple(sorted(stack)))
-                    else:
-                        if size == best:
-                            best += 1
-                            if stop_at is not None and best >= stop_at:
-                                return best, nodes
-                        rest = candidates & rows[v]
-                        node = expand(rest) if rest else None
-                        if node is not None:
-                            parents.append((order, candidates, size))
-                            order, candidates, size = node
-                            continue
-                    stack.pop()
-                    candidates ^= 1 << v
-                    continue
-            if not parents:
-                break
-            order, candidates, size = parents.pop()
-            candidates ^= 1 << stack.pop()  # the vertex the parent branched on
-    return best, nodes
+    order, candidates, size = expand((1 << len(rows)) - 1) or ([], 0, 0)
+    parents = []  # the open nodes above this one
+    while True:
+        if stop_at is not None and best >= stop_at:
+            return stop_at, nodes
+        # branch on the highest colours first, while one can beat best
+        if order:
+            v, c = order.pop()
+            if size + c > best:
+                stack.append(v)
+                if size == best and found is not None:
+                    found.append(tuple(sorted(stack)))
+                else:
+                    best = max(best, size + 1)
+                    rest = candidates & rows[v]
+                    node = expand(rest) if rest else None
+                    if node is not None:
+                        parents.append((order, candidates, size))
+                        order, candidates, size = node
+                        continue
+                stack.pop()
+                candidates ^= 1 << v
+                continue
+        if not parents:
+            return best, nodes
+        order, candidates, size = parents.pop()
+        candidates ^= 1 << stack.pop()  # the vertex the parent branched on
 
 
 def clique_number(graph: BlockGraph, upper_bound: int | None = None) -> int:
@@ -117,35 +116,20 @@ def clique_number(graph: BlockGraph, upper_bound: int | None = None) -> int:
     ``upper_bound`` (e.g. the Delsarte bound) is used as an early exit: the
     search stops as soon as a clique attaining it is found.
     """
-    if graph.v == 0:
-        return 0
-    return _search(graph.rows, [((), (1 << graph.v) - 1)], 0, upper_bound)[0]
+    return _search(graph.rows, 0, upper_bound)[0]
 
 
 def enumerate_maximum_cliques(
     graph: BlockGraph, size: int | None = None
 ) -> list[tuple[int, ...]]:
-    """All cliques of maximum size, sorted lexicographically.
-
-    Each clique is rooted at its first member in decreasing-degree order
-    (ties by index, so runs are reproducible) and extends into the root's
-    neighbours that come later in that order.  A given ``size`` must be at
-    least 1.
-    """
+    """All cliques of maximum size (or of a given ``size`` of at least 1),
+    sorted lexicographically."""
     if size is not None and size < 1:
         raise ValueError(f"clique size must be at least 1, got {size}")
     if graph.v == 0:
         return []
-    target = clique_number(graph) if size is None else size
-    roots = []
-    after = (1 << graph.v) - 1  # the vertices later in that order than v
-    for v in sorted(range(graph.v), key=lambda u: (-graph.degree(u), u)):
-        after ^= 1 << v
-        later = graph.rows[v] & after
-        if later.bit_count() + 1 >= target:
-            roots.append(((v,), later))
     found: list[tuple[int, ...]] = []
-    _search(graph.rows, roots, target - 1, found=found)
+    _search(graph.rows, (clique_number(graph) if size is None else size) - 1, found=found)
     return sorted(found)
 
 

@@ -261,7 +261,8 @@ class OrbitPartition(NamedTuple):
 
     @property
     def lengths(self) -> tuple[int, ...]:
-        return tuple(len(o) for o in self.orbits)
+        """The orbit lengths, longest first."""
+        return tuple(sorted(map(len, self.orbits), reverse=True))
 
 
 def orbit(points, perms) -> set[int]:
@@ -302,6 +303,12 @@ def orbit_partition(perms) -> OrbitPartition:
 # ---------------------------------------------------------------------------
 # induced actions
 
+def _set_images(images, sets, index):
+    """The position in ``index`` of each set's image under ``images``, or
+    None where the image is not there."""
+    return (index.get(tuple(sorted([images[x] for x in s]))) for s in sets)
+
+
 def induced_block_action(design: Design, perm: Permutation) -> Permutation:
     """The permutation of block indices induced by a point permutation.
 
@@ -309,39 +316,27 @@ def induced_block_action(design: Design, perm: Permutation) -> Permutation:
     """
     if perm.degree != design.n:
         raise ValueError("permutation domain does not match point count")
-    images = []
-    for i, blk in enumerate(design.blocks):
-        img = tuple(sorted(perm(p) for p in blk))
-        j = design.block_index.get(img)
-        if j is None:
-            toks = design.block_tokens(i)
-            raise ValueError(
-                f"not a design automorphism: image of block {i} {toks} is not a block"
-            )
-        images.append(j)
-    return Permutation(tuple(images))
+    found = list(_set_images(perm.images, design.blocks, design.block_index))
+    if None in found:
+        i = found.index(None)
+        toks = design.block_tokens(i)
+        raise ValueError(f"not a design automorphism: image of block {i} {toks} is not a block")
+    return Permutation(tuple(found))
 
 
 def induced_clique_action(block_perm: Permutation, cliques) -> Permutation:
     """The permutation of a clique list induced by a block permutation."""
     cliques = list(cliques)
-    index = {c: i for i, c in enumerate(cliques)}
-    images = []
-    for i, members in enumerate(cliques):
-        img = tuple(sorted(block_perm(v) for v in members))
-        j = index.get(img)
-        if j is None:
-            raise ValueError(f"clique {i} is not mapped into the clique list")
-        images.append(j)
-    return Permutation(tuple(images))
+    found = list(_set_images(block_perm.images, cliques, {c: i for i, c in enumerate(cliques)}))
+    if None in found:
+        raise ValueError(f"clique {found.index(None)} is not mapped into the clique list")
+    return Permutation(tuple(found))
 
 
 def is_design_automorphism(design: Design, perm: Permutation) -> bool:
-    if perm.degree != design.n:
-        return False
-    blocks = set(design.blocks)
-    images = perm.images
-    return all(tuple(sorted([images[p] for p in blk])) in blocks for blk in design.blocks)
+    return perm.degree == design.n and None not in _set_images(
+        perm.images, design.blocks, design.block_index
+    )
 
 
 def is_graph_automorphism(graph: BlockGraph, perm: Permutation) -> bool:

@@ -57,10 +57,6 @@ class AnalysisReport(NamedTuple):
     automorphisms: AutSection | None
 
 
-def _lengths(part: OrbitPartition) -> tuple[int, ...]:
-    return tuple(sorted(part.lengths, reverse=True))
-
-
 def clique_orbits(census: CliqueCensus, block_perms) -> list[tuple[list, OrbitPartition | None]]:
     """(members, orbits under the induced action, or None if no members) of
     the canonical and then the non-canonical maximum cliques."""
@@ -85,14 +81,14 @@ def group_section(
     group = close_group(generators)
     block_perms = [induced_block_action(design, g) for g in group.generators]
     canonical, noncanonical = (
-        () if part is None else _lengths(part) for _, part in clique_orbits(census, block_perms)
+        () if part is None else part.lengths for _, part in clique_orbits(census, block_perms)
     )
     return GroupSection(
         source=source,
         order=group.order,
         abelian=group.abelian,
-        point_orbit_lengths=_lengths(orbit_partition(group.generators)),
-        block_orbit_lengths=_lengths(orbit_partition(block_perms)),
+        point_orbit_lengths=orbit_partition(group.generators).lengths,
+        block_orbit_lengths=orbit_partition(block_perms).lengths,
         canonical_clique_orbit_lengths=canonical,
         noncanonical_clique_orbit_lengths=noncanonical,
     )

@@ -141,6 +141,27 @@ def test_cliques_complete_block_graph_deeper_than_recursion_limit(tmp_path, caps
     assert out.splitlines()[-1] == summary
 
 
+def test_cliques_star_in_linear_memory(tmp_path):
+    # K_2000: the root's candidates are one clique and are taken whole; a
+    # descent one member per level would hold ~k^2/2 (vertex, colour) pairs,
+    # more than a 100 MB address space
+    path = tmp_path / "star2000.blk"
+    path.write_text("".join(f"x a{i}\n" for i in range(2000)))
+    code = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20)); "
+        "from blockgraph.cli import main; "
+        f"raise SystemExit(main(['cliques', '--input', {str(path)!r}]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "# 1 maximum cliques of size 2000: 1 canonical, 0 non-canonical"
+    )
+
+
 def test_cliques_six_cycle_names_first_failing_pair(tmp_path, capsys):
     # the block graph is C6: regular, but its non-adjacent pairs have 1 or 0
     # common neighbours; the witness is the first wrong pair in row-major order
@@ -399,6 +420,16 @@ def test_report_pg23_degenerate(capsys):
 def test_report_check_paper_needs_66_design(capsys):
     code, _, err = run(capsys, "report", "--builtin", "ag23", "--check-paper")
     assert code == 2
+
+
+@pytest.mark.parametrize("source", [["--builtin", "ag23"], ["--input", "main66.blk"]])
+def test_report_check_paper_refused_before_analysis(tmp_path, monkeypatch, capsys, source):
+    # decided before the design is loaded: no report on stdout, one error line
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "main66.blk").write_text(serialize_design(builtin_design("main66")))
+    code, out, err = run(capsys, "report", *source, "--check-paper")
+    assert (code, out) == (2, "")
+    assert err == "--check-paper needs one of the embedded 66-point designs\n"
 
 
 @pytest.mark.parametrize("name", ["appendixA66", "appendixB66"])
