@@ -167,10 +167,13 @@ def _refine(colour_rows, cells: list[int], splitters=None) -> tuple[list[int], t
                 if not cell & touched:
                     out.append(cell)
                     continue
-                fragments = [(k, part) for k, mask in classes if (part := cell & mask)]
-                if len(fragments) == 1:
+                for _, mask in classes:
+                    if cell & mask:
+                        break
+                if not cell & ~mask:  # inside the first class it meets
                     out.append(cell)
                     continue
+                fragments = [(k, part) for k, mask in classes if (part := cell & mask)]
                 sizes = [part.bit_count() for _, part in fragments]
                 trace.append((colour, len(out), tuple(zip((k for k, _ in fragments), sizes))))
                 skip = -1 if cell in queued else sizes.index(max(sizes))

@@ -164,8 +164,9 @@ def _checked_members(design: Design, members) -> tuple[int, ...]:
     members = tuple(sorted(members))
     if len(set(members)) != len(members):
         raise ValueError("repeated block index in clique")
+    b = design.b
     for i in members:
-        if not 0 <= i < design.b:
+        if not 0 <= i < b:
             raise ValueError(f"block index out of range: {i}")
     return members
 

@@ -3,9 +3,11 @@
 Adjacency rows are python ints used as bit vectors, so common-neighbour
 counts (and the clique search built on top) reduce to word-parallel ``&``
 plus popcount.  The SRG check tests A^2 = kI + lambda A + mu (J - I - A)
-(Brouwer & Van Maldeghem 2022, 1.1) a row at a time: rows packed into byte
-fields, one strip of columns at a time, sum to a row of A^2 in one C-level
-``sum``; a mismatch is rescanned pair by pair to name the first witness.
+(Brouwer & Van Maldeghem 2022, 1.1) a row at a time on rows packed into byte
+fields, one strip of columns at a time: a sum of pencil sums where the point
+pencils through a block partition its neighbours, else a C-level ``sum`` of
+its neighbours' rows; a mismatch is rescanned pair by pair to name the first
+witness.
 All spectral quantities are exact integers: SRG eigenvalues here are
 integral, so no numerical solver is involved.
 """
@@ -28,10 +30,13 @@ class SrgVerificationError(Exception):
 
 
 class BlockGraph(NamedTuple):
-    """Intersection graph of a design's blocks (symmetric, irreflexive)."""
+    """Intersection graph of a design's blocks (symmetric, irreflexive), with
+    the blocks through each point as vertex masks (``pencils``) if it was
+    built from a design."""
 
     v: int
     rows: tuple[int, ...]
+    pencils: tuple[int, ...] = ()
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -75,7 +80,7 @@ def build_block_graph(design: Design) -> BlockGraph:
         for p in blk:
             row |= through[p]
         rows.append(row & ~(1 << i))
-    return BlockGraph(v, tuple(rows))
+    return BlockGraph(v, tuple(rows), tuple(through))
 
 
 def _integral_eigenvalues(k: int, lam: int, mu: int) -> tuple[int, int]:
@@ -103,19 +108,47 @@ def _packed(row: int, width: int, w: int) -> int:
     return int.from_bytes(digits.encode().translate(_BINARY), "little")
 
 
-def _strip_matches(rows: tuple[int, ...], start: int, width: int, w: int,
-                   k: int, lam: int, mu: int) -> bool:
+def _flags(mask: int, v: int) -> bytes:
+    """One 0/1 byte per vertex below v: whether the mask holds it."""
+    return format(mask, f"0{v}b")[::-1].encode().translate(_BINARY)
+
+
+def _pencil_routes(rows: tuple[int, ...], pencils: tuple[int, ...]) -> list:
+    """Per vertex i, the pencils through i if, each less i, they partition
+    the row (union less i is the row, sizes less one sum to the degree)."""
+    v = len(rows)
+    through: list[list[int]] = [[] for _ in range(v)]
+    for p, pencil in enumerate(pencils):
+        for i in compress(range(v), _flags(pencil, v)):
+            through[i].append(p)
+    others = [pencil.bit_count() - 1 for pencil in pencils]
+    routes = []
+    for i, (row, ps) in enumerate(zip(rows, through)):
+        union = 0
+        for p in ps:
+            union |= pencils[p]
+        exact = union & ~(1 << i) == row and sum([others[p] for p in ps]) == row.bit_count()
+        routes.append(ps if exact else None)
+    return routes
+
+
+def _strip_matches(rows: tuple[int, ...], pencils: tuple[int, ...], routes: list,
+                   start: int, width: int, w: int, k: int, lam: int, mu: int) -> bool:
     """Whether rows [0, start + width) of A^2 equal kI + lambda A + mu (J - I - A)
-    on the columns [start, start + width)."""
+    on the columns [start, start + width), row i summed from the pencils on
+    ``routes[i]`` or, where that is None, from i's neighbours."""
+    v = len(rows)
     packed = [_packed(r >> start, width, w) for r in rows]
+    sums = [sum(compress(packed, _flags(pencil, v))) for pencil in pencils]
     ones = _packed(-1, width, w)
-    spec = f"0{len(rows)}b"
     for i in range(start + width):
         unit = 1 << 8 * w * (i - start) if i >= start else 0
-        flags = format(rows[i], spec)[::-1].encode().translate(_BINARY)
-        if sum(compress(packed, flags)) != (
-            lam * packed[i] + mu * (ones - packed[i] - unit) + k * unit
-        ):
+        route = routes[i]
+        if route is None:
+            row = sum(compress(packed, _flags(rows[i], v)))
+        else:
+            row = sum([sums[p] for p in route]) - len(route) * packed[i]
+        if row != lam * packed[i] + mu * (ones - packed[i] - unit) + k * unit:
             return False
     return True
 
@@ -135,6 +168,9 @@ def verify_srg(graph: BlockGraph) -> SrgParams:
     neighbours' rows packed into w = ceil(bit_length(k) / 8) bytes per vertex
     (no entry exceeds k, so no field carries), taken over column strips of
     ``_STRIP_BYTES`` and only rows before the strip's end (A^2 is symmetric).
+    Where the d_i pencils through i, each less i, partition i's neighbours
+    (checked exactly, row by row), that sum is sum_{p through i} S_p - d_i P_i,
+    with P_i row i packed and S_p the sum of pencil p's packed rows, once a strip.
     Raises DegenerateGraphError for complete/empty/too-small graphs and
     SrgVerificationError (with the first failing pair, rescanned) otherwise.
     """
@@ -157,7 +193,9 @@ def verify_srg(graph: BlockGraph) -> SrgParams:
     mu = next(c for _, _, adjacent, c in _pair_counts(rows) if not adjacent)
     w = (k.bit_length() + 7) // 8
     step = max(1, _STRIP_BYTES // (v * w))
-    if not all(_strip_matches(rows, start, min(step, v - start), w, k, lam, mu)
+    routes = _pencil_routes(rows, graph.pencils)
+    if not all(_strip_matches(rows, graph.pencils, routes, start, min(step, v - start),
+                              w, k, lam, mu)
                for start in range(0, v, step)):
         for i, j, adjacent, c in _pair_counts(rows):
             expected = lam if adjacent else mu

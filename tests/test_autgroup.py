@@ -1,6 +1,6 @@
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations, permutations
 
 import pytest
@@ -19,11 +19,13 @@ from blockgraph import (
 )
 from blockgraph.autgroup import (
     SearchBudgetExceeded,
+    _count_classes,
     _edge_colour_rows,
     _refine,
+    _sliced_sum,
     default_seed_invariants,
 )
-from blockgraph.cliques import enumerate_maximum_cliques
+from blockgraph.cliques import _bits, enumerate_maximum_cliques
 from blockgraph.report import automorphism_section
 
 from conftest import point_line_blocklist, random_blocklists, same_group
@@ -419,6 +421,68 @@ def test_refine_trace_is_invariant(graph_case):
             )
             assert moved == [image_mask(g, c) for c in got]
             assert moved_trace == trace
+
+
+def fragment_list_refine(colour_rows, cells, splitters=None):
+    """Reference splitter queue that builds every touched cell's fragment
+    list before asking whether the cell splits."""
+    cells = list(cells)
+    queue = deque(cells if splitters is None else splitters)
+    queued = set(queue)
+    active = sum(cell for cell in cells if cell & (cell - 1))
+    trace = []
+    while active and queue:
+        splitter = queue.popleft()
+        if splitter not in queued:
+            continue
+        queued.remove(splitter)
+        members = _bits(splitter)
+        for colour, rows in enumerate(colour_rows):
+            classes = _count_classes(_sliced_sum([rows[u] for u in members]), active)
+            if len(classes) < 2:
+                continue
+            touched = active ^ (classes[0][1] if classes[0][0] == 0 else 0)
+            out = []
+            for cell in cells:
+                if not cell & touched:
+                    out.append(cell)
+                    continue
+                fragments = [(k, part) for k, mask in classes if (part := cell & mask)]
+                if len(fragments) == 1:
+                    out.append(cell)
+                    continue
+                sizes = [part.bit_count() for _, part in fragments]
+                trace.append((colour, len(out), tuple(zip((k for k, _ in fragments), sizes))))
+                skip = -1 if cell in queued else sizes.index(max(sizes))
+                queued.discard(cell)
+                for i, (_, part) in enumerate(fragments):
+                    out.append(part)
+                    if i != skip:
+                        queue.append(part)
+                        queued.add(part)
+                    if not part & (part - 1):
+                        active ^= part
+            cells = out
+    return cells, tuple(trace)
+
+
+@pytest.mark.parametrize(
+    "name", ["main66", "appendixA66", "appendixB66", "fano", "ag23", "pg23"]
+)
+def test_refine_matches_fragment_list_reference(name):
+    # the same cells in the same order and the same trace, from the seed
+    # partition and from every vertex individualized below it
+    census = census_report(builtin_design(name))
+    cliques = [r.members for r in census.records]
+    colours = _edge_colour_rows(census.graph, cliques)
+    seed = seed_partition(census.graph, cliques)
+    cells, trace = _refine(colours, seed)
+    assert (cells, trace) == fragment_list_refine(colours, seed)
+    for vertex in unsettled(cells):
+        start = individualized(cells, vertex)
+        assert _refine(colours, start, [1 << vertex]) == fragment_list_refine(
+            colours, start, [1 << vertex]
+        )
 
 
 def test_edge_colours_match_pair_counter(graph_case):

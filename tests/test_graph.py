@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from blockgraph import (
@@ -15,7 +17,9 @@ from blockgraph import (
 )
 
 from blockgraph import graph as graph_module
-from blockgraph.graph import _integral_eigenvalues, _strip_matches
+from blockgraph.graph import _integral_eigenvalues, _pencil_routes, _strip_matches
+
+from itertools import combinations
 
 from conftest import induced_subgraph, point_line_blocklist
 
@@ -228,6 +232,8 @@ def outcome(check, graph):
 def assert_matches_reference(graph):
     got = outcome(verify_srg, graph)
     assert got == outcome(reference_verify_srg, graph)
+    if graph.pencils:  # and with every row summed neighbour by neighbour
+        assert outcome(verify_srg, BlockGraph(graph.v, graph.rows)) == got
     return got
 
 
@@ -240,11 +246,19 @@ def from_edges(v, edges):
 
 
 def flipped(graph, *pairs):
+    """The graph with the given pairs' adjacency flipped; its pencils stay,
+    so the broken rows are summed neighbour by neighbour."""
     rows = list(graph.rows)
     for i, j in pairs:
         rows[i] ^= 1 << j
         rows[j] ^= 1 << i
-    return BlockGraph(graph.v, tuple(rows))
+    return graph._replace(rows=tuple(rows))
+
+
+def pencil_rows(graph):
+    """The vertices whose row of A^2 verify_srg sums from pencils."""
+    return {i for i, route in enumerate(_pencil_routes(graph.rows, graph.pencils))
+            if route is not None}
 
 
 def switched(graph, a, c):
@@ -296,6 +310,9 @@ def test_verify_srg_matches_reference_after_flips(request, graph_name):
     ):
         exc_type, _ = assert_matches_reference(broken)
         assert exc_type is SrgVerificationError
+        # exactly the rows a flip touched fall back to the neighbour sum
+        changed = {i for i in range(v) if broken.rows[i] != graph.rows[i]}
+        assert pencil_rows(broken) == set(range(v)) - changed
 
 
 def test_verify_srg_matches_reference_on_small_graphs():
@@ -335,12 +352,18 @@ def test_verify_srg_matches_reference_in_narrow_strips(monkeypatch, main66_graph
 
 def test_strip_matches_a_squared_on_every_5_vertex_graph():
     # every graph on 5 vertices, every strip, against A^2 entry by entry;
-    # a strip covers the rows before its end, not just its own rows
+    # a strip covers the rows before its end, not just its own rows.  Each
+    # row is summed neighbour by neighbour (no pencils) and from pencils:
+    # the edges as 2-vertex pencils partition every neighbourhood
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     outcomes = set()
     for mask in range(1 << len(pairs)):
-        g = from_edges(5, [p for bit, p in enumerate(pairs) if mask >> bit & 1])
+        edges = [p for bit, p in enumerate(pairs) if mask >> bit & 1]
+        g = from_edges(5, edges)
         rows = g.rows
+        pencils = tuple(1 << i | 1 << j for i, j in edges)
+        routes = _pencil_routes(rows, pencils)
+        assert None not in routes
         k = g.degree(0)
         counts = [(rows[i] & rows[j]).bit_count() for i, j in pairs[:4]]
         lam = next((c for (i, j), c in zip(pairs, counts) if g.adjacent(i, j)), 0)
@@ -354,9 +377,94 @@ def test_strip_matches_a_squared_on_every_5_vertex_graph():
                     for j in range(start, start + width)
                 )
                 for w in (1, 2):
-                    assert _strip_matches(rows, start, width, w, k, lam, mu) == expected
+                    assert _strip_matches(
+                        rows, (), [None] * 5, start, width, w, k, lam, mu
+                    ) == expected
+                    assert _strip_matches(
+                        rows, pencils, routes, start, width, w, k, lam, mu
+                    ) == expected
                 outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+LINEAR_BUILTINS = ["main66", "appendixA66", "appendixB66", "fano", "ag23", "pg23"]
+
+
+@pytest.mark.parametrize("name", LINEAR_BUILTINS)
+def test_every_row_of_a_linear_design_takes_the_pencil_route(name):
+    # in a 2-(n,m,1) design two blocks share at most one point, so the
+    # pencils through a block, less the block, partition its neighbours
+    graph = build_block_graph(builtin_design(name))
+    assert len(graph.pencils) == builtin_design(name).n
+    assert pencil_rows(graph) == set(range(graph.v))
+
+
+@pytest.mark.parametrize("family, d, p", [("projective", 3, 2), ("affine", 3, 3)])
+def test_every_row_of_a_geometry_takes_the_pencil_route(family, d, p):
+    graph = build_block_graph(parse_design(point_line_blocklist(family, d, p)))
+    assert pencil_rows(graph) == set(range(graph.v))
+
+
+def test_every_row_of_pg35_takes_the_pencil_route(pg35_graph):
+    assert pencil_rows(pg35_graph) == set(range(pg35_graph.v))
+
+
+def all_triples(n):
+    return parse_design(
+        "".join(" ".join(map(str, c)) + "\n" for c in combinations(range(1, n + 1), 3))
+    )
+
+
+def test_verify_srg_on_triples_of_6_points():
+    # two triples sharing two points lie on two common pencils, so the
+    # pencils double-cover edges and every row is summed neighbour by
+    # neighbour; the graph is K_20 less a perfect matching
+    graph = build_block_graph(all_triples(6))
+    assert pencil_rows(graph) == set()
+    assert assert_matches_reference(graph).as_tuple() == (20, 18, 16, 18)
+
+
+def test_verify_srg_on_triples_of_7_points():
+    graph = build_block_graph(all_triples(7))
+    assert assert_matches_reference(graph) == (
+        SrgVerificationError, "adjacent pair (0,9) has 25 common neighbours, expected 26"
+    )
+
+
+def test_pencils_that_do_not_partition_change_nothing():
+    # whatever the pencils are, a row takes the pencil route only where it
+    # is exact: the 3x3 rook's graph = srg(9,4,1,2), Petersen = srg(10,3,0,1)
+    rook = from_edges(9, [(a, b) for a in range(9) for b in range(a)
+                          if a // 3 == b // 3 or a % 3 == b % 3])
+    petersen = from_edges(
+        10, [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    )
+    rng = random.Random(20261018)
+    for graph, params in ((rook, (9, 4, 1, 2)), (petersen, (10, 3, 0, 1))):
+        assert verify_srg(graph).as_tuple() == params
+        star = [1 | 1 << j for j in range(graph.v) if graph.adjacent(0, j)]
+        other = next(j for j in range(1, graph.v) if not graph.adjacent(0, j))
+        # row 0's neighbours one by one, the sizes adding up to its degree in
+        # each case, but only the first is a partition
+        for pencils in [
+            tuple(star),
+            (star[0],) * len(star),  # one neighbour covered again and again
+            (1 | 1 << other,) + tuple(star[1:]),  # a non-neighbour for a neighbour
+            (star[0] | 1 << graph.v,) + tuple(star[2:]),  # a bit past the last vertex
+        ] + [
+            tuple(rng.getrandbits(graph.v) for _ in range(rng.randint(1, 2 * graph.v)))
+            for _ in range(100)
+        ]:
+            assert verify_srg(graph._replace(pencils=pencils)).as_tuple() == params
+
+
+def test_raw_graph_has_no_pencils(main66_graph):
+    raw = BlockGraph(main66_graph.v, main66_graph.rows)
+    assert raw.pencils == ()
+    assert pencil_rows(raw) == set()
+    assert verify_srg(raw) == verify_srg(main66_graph)
 
 
 def test_induced_subgraph(main66_graph):
