@@ -191,7 +191,7 @@ def _refine(colour_rows, cells: list[int], splitters=None) -> tuple[list[int], t
 
 def _first_largest_cell(cells: list[int]) -> int | None:
     sizes = [cell.bit_count() for cell in cells]
-    largest = max(sizes)
+    largest = max(sizes, default=0)
     return sizes.index(largest) if largest > 1 else None
 
 
@@ -212,8 +212,6 @@ def graph_automorphism_group(
     if the tree grows past ``node_limit`` nodes.
     """
     v = graph.v
-    if v == 0:
-        raise ValueError("empty graph has no vertex domain")
     if cliques is None:
         cliques = enumerate_maximum_cliques(graph)
 

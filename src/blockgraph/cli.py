@@ -15,13 +15,7 @@ import sys
 
 from . import catalog, theory
 from .autgroup import DEFAULT_NODE_LIMIT, SearchBudgetExceeded
-from .cliques import (
-    census_report,
-    check_clique,
-    core_restriction,
-    point_multiplicity_profile,
-    subdesign_test,
-)
+from .cliques import census_report, clique_record, point_multiplicity_profile
 from .design import parse_design, serialize_design, validate_2design
 from .graph import (
     DegenerateGraphError,
@@ -133,8 +127,11 @@ def cmd_verify(args) -> int:
     graph = build_block_graph(design)
     try:
         srg = verify_srg(graph)
-        print(f"block graph: srg{srg.as_tuple()}, eigenvalues {srg.r_eig} and {srg.s_eig}")
-        print(f"delsarte bound: {delsarte_bound(srg)}")
+        if srg.s_eig is None:
+            print(f"block graph: srg{srg.as_tuple()}, irrational eigenvalues")
+        else:
+            print(f"block graph: srg{srg.as_tuple()}, eigenvalues {srg.r_eig} and {srg.s_eig}")
+            print(f"delsarte bound: {delsarte_bound(srg)}")
     except DegenerateGraphError as exc:
         note = "; design is symmetric" if design.b == design.n else ""
         print(f"block graph: degenerate ({exc}){note}")
@@ -177,21 +174,18 @@ def cmd_subdesign(args) -> int:
     status = 0
     for k, members in enumerate(cliques):
         try:
-            members = check_clique(design, members)
+            rec = clique_record(design, members)
         except ValueError as exc:
             print(f"clique {k}: NOT A CLIQUE ({exc})")
             status = 1
             continue
-        verdict = subdesign_test(design, members)
-        core = core_restriction(design, members)
-        profile = point_multiplicity_profile(design, members)
+        verdict, restricted = rec.subdesign, rec.restricted_params
+        profile = point_multiplicity_profile(design, rec.members)
         multiplicities = sorted(set(profile.values()))
         admissible = verdict.candidate_params is not None and verdict.candidate_params.admissible
-        core_text = f"core {len(core.core_points)}"
-        if core.restricted_params is not None:
-            core_text += (
-                f" forming 2-({core.restricted_params.n},{core.restricted_params.m},1)"
-            )
+        core_text = f"core {rec.core_size}"
+        if restricted is not None:
+            core_text += f" forming 2-({restricted.n},{restricted.m},1)"
         print(
             f"clique {k}: support {verdict.support_size} "
             f"(candidate ({verdict.support_size},{design.m}) "

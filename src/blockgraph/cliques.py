@@ -8,10 +8,11 @@ the size still needed are coloured but never listed or branched on, and
 candidates with one vertex per class form a clique that is taken whole.
 Completeness is cross-checked against brute force in the test suite.
 
-Each maximum clique is analysed in one pass over its member blocks' point
-bitmasks (AND, OR and pairwise ANDs, where an empty one flags a non-clique);
-pair coverage and the core's 2-design test are counting identities on them,
-exact for any blocklist.
+``clique_record`` is the one checked pass per clique, shared by the census
+and the clique helpers: it checks the members and analyses them in one pass
+over their blocks' point bitmasks (AND, OR and pairwise ANDs, where an empty
+one flags a non-clique); pair coverage and the core's 2-design test are
+counting identities on them, exact for any blocklist.
 """
 
 from __future__ import annotations
@@ -159,26 +160,13 @@ class SubdesignVerdict(NamedTuple):
     is_design: bool
 
 
-def _checked_members(design: Design, members) -> tuple[int, ...]:
-    """Sorted members, checked for repeats and range (not for intersection)."""
-    members = tuple(sorted(members))
-    if len(set(members)) != len(members):
-        raise ValueError("repeated block index in clique")
-    b = design.b
-    for i in members:
-        if not 0 <= i < b:
-            raise ValueError(f"block index out of range: {i}")
-    return members
-
-
-def check_clique(design: Design, members) -> tuple[int, ...]:
-    """Validate that the member blocks pairwise intersect; return sorted members."""
-    members = _checked_members(design, members)
-    masks = design.block_masks
-    for i, j in combinations(members, 2):
-        if not masks[i] & masks[j]:
-            raise ValueError(f"blocks {i} and {j} do not intersect")
-    return members
+class CliqueRecord(NamedTuple):
+    members: tuple[int, ...]
+    classification: Classification
+    support_size: int
+    core_size: int
+    restricted_params: DesignParameters | None
+    subdesign: SubdesignVerdict
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -252,10 +240,41 @@ def _verdict(design: Design, masks: list[int], support: int, twice: bool) -> Sub
     return SubdesignVerdict(points, ns, params, coverage_ok, is_design)
 
 
+def clique_record(design: Design, members) -> CliqueRecord:
+    """Check and analyse a clique in one pass over its member blocks' masks.
+
+    Raises ValueError for a repeated member, then for one out of range, then
+    for the first pair of member blocks (in sorted order) that are disjoint.
+    """
+    members = tuple(sorted(members))
+    if len(set(members)) != len(members):
+        raise ValueError("repeated block index in clique")
+    b = design.b
+    for i in members:
+        if not 0 <= i < b:
+            raise ValueError(f"block index out of range: {i}")
+    block_masks = design.block_masks
+    masks = [block_masks[i] for i in members]
+    common, support, core, twice, apart = _summary(masks, (1 << design.n) - 1)
+    if apart:
+        i, j = next((i, j) for (i, x), (j, y) in combinations(zip(members, masks), 2)
+                    if not x & y)
+        raise ValueError(f"blocks {i} and {j} do not intersect")
+    verdict = _verdict(design, masks, support, twice)
+    return CliqueRecord(
+        members, _classification(common), verdict.support_size, core.bit_count(),
+        _core_params(masks, core, twice), verdict,
+    )
+
+
+def check_clique(design: Design, members) -> tuple[int, ...]:
+    """Validate that the member blocks pairwise intersect; return sorted members."""
+    return clique_record(design, members).members
+
+
 def classify_clique(design: Design, members) -> Classification:
     """Canonical iff one point lies in every member block (unique for lam=1)."""
-    masks = [design.block_masks[i] for i in check_clique(design, members)]
-    return _classification(_summary(masks, (1 << design.n) - 1)[0])
+    return clique_record(design, members).classification
 
 
 def clique_support(design: Design, members) -> tuple[int, ...]:
@@ -288,22 +307,11 @@ def subdesign_test(design: Design, members) -> SubdesignVerdict:
     Combines the admissibility of (|support|, m), which is a fast arithmetic
     negative, with a definitive pair-coverage check over the support.
     """
-    masks = [design.block_masks[i] for i in check_clique(design, members)]
-    _, support, _, twice, _ = _summary(masks, 0)
-    return _verdict(design, masks, support, twice)
+    return clique_record(design, members).subdesign
 
 
 # ---------------------------------------------------------------------------
 # full census
-
-class CliqueRecord(NamedTuple):
-    members: tuple[int, ...]
-    classification: Classification
-    support_size: int
-    core_size: int
-    restricted_params: DesignParameters | None
-    subdesign: SubdesignVerdict
-
 
 class CliqueCensus(NamedTuple):
     design: Design
@@ -340,18 +348,5 @@ def census_report(design: Design) -> CliqueCensus:
         degenerate = str(exc)
     omega = clique_number(graph, upper_bound=bound)
     cliques = enumerate_maximum_cliques(graph, size=omega) if omega else []
-    full = (1 << design.n) - 1
-    block_masks = design.block_masks
-    records = []
-    for members in cliques:
-        members = _checked_members(design, members)
-        masks = [block_masks[i] for i in members]
-        common, support, core, twice, apart = _summary(masks, full)
-        if apart:
-            check_clique(design, members)  # names the first disjoint pair
-        verdict = _verdict(design, masks, support, twice)
-        records.append(CliqueRecord(
-            members, _classification(common), verdict.support_size, core.bit_count(),
-            _core_params(masks, core, twice), verdict,
-        ))
-    return CliqueCensus(design, graph, srg, degenerate, bound, omega, tuple(records))
+    records = tuple([clique_record(design, members) for members in cliques])
+    return CliqueCensus(design, graph, srg, degenerate, bound, omega, records)

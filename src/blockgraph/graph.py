@@ -8,8 +8,9 @@ fields, one strip of columns at a time: a sum of pencil sums where the point
 pencils through a block partition its neighbours, else a C-level ``sum`` of
 its neighbours' rows; a mismatch is rescanned pair by pair to name the first
 witness.
-All spectral quantities are exact integers: SRG eigenvalues here are
-integral, so no numerical solver is involved.
+All spectral quantities are exact: SRG eigenvalues are integers, or left
+unset where they are irrational (conference graphs), so no numerical solver
+is involved.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ class SrgParams(NamedTuple):
     k: int
     lambda_param: int
     mu: int
-    r_eig: int
-    s_eig: int
+    r_eig: int | None  # both None where irrational
+    s_eig: int | None
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.v, self.k, self.lambda_param, self.mu)
@@ -83,16 +84,16 @@ def build_block_graph(design: Design) -> BlockGraph:
     return BlockGraph(v, tuple(rows), tuple(through))
 
 
-def _integral_eigenvalues(k: int, lam: int, mu: int) -> tuple[int, int]:
-    """Roots of x^2 - (lam-mu)x - (k-mu), required to be integers."""
+def _eigenvalues(k: int, lam: int, mu: int) -> tuple[int, int] | tuple[None, None]:
+    """Roots of x^2 - (lam-mu)x - (k-mu), or None for both where they are
+    irrational (a conference graph).  The discriminant is (lam-mu)^2 mod 4,
+    so a square root has the parity of lam - mu and integral roots."""
     d = lam - mu
     disc = d * d + 4 * (k - mu)
     s = isqrt(disc)
-    if s * s != disc or (d + s) % 2 != 0:
-        raise SrgVerificationError(
-            f"non-integral eigenvalues for (k,lambda,mu)=({k},{lam},{mu})"
-        )
-    return ((d + s) // 2, (d - s) // 2)
+    if s * s != disc:
+        return None, None
+    return (d + s) // 2, (d - s) // 2
 
 
 # Bytes of packed adjacency fields verify_srg holds at once (one column strip)
@@ -171,8 +172,11 @@ def verify_srg(graph: BlockGraph) -> SrgParams:
     Where the d_i pencils through i, each less i, partition i's neighbours
     (checked exactly, row by row), that sum is sum_{p through i} S_p - d_i P_i,
     with P_i row i packed and S_p the sum of pencil p's packed rows, once a strip.
-    Raises DegenerateGraphError for complete/empty/too-small graphs and
-    SrgVerificationError (with the first failing pair, rescanned) otherwise.
+    The row sums of that identity give k^2 = k + lambda k + mu (v - k - 1), so
+    no separate feasibility check is needed; the eigenvalues are None where
+    irrational.  Raises DegenerateGraphError for complete/empty/too-small
+    graphs and SrgVerificationError (with the first failing pair, rescanned)
+    otherwise.
     """
     v = graph.v
     if v < 2:
@@ -205,11 +209,7 @@ def verify_srg(graph: BlockGraph) -> SrgParams:
                     f"{kind} pair ({i},{j}) has {c} common neighbours, expected {expected}"
                 )
         raise AssertionError("a row of A^2 is wrong but every pair count is right")
-    r_eig, s_eig = _integral_eigenvalues(k, lam, mu)
-    params = SrgParams(v, k, lam, mu, r_eig, s_eig)
-    if k * (k - lam - 1) != (v - k - 1) * mu:
-        raise SrgVerificationError(f"infeasible parameter set {params.as_tuple()}")
-    return params
+    return SrgParams(v, k, lam, mu, *_eigenvalues(k, lam, mu))
 
 
 def srg_from_design_params(n: int, m: int) -> SrgParams:
@@ -225,12 +225,14 @@ def srg_from_design_params(n: int, m: int) -> SrgParams:
     k = m * (n - m) // (m - 1)
     lam = (m - 1) ** 2 + r - 2
     mu = m * m
-    r_eig, s_eig = _integral_eigenvalues(k, lam, mu)
-    return SrgParams(v, k, lam, mu, r_eig, s_eig)
+    return SrgParams(v, k, lam, mu, *_eigenvalues(k, lam, mu))
 
 
-def delsarte_bound(params: SrgParams) -> int:
-    """Clique bound floor(1 - k/theta) from the smallest eigenvalue theta."""
+def delsarte_bound(params: SrgParams) -> int | None:
+    """Clique bound floor(1 - k/theta) from the smallest eigenvalue theta;
+    None where theta is irrational."""
+    if params.s_eig is None:
+        return None
     if params.s_eig >= 0:
         raise ValueError("smallest eigenvalue must be negative")
     return 1 + params.k // (-params.s_eig)

@@ -336,10 +336,13 @@ def render_text(report: AnalysisReport) -> str:
             lines.append(f"  ... {report.validation.violation_count - 10} more")
     if census.srg is not None:
         s = census.srg
-        lines.append(
-            f"block graph: srg{s.as_tuple()} with eigenvalues {s.r_eig} and {s.s_eig}"
-        )
-        lines.append(f"delsarte bound: {census.delsarte}")
+        if s.s_eig is None:
+            lines.append(f"block graph: srg{s.as_tuple()} with irrational eigenvalues")
+        else:
+            lines.append(
+                f"block graph: srg{s.as_tuple()} with eigenvalues {s.r_eig} and {s.s_eig}"
+            )
+            lines.append(f"delsarte bound: {census.delsarte}")
     else:
         lines.append(f"block graph: degenerate ({census.degenerate})")
     lines.append(f"clique number: {census.clique_number}")
@@ -486,9 +489,9 @@ def check_paper_claims(report: AnalysisReport, name: str) -> list[tuple[str, boo
             )
         )
         if rec is not None:
-            core = core_restriction(design, members)
-            actual_tokens = tuple(sorted(design.labels[p] for p in core.core_points))
-            restricted = core.restricted_params
+            core_points = core_restriction(design, members).core_points
+            actual_tokens = tuple(sorted(design.labels[p] for p in core_points))
+            restricted = rec.restricted_params
             restricted = None if restricted is None else (restricted.n, restricted.m)
             results.append(
                 (

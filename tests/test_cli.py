@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from blockgraph import builtin_design, serialize_design
+from blockgraph import (
+    builtin_design,
+    core_restriction,
+    point_multiplicity_profile,
+    serialize_design,
+    subdesign_test,
+)
 from blockgraph.cli import main
 
 from conftest import PLANE_CLIQUE_BLOCKS, members_from_tokens, point_line_blocklist
@@ -175,6 +181,24 @@ def test_cliques_six_cycle_names_first_failing_pair(tmp_path, capsys):
     )
 
 
+def test_cliques_conference_block_graph(tmp_path, capsys):
+    # the pentagon's block graph is C5 = srg(5,2,0,1), whose eigenvalues are
+    # irrational, so there is no Delsarte bound to stop the search early
+    path = tmp_path / "pentagon.blk"
+    path.write_text("1 2\n2 3\n3 4\n4 5\n5 1\n")
+    code, out, err = run(capsys, "cliques", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert out.endswith("# 5 maximum cliques of size 2: 5 canonical, 0 non-canonical\n")
+    code, out, _ = run(capsys, "report", "--input", str(path))
+    assert code == 1  # the pentagon is not a 2-design
+    assert "block graph: srg(5, 2, 0, 1) with irrational eigenvalues\n" in out
+    assert "None" not in out
+    assert "delsarte" not in out
+    code, out, _ = run(capsys, "report", "--format", "structured", "--input", str(path))
+    doc = json.loads(out)
+    assert (doc["srg"]["r_eig"], doc["srg"]["s_eig"], doc["delsarte_bound"]) == (None, None, None)
+
+
 def test_cliques_bad_expect_key(capsys):
     code, _, err = run(capsys, "cliques", "--builtin", "ag23", "--expect", "cake=3")
     assert code == 2
@@ -227,6 +251,44 @@ def test_subdesign_rejects_non_clique(tmp_path, capsys):
     assert code == 1
     assert "NOT A CLIQUE" in out
     assert "do not intersect" in out
+
+
+def subdesign_line(design, k, members):
+    """The line `subdesign` prints for one clique, built from the helpers."""
+    verdict = subdesign_test(design, members)
+    core = core_restriction(design, members)
+    params, restricted = verdict.candidate_params, core.restricted_params
+    admissible = params is not None and params.admissible
+    forming = "" if restricted is None else f" forming 2-({restricted.n},{restricted.m},1)"
+    multiplicities = sorted(set(point_multiplicity_profile(design, members).values()))
+    return (
+        f"clique {k}: support {verdict.support_size} "
+        f"(candidate ({verdict.support_size},{design.m}) "
+        f"{'admissible' if admissible else 'inadmissible'}), "
+        f"pair coverage {'ok' if verdict.pair_coverage_ok else 'fails'}, "
+        f"is_design {'yes' if verdict.is_design else 'no'}, "
+        f"core {len(core.core_points)}{forming}, multiplicities {multiplicities}"
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["main66", "appendixA66", "appendixB66", "fano", "ag23", "pg23"]
+)
+def test_subdesign_reads_cliques_output(tmp_path, capsys, name):
+    code, out, _ = run(capsys, "cliques", "--builtin", name)
+    assert code == 0
+    path = tmp_path / f"{name}.cliques"
+    path.write_text(out)
+    cliques = [
+        tuple(int(tok) for tok in line.split("#")[0].split())
+        for line in out.splitlines() if not line.startswith("#")
+    ]
+    code, out, err = run(capsys, "subdesign", "--builtin", name, "--cliques", str(path))
+    assert (code, err) == (0, "")
+    design = builtin_design(name)
+    assert out.splitlines() == [
+        subdesign_line(design, k, members) for k, members in enumerate(cliques)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +413,23 @@ def test_aut_single_block_keeps_no_generator(tmp_path, capsys):
     assert code == 1  # one block is not a valid 2-design
     assert "graph automorphism group: order 1 (0 generators), " in out
     assert out.endswith("equals induced design group: yes\n")
+
+
+def test_aut_empty_blocklist_is_the_trivial_group(tmp_path, capsys):
+    path = tmp_path / "empty.blk"
+    path.write_text("")
+    code, out, _ = run(capsys, "aut", "--input", str(path))
+    assert code == 0
+    assert out == (
+        "block-graph automorphism group order: 1\n"
+        "generators (0, acting on block indices):\n"
+        "equals induced design automorphism group: yes\n"
+    )
+    for extra in ((), ("--aut",)):
+        code, out, err = run(capsys, "report", *extra, "--input", str(path))
+        assert (code, err) == (1, "")  # no blocks is not a valid 2-design
+        assert "INVALID" in out
+    assert "graph automorphism group: order 1 (0 generators), " in out
 
 
 @pytest.mark.parametrize(

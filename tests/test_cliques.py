@@ -234,18 +234,29 @@ def test_classify_rejects_non_clique(main66):
 def test_census_rejects_non_clique_like_check_clique(monkeypatch, main66, kind):
     # the census checks pairwise intersection only through _summary's flag,
     # so a member list from the search that is not a clique must still fail
-    # with check_clique's own text
+    # with check_clique's own text, and clique_record with the same
     masks = main66.block_masks
     other = next(j for j in range(main66.b) if not masks[0] & masks[j])
     members = {
         "disjoint": (other, 0, 1), "repeated": (0, 0, 1), "out of range": (0, 1, 10**6)
     }[kind]
+    if kind == "disjoint":  # the first disjoint pair in sorted order
+        i, j = next((i, j) for i, j in combinations(sorted(members), 2)
+                    if not masks[i] & masks[j])
+        expected = f"blocks {i} and {j} do not intersect"
+    else:
+        expected = {
+            "repeated": "repeated block index in clique",
+            "out of range": f"block index out of range: {10**6}",
+        }[kind]
     with pytest.raises(ValueError) as direct:
         cliques.check_clique(main66, members)
+    with pytest.raises(ValueError) as record:
+        cliques.clique_record(main66, members)
     monkeypatch.setattr(cliques, "enumerate_maximum_cliques", lambda graph, size: [members])
     with pytest.raises(ValueError) as exc:
         census_report(main66)
-    assert str(exc.value) == str(direct.value)
+    assert str(exc.value) == str(direct.value) == str(record.value) == expected
 
 
 def test_summary_apart_flag_matches_pairwise_and():

@@ -17,9 +17,10 @@ from blockgraph import (
 )
 
 from blockgraph import graph as graph_module
-from blockgraph.graph import _integral_eigenvalues, _pencil_routes, _strip_matches
+from blockgraph.graph import _pencil_routes, _strip_matches
 
 from itertools import combinations
+from math import isqrt
 
 from conftest import induced_subgraph, point_line_blocklist
 
@@ -214,11 +215,14 @@ def reference_verify_srg(graph):
                 raise SrgVerificationError(
                     f"non-adjacent pair ({i},{j}) has {c} common neighbours, expected {mu}"
                 )
-    r_eig, s_eig = _integral_eigenvalues(k, lam, mu)
-    params = SrgParams(v, k, lam, mu, r_eig, s_eig)
-    if k * (k - lam - 1) != (v - k - 1) * mu:
-        raise SrgVerificationError(f"infeasible parameter set {params.as_tuple()}")
-    return params
+    # every pair count holds, so the parameters are feasible: each row of
+    # A^2 = kI + lambda A + mu (J - I - A) sums to k^2
+    assert k * (k - lam - 1) == (v - k - 1) * mu
+    d = lam - mu
+    disc = d * d + 4 * (k - mu)
+    if isqrt(disc) ** 2 != disc:  # a conference graph
+        return SrgParams(v, k, lam, mu, None, None)
+    return SrgParams(v, k, lam, mu, (d + isqrt(disc)) // 2, (d - isqrt(disc)) // 2)
 
 
 def outcome(check, graph):
@@ -325,6 +329,16 @@ def test_verify_srg_matches_reference_on_small_graphs():
     assert assert_matches_reference(p3) == (SrgVerificationError, "not regular: degrees [1, 2]")
     # mu = 0: every non-adjacent pair has no common neighbour
     assert assert_matches_reference(k4s).as_tuple() == (20, 3, 2, 0)
+
+
+def test_verify_srg_conference_graphs_have_irrational_eigenvalues():
+    c5 = from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    residues = {1, 3, 4, 9, 10, 12}  # the squares mod 13
+    paley13 = from_edges(13, [(i, j) for i, j in combinations(range(13), 2)
+                              if (j - i) % 13 in residues])
+    assert assert_matches_reference(c5) == SrgParams(5, 2, 0, 1, None, None)
+    assert assert_matches_reference(paley13) == SrgParams(13, 6, 2, 3, None, None)
+    assert delsarte_bound(verify_srg(paley13)) is None
 
 
 @pytest.mark.parametrize("s", [255, 256])

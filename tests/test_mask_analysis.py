@@ -24,7 +24,7 @@ from blockgraph import (
     point_multiplicity_profile,
     subdesign_test,
 )
-from blockgraph.cliques import Classification, SubdesignVerdict
+from blockgraph.cliques import Classification, SubdesignVerdict, clique_record
 from blockgraph.design import admissibility, make_design, validate_2design
 
 from conftest import random_blocklists
@@ -94,14 +94,22 @@ def reference_rows(design):
 
 def assert_public_functions_match(design, members):
     core, restricted, params, _ = reference_core(design, members)
+    verdict = reference_verdict(design, members)
     assert classify_clique(design, members) == reference_classification(design, members)
-    assert clique_support(design, members) == reference_verdict(design, members).support
+    assert clique_support(design, members) == verdict.support
     assert point_multiplicity_profile(design, members) == reference_profile(design, members)
     got = core_restriction(design, members)
     assert (got.core_points, got.restricted_blocks, got.restricted_params) == (
         core, restricted, params
     )
-    assert subdesign_test(design, members) == reference_verdict(design, members)
+    assert subdesign_test(design, members) == verdict
+    rec = clique_record(design, members)
+    assert rec.members == tuple(sorted(members))
+    assert rec.classification == reference_classification(design, members)
+    assert rec.support_size == verdict.support_size
+    assert rec.core_size == len(core)
+    assert rec.restricted_params == params
+    assert rec.subdesign == verdict
 
 
 def powerset_cliques(graph):
