@@ -11,13 +11,19 @@ Completeness is cross-checked against brute force in the test suite.
 ``clique_record`` is the one checked pass per clique, shared by the census
 and the clique helpers: it checks the members and analyses them in one pass
 over their blocks' point bitmasks (AND, OR and pairwise ANDs, where an empty
-one flags a non-clique); pair coverage and the core's 2-design test are
-counting identities on them, exact for any blocklist.
+one flags a non-clique).  The rest of a record costs what its shape costs:
+support size, core design and subdesign verdict depend only on a few
+integers (k, |support|, |core|, the core sizes of the blocks, whether a pair
+is covered twice, the blocks' pair counts and m), so they are built once
+per shape and shared, and a verdict carries no support points
+(``clique_support`` lists them).  Pair coverage and the core's 2-design
+test are counting identities on those integers, exact for any blocklist.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import namedtuple
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -153,7 +159,6 @@ class CoreRestriction(NamedTuple):
 
 
 class SubdesignVerdict(NamedTuple):
-    support: tuple[int, ...]
     support_size: int
     candidate_params: DesignParameters | None
     pair_coverage_ok: bool
@@ -175,69 +180,62 @@ def _bits(mask: int) -> tuple[int, ...]:
 
 
 def _summary(masks: list[int], full: int) -> tuple[int, int, int, bool, bool]:
-    """The masks' AND (from ``full``), OR and OR of pairwise ANDs, i.e. the
-    common points, support and core; whether some pairwise AND has >= 2
-    bits, i.e. whether a point pair is covered twice; and whether some
-    pairwise AND is empty, i.e. whether the blocks are not a clique."""
+    """The masks' AND (from ``full``) and OR, i.e. the common points and the
+    support; the points in two or more masks, i.e. the core; whether two
+    masks share >= 2 points, i.e. whether a point pair is covered twice; and
+    whether two masks share none, i.e. whether the blocks are not a clique."""
     common, support, core, twice, apart = full, 0, 0, False, False
     for a, x in enumerate(masks):
         common &= x
+        core |= support & x
         support |= x
-        for y in masks[a + 1:]:
-            shared = x & y
-            core |= shared
-            if shared & (shared - 1):
+        for y in masks[:a]:
+            shared = (x & y).bit_count()
+            if shared > 1:
                 twice = True
             elif not shared:
                 apart = True
     return common, support, core, twice, apart
 
 
-# A census asks for the same few (n, m) once per clique; the results are frozen.
-_admissibility = lru_cache(maxsize=256)(admissibility)
+_NON_CANONICAL = Classification("non-canonical", None)
 
 
-def _classification(common: int) -> Classification:
-    if common:
-        return Classification("canonical", (common & -common).bit_length() - 1)
-    return Classification("non-canonical", None)
-
-
-def _core_params(masks: list[int], core: int, twice: bool) -> DesignParameters | None:
-    """Parameters of the restriction to the core, if it is a 2-(c,m_r,1) design.
+@lru_cache(maxsize=1024)
+def _shape(k: int, ns: int, c: int, sizes: frozenset, twice: bool, pairs: int, m: int) -> tuple:
+    """Support size, core size, core design and subdesign verdict of a clique
+    of k blocks with ``sizes`` the sizes of their restrictions to the core
+    and ``pairs`` the sum of |B|(|B|-1); a census asks for few shapes.
 
     Member blocks meet only inside the core, so the restricted blocks share
-    >= 2 points iff the blocks do; with no pair covered twice, a uniform
-    restriction covers every core pair once iff k C(m_r,2) = C(c,2).
+    >= 2 points iff the blocks do.  With no pair covered twice, a uniform
+    restriction covers every core pair once iff k m_r(m_r-1) = c(c-1), and
+    every support pair is covered once iff pairs = ns(ns-1).
     """
-    sizes = {(x & core).bit_count() for x in masks}
-    if twice or len(sizes) != 1:
-        return None
-    m_r = sizes.pop()
-    c = core.bit_count()
-    if m_r < 2 or c <= m_r or len(masks) * m_r * (m_r - 1) != c * (c - 1):
-        return None
-    return _admissibility(c, m_r)
-
-
-def _verdict(design: Design, masks: list[int], support: int, twice: bool) -> SubdesignVerdict:
-    # with no pair covered twice, every support pair is covered once iff
-    # the blocks' pair counts add up to C(|support|,2)
-    points = _bits(support)
-    ns = len(points)
-    coverage_ok = (
-        bool(masks)
-        and not twice
-        and sum(k * (k - 1) for k in map(int.bit_count, masks)) == ns * (ns - 1)
+    m_r = next(iter(sizes)) if len(sizes) == 1 else 0
+    core_params = (
+        admissibility(c, m_r)
+        if not twice and 2 <= m_r < c and k * m_r * (m_r - 1) == c * (c - 1)
+        else None
     )
-    params = _admissibility(ns, design.m) if ns > design.m >= 2 else None
+    coverage_ok = k > 0 and not twice and pairs == ns * (ns - 1)
+    params = admissibility(ns, m) if ns > m >= 2 else None
     is_design = (
-        params is not None
-        and params.admissible
-        and coverage_ok
-        and len(masks) == int(params.b)
+        params is not None and params.admissible and coverage_ok and k == int(params.b)
     )
-    return SubdesignVerdict(points, ns, params, coverage_ok, is_design)
+    return ns, c, core_params, SubdesignVerdict(ns, params, coverage_ok, is_design)
+
+
+def _shape_of(design: Design, masks: list[int], support: int, core: int, twice: bool) -> tuple:
+    """The record fields after the classification, looked up by shape."""
+    pairs = 0
+    sizes = set()
+    for x in masks:
+        size = x.bit_count()
+        pairs += size * (size - 1)
+        sizes.add((x & core).bit_count())
+    return _shape(len(masks), support.bit_count(), core.bit_count(), frozenset(sizes),
+                  twice, pairs, design.m)
 
 
 def clique_record(design: Design, members) -> CliqueRecord:
@@ -250,9 +248,9 @@ def clique_record(design: Design, members) -> CliqueRecord:
     if len(set(members)) != len(members):
         raise ValueError("repeated block index in clique")
     b = design.b
-    for i in members:
-        if not 0 <= i < b:
-            raise ValueError(f"block index out of range: {i}")
+    if members and not (0 <= members[0] and members[-1] < b):  # sorted: the ends bound all
+        i = next(i for i in members if not 0 <= i < b)
+        raise ValueError(f"block index out of range: {i}")
     block_masks = design.block_masks
     masks = [block_masks[i] for i in members]
     common, support, core, twice, apart = _summary(masks, (1 << design.n) - 1)
@@ -260,11 +258,11 @@ def clique_record(design: Design, members) -> CliqueRecord:
         i, j = next((i, j) for (i, x), (j, y) in combinations(zip(members, masks), 2)
                     if not x & y)
         raise ValueError(f"blocks {i} and {j} do not intersect")
-    verdict = _verdict(design, masks, support, twice)
-    return CliqueRecord(
-        members, _classification(common), verdict.support_size, core.bit_count(),
-        _core_params(masks, core, twice), verdict,
+    classification = (
+        Classification("canonical", (common & -common).bit_length() - 1)
+        if common else _NON_CANONICAL
     )
+    return CliqueRecord(members, classification, *_shape_of(design, masks, support, core, twice))
 
 
 def check_clique(design: Design, members) -> tuple[int, ...]:
@@ -296,9 +294,10 @@ def core_restriction(design: Design, members) -> CoreRestriction:
     carry no parameters.
     """
     masks = [design.block_masks[i] for i in members]
-    _, _, core, twice, _ = _summary(masks, 0)
+    _, support, core, twice, _ = _summary(masks, 0)
     restricted = tuple(tuple(p for p in design.blocks[i] if core >> p & 1) for i in members)
-    return CoreRestriction(_bits(core), restricted, _core_params(masks, core, twice))
+    params = _shape_of(design, masks, support, core, twice)[2]
+    return CoreRestriction(_bits(core), restricted, params)
 
 
 def subdesign_test(design: Design, members) -> SubdesignVerdict:
@@ -313,20 +312,19 @@ def subdesign_test(design: Design, members) -> SubdesignVerdict:
 # ---------------------------------------------------------------------------
 # full census
 
-class CliqueCensus(NamedTuple):
-    design: Design
-    graph: BlockGraph
-    srg: SrgParams | None
-    degenerate: str | None
-    delsarte: int | None
-    clique_number: int
-    records: tuple[CliqueRecord, ...]
+class CliqueCensus(namedtuple(
+    "CliqueCensus", "design graph srg degenerate delsarte clique_number records"
+)):
+    """The census of a design: its block graph, the SRG parameters or why it
+    is degenerate, the Delsarte bound, the clique number and one
+    ``CliqueRecord`` per maximum clique.  No ``__slots__``: the cached count
+    needs a ``__dict__``, so a report counts the records once."""
 
     @property
     def total(self) -> int:
         return len(self.records)
 
-    @property
+    @cached_property
     def canonical_count(self) -> int:
         return sum(1 for r in self.records if r.classification.canonical)
 

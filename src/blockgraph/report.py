@@ -324,9 +324,10 @@ def render_text(report: AnalysisReport) -> str:
     design = census.design
     lines = []
     name = design.name or "design"
+    replication = _params_dict(report.validation)["replication"]
     lines.append(
         f"{name}: 2-({design.n},{design.m},{design.lam}) with {design.b} blocks, "
-        f"replication {_params_dict(report.validation)['replication']}, "
+        f"replication {'undefined' if replication is None else replication}, "
         f"{'valid' if report.validation.valid else 'INVALID'}"
     )
     if not report.validation.valid:

@@ -74,6 +74,17 @@ def test_verify_empty_design_file(tmp_path, capsys):
     assert "valid: NO" in out
 
 
+def test_report_empty_blocklist_replication_undefined(tmp_path, capsys):
+    empty = tmp_path / "empty.blk"
+    empty.write_text("")
+    code, out, _ = run(capsys, "report", "--input", str(empty))
+    assert code == 1
+    assert out.splitlines()[0] == "empty: 2-(0,0,1) with 0 blocks, replication undefined, INVALID"
+    code, out, _ = run(capsys, "report", "--input", str(empty), "--format", "structured")
+    assert code == 1
+    assert json.loads(out)["design"]["replication"] is None
+
+
 def test_verify_invalid_design_file(tmp_path, capsys):
     main66 = builtin_design("main66")
     lines = serialize_design(main66).splitlines()

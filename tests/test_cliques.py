@@ -339,7 +339,7 @@ def test_subdesign_pg23_whole_design():
     assert verdict.is_design
     # mutual consistency with the validator
     sub = make_design(
-        [pg.labels[p] for p in verdict.support],
+        [pg.labels[p] for p in clique_support(pg, range(pg.b))],
         [pg.block_tokens(i) for i in range(pg.b)],
     )
     assert validate_2design(sub).valid
@@ -369,6 +369,21 @@ def test_census_pg23_degenerate_path():
     assert c.delsarte is None
     assert c.clique_number == 13
     assert c.total == 1
+
+
+def test_census_counts_its_records_once():
+    class Walked(tuple):
+        walks = 0
+
+        def __iter__(self):
+            Walked.walks += 1
+            return super().__iter__()
+
+    c = census_report(builtin_design("main66"))
+    c = c._replace(records=Walked(c.records))
+    for _ in range(2):  # a text and a structured report
+        assert (c.total, c.canonical_count, c.noncanonical_count) == (80, 66, 14)
+    assert Walked.walks == 1
 
 
 def test_census_canonical_count_equals_n():

@@ -25,9 +25,9 @@ from blockgraph import (
     subdesign_test,
 )
 from blockgraph.cliques import Classification, SubdesignVerdict, clique_record
-from blockgraph.design import admissibility, make_design, validate_2design
+from blockgraph.design import Design, admissibility, make_design, parse_design, validate_2design
 
-from conftest import random_blocklists
+from conftest import point_line_blocklist, random_blocklists
 
 
 def reference_classification(design, members):
@@ -67,8 +67,12 @@ def reference_core(design, members):
     return core, restricted, params, duplicate
 
 
+def reference_support(design, members):
+    return tuple(sorted({p for i in members for p in design.blocks[i]}))
+
+
 def reference_verdict(design, members):
-    support = tuple(sorted({p for i in members for p in design.blocks[i]}))
+    support = reference_support(design, members)
     ns = len(support)
     counts = Counter(pair for i in members for pair in combinations(design.blocks[i], 2))
     coverage_ok = (
@@ -81,7 +85,7 @@ def reference_verdict(design, members):
         params is not None and params.admissible and coverage_ok
         and len(members) == int(params.b)
     )
-    return SubdesignVerdict(support, ns, params, coverage_ok, is_design)
+    return SubdesignVerdict(ns, params, coverage_ok, is_design)
 
 
 def reference_rows(design):
@@ -96,7 +100,7 @@ def assert_public_functions_match(design, members):
     core, restricted, params, _ = reference_core(design, members)
     verdict = reference_verdict(design, members)
     assert classify_clique(design, members) == reference_classification(design, members)
-    assert clique_support(design, members) == verdict.support
+    assert clique_support(design, members) == reference_support(design, members)
     assert point_multiplicity_profile(design, members) == reference_profile(design, members)
     got = core_restriction(design, members)
     assert (got.core_points, got.restricted_blocks, got.restricted_params) == (
@@ -150,6 +154,7 @@ def test_census_records_match_references(design):
         assert rec.core_size == len(core)
         assert rec.restricted_params == params
         assert rec.subdesign == verdict
+        assert clique_support(design, rec.members) == reference_support(design, rec.members)
 
 
 def test_public_functions_match_references(design):
@@ -185,3 +190,85 @@ def test_random_blocklists_match_references():
     # the family reaches the paths no valid 2-design reaches
     assert twice > 0
     assert duplicates > 0
+
+
+# ---------------------------------------------------------------------------
+# records share what depends only on the clique's shape
+
+
+def test_ag25_noncanonical_records_share_verdicts_and_classification():
+    """AG(2,5)'s 15,600 non-canonical cliques (six lines, one per parallel
+    class, not all through one point) come in five shapes; the records of
+    one shape share one verdict, and all share one classification."""
+    design = parse_design(point_line_blocklist("affine", 2, 5))
+    noncanonical = [r for r in census_report(design).records if not r.classification.canonical]
+    assert len(noncanonical) == 15600
+    assert len({id(r.classification) for r in noncanonical}) == 1
+    verdicts = {}
+    for rec in noncanonical:
+        counts = Counter(p for i in rec.members for p in design.blocks[i])
+        core = {p for p, c in counts.items() if c >= 2}
+        sizes = frozenset(len(core.intersection(design.blocks[i])) for i in rec.members)
+        verdicts.setdefault((len(counts), len(core), sizes), set()).add(id(rec.subdesign))
+    assert len(verdicts) == 5
+    assert all(len(ids) == 1 for ids in verdicts.values())
+
+
+FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
+NEAR_PENCIL = ((1, 2, 3, 4, 5, 6),) + tuple((0, p) for p in range(1, 7))
+
+# For each shape field, two cliques (blocks, design m) that differ in that
+# field alone and whose shape-built record fields differ.  Blocks may have
+# any sizes: a hand-built blocklist need not be uniform.
+ONE_FIELD_APART = {
+    # the Fano lines, three with a point of their own, against six of them,
+    # one with three points of its own: only the first core is 2-(7,3,1)
+    "k": ((((0, 1, 2, 7), (0, 3, 4, 8), (0, 5, 6, 9)) + FANO[3:], 3),
+          (FANO[:5] + ((2, 3, 6, 10, 11, 12),), 3)),
+    "support": ((((0, 1), (0, 2), (0, 1, 2, 3, 4)), 3),
+                (((0, 1, 2), (0, 1, 3), (0, 2, 4, 5)), 3)),
+    "core": ((((0, 1), (0, 1, 2), (0, 2, 3)), 3),
+             (((0, 1), (0, 2, 3), (1, 2, 3)), 3)),
+    "core sizes": ((FANO, 3), (NEAR_PENCIL, 3)),
+    # the Fano plane with a line swapped for a triple meeting three lines twice
+    "twice": ((FANO, 3), (FANO[:6] + ((0, 1, 3),), 3)),
+    # a one-point block lets the pair counts alone decide the coverage
+    "pairs": ((((0,), (0, 1, 2, 3)), 2), (((0, 1), (0, 2, 3)), 2)),
+    "m": ((FANO, 3), (FANO, 2)),
+}
+
+
+def hand_built(blocks, m):
+    """A Design straight from integer blocks, of any sizes."""
+    blocks = tuple(sorted({tuple(sorted(blk)) for blk in blocks}))
+    n = 1 + max(p for blk in blocks for p in blk)
+    return Design(n, m, 1, tuple(f"p{p}" for p in range(n)), blocks)
+
+
+def reference_shape(design, members):
+    blocks = [set(design.blocks[i]) for i in members]
+    core = set(reference_core(design, members)[0])
+    return {
+        "k": len(members),
+        "support": len(reference_support(design, members)),
+        "core": len(core),
+        "core sizes": {len(blk & core) for blk in blocks},
+        "twice": any(len(x & y) >= 2 for x, y in combinations(blocks, 2)),
+        "pairs": sum(len(blk) * (len(blk) - 1) for blk in blocks),
+        "m": design.m,
+    }
+
+
+@pytest.mark.parametrize("field", ONE_FIELD_APART)
+def test_cliques_one_shape_field_apart(field):
+    pair = ONE_FIELD_APART[field]
+    blocklist = pair[0][0] + pair[1][0]  # both cliques in one blocklist
+    shapes, records = [], []
+    for blocks, m in pair:
+        design = hand_built(blocklist, m)
+        members = tuple(design.blocks.index(tuple(sorted(blk))) for blk in blocks)
+        assert_public_functions_match(design, members)
+        shapes.append(reference_shape(design, members))
+        records.append(clique_record(design, members)[2:])
+    assert [f for f in shapes[0] if shapes[0][f] != shapes[1][f]] == [field]
+    assert records[0] != records[1]
