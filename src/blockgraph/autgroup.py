@@ -73,12 +73,10 @@ class GraphGroup(NamedTuple):
     order: int
 
 
-def default_seed_invariants(graph: BlockGraph, cliques=None) -> list[int]:
+def default_seed_invariants(graph: BlockGraph, cliques) -> list[int]:
     """The number of maximum cliques through each vertex.  No common-neighbour
     profile: it is the same at every vertex of an SRG, K_v or an empty graph,
     and elsewhere refinement still reaches the exact group without it."""
-    if cliques is None:
-        cliques = enumerate_maximum_cliques(graph)
     counts = Counter(chain.from_iterable(cliques))
     return [counts[v] for v in range(graph.v)]
 

@@ -37,6 +37,7 @@ from .report import (
     builtin_generators,
     check_paper_claims,
     clique_orbits,
+    core_text,
     render_structured,
     render_text,
 )
@@ -179,20 +180,16 @@ def cmd_subdesign(args) -> int:
             print(f"clique {k}: NOT A CLIQUE ({exc})")
             status = 1
             continue
-        verdict, restricted = rec.subdesign, rec.restricted_params
-        profile = point_multiplicity_profile(design, rec.members)
-        multiplicities = sorted(set(profile.values()))
+        verdict = rec.subdesign
+        multiplicities = sorted(set(point_multiplicity_profile(design, rec.members).values()))
         admissible = verdict.candidate_params is not None and verdict.candidate_params.admissible
-        core_text = f"core {rec.core_size}"
-        if restricted is not None:
-            core_text += f" forming 2-({restricted.n},{restricted.m},1)"
         print(
             f"clique {k}: support {verdict.support_size} "
             f"(candidate ({verdict.support_size},{design.m}) "
             f"{'admissible' if admissible else 'inadmissible'}), "
             f"pair coverage {'ok' if verdict.pair_coverage_ok else 'fails'}, "
             f"is_design {'yes' if verdict.is_design else 'no'}, "
-            f"{core_text}, multiplicities {multiplicities}"
+            f"{core_text(rec)}, multiplicities {multiplicities}"
         )
     return status
 
@@ -209,15 +206,11 @@ def cmd_orbits(args) -> int:
     except ValueError as exc:  # a generator that is not a design automorphism
         print(str(exc), file=sys.stderr)
         return 1
-    if args.domain == "points":
-        part = orbit_partition(generators)
+    if args.domain != "cliques":
+        points = args.domain == "points"
+        part = orbit_partition(generators if points else block_perms)
         for orbit in part.orbits:
-            print(" ".join(sorted(design.labels[p] for p in orbit)))
-        print(f"# orbit lengths: {list(part.lengths)}")
-    elif args.domain == "blocks":
-        part = orbit_partition(block_perms)
-        for orbit in part.orbits:
-            print(" ".join(str(i) for i in orbit))
+            print(" ".join(sorted(design.labels[p] for p in orbit) if points else map(str, orbit)))
         print(f"# orbit lengths: {list(part.lengths)}")
     else:
         orbits = clique_orbits(census_report(design), block_perms)
@@ -257,16 +250,11 @@ def cmd_report(args) -> int:
         print("--check-paper needs one of the embedded 66-point designs", file=sys.stderr)
         return 2
     design = _load_design(args)
-    generators = None
-    source = ""
-    if args.builtin:
-        embedded = builtin_generators(design, args.builtin)
-        if embedded:
-            generators, source = embedded, "embedded generators"
+    generators = builtin_generators(design, args.builtin or "")
     report = build_report(
         design,
         generators=generators,
-        generator_source=source,
+        generator_source="embedded generators" if generators else "",
         include_aut=args.aut,
         node_limit=args.node_limit,
     )

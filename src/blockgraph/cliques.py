@@ -8,23 +8,24 @@ the size still needed are coloured but never listed or branched on, and
 candidates with one vertex per class form a clique that is taken whole.
 Completeness is cross-checked against brute force in the test suite.
 
-``clique_record`` is the one checked pass per clique, shared by the census
-and the clique helpers: it checks the members and analyses them in one pass
-over their blocks' point bitmasks (AND, OR and pairwise ANDs, where an empty
-one flags a non-clique).  The rest of a record costs what its shape costs:
-support size, core design and subdesign verdict depend only on a few
-integers (k, |support|, |core|, the core sizes of the blocks, whether a pair
-is covered twice, the blocks' pair counts and m), so they are built once
-per shape and shared, and a verdict carries no support points
-(``clique_support`` lists them).  Pair coverage and the core's 2-design
-test are counting identities on those integers, exact for any blocklist.
+``clique_record`` is the one checked pass per clique, shared by the census,
+``classify_clique`` and ``subdesign_test``: one pass over the member blocks'
+point bitmasks (AND, OR and pairwise ANDs, an empty one flags a non-clique).
+The rest of a record costs what its shape costs: support size, core design
+and subdesign verdict depend only on a few integers (k, |support|, |core|,
+the blocks' core sizes, whether a pair is covered twice, the blocks' pair
+counts and m), so they are built once per shape and shared.  Pair coverage
+and the core's 2-design test are counting identities on those integers,
+exact for any blocklist.  ``clique_support`` lists a clique's support points
+as one OR of the member masks, with no pairwise pass.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
+from operator import or_
 from typing import NamedTuple
 
 from .design import Design, DesignParameters, admissibility
@@ -210,7 +211,9 @@ def _shape(k: int, ns: int, c: int, sizes: frozenset, twice: bool, pairs: int, m
     Member blocks meet only inside the core, so the restricted blocks share
     >= 2 points iff the blocks do.  With no pair covered twice, a uniform
     restriction covers every core pair once iff k m_r(m_r-1) = c(c-1), and
-    every support pair is covered once iff pairs = ns(ns-1).
+    every support pair is covered once iff pairs = ns(ns-1).  A design's
+    k = b >= 3 blocks leave no point in one block only, so the core is the
+    support and the blocks all have m points iff m_r = m.
     """
     m_r = next(iter(sizes)) if len(sizes) == 1 else 0
     core_params = (
@@ -222,6 +225,7 @@ def _shape(k: int, ns: int, c: int, sizes: frozenset, twice: bool, pairs: int, m
     params = admissibility(ns, m) if ns > m >= 2 else None
     is_design = (
         params is not None and params.admissible and coverage_ok and k == int(params.b)
+        and m_r == m
     )
     return ns, c, core_params, SubdesignVerdict(ns, params, coverage_ok, is_design)
 
@@ -238,6 +242,15 @@ def _shape_of(design: Design, masks: list[int], support: int, core: int, twice: 
                   twice, pairs, design.m)
 
 
+def _member_masks(design: Design, members) -> list[int]:
+    """Point masks of the blocks indexed by sorted ``members``, every index checked."""
+    block_masks = design.block_masks
+    if members and not (0 <= members[0] and members[-1] < len(block_masks)):
+        i = next(i for i in members if not 0 <= i < len(block_masks))
+        raise ValueError(f"block index out of range: {i}")
+    return [block_masks[i] for i in members]
+
+
 def clique_record(design: Design, members) -> CliqueRecord:
     """Check and analyse a clique in one pass over its member blocks' masks.
 
@@ -247,12 +260,7 @@ def clique_record(design: Design, members) -> CliqueRecord:
     members = tuple(sorted(members))
     if len(set(members)) != len(members):
         raise ValueError("repeated block index in clique")
-    b = design.b
-    if members and not (0 <= members[0] and members[-1] < b):  # sorted: the ends bound all
-        i = next(i for i in members if not 0 <= i < b)
-        raise ValueError(f"block index out of range: {i}")
-    block_masks = design.block_masks
-    masks = [block_masks[i] for i in members]
+    masks = _member_masks(design, members)
     common, support, core, twice, apart = _summary(masks, (1 << design.n) - 1)
     if apart:
         i, j = next((i, j) for (i, x), (j, y) in combinations(zip(members, masks), 2)
@@ -265,11 +273,6 @@ def clique_record(design: Design, members) -> CliqueRecord:
     return CliqueRecord(members, classification, *_shape_of(design, masks, support, core, twice))
 
 
-def check_clique(design: Design, members) -> tuple[int, ...]:
-    """Validate that the member blocks pairwise intersect; return sorted members."""
-    return clique_record(design, members).members
-
-
 def classify_clique(design: Design, members) -> Classification:
     """Canonical iff one point lies in every member block (unique for lam=1)."""
     return clique_record(design, members).classification
@@ -277,13 +280,13 @@ def classify_clique(design: Design, members) -> Classification:
 
 def clique_support(design: Design, members) -> tuple[int, ...]:
     """Union of the member blocks' points."""
-    return _bits(_summary([design.block_masks[i] for i in members], 0)[1])
+    return _bits(reduce(or_, _member_masks(design, sorted(members)), 0))
 
 
 def point_multiplicity_profile(design: Design, members) -> dict[int, int]:
     """How many member blocks each support point lies in."""
-    masks = [design.block_masks[i] for i in members]
-    return {p: sum(x >> p & 1 for x in masks) for p in clique_support(design, members)}
+    masks = _member_masks(design, sorted(members))
+    return {p: sum(x >> p & 1 for x in masks) for p in _bits(reduce(or_, masks, 0))}
 
 
 def core_restriction(design: Design, members) -> CoreRestriction:
@@ -293,7 +296,7 @@ def core_restriction(design: Design, members) -> CoreRestriction:
     parameters are reported; degenerate or non-uniform restrictions simply
     carry no parameters.
     """
-    masks = [design.block_masks[i] for i in members]
+    masks = _member_masks(design, sorted(members))
     _, support, core, twice, _ = _summary(masks, 0)
     restricted = tuple(tuple(p for p in design.blocks[i] if core >> p & 1) for i in members)
     params = _shape_of(design, masks, support, core, twice)[2]

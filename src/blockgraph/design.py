@@ -135,13 +135,11 @@ def make_design(labels, token_blocks, lam=1, name="") -> Design:
     sizes = {len(b) for b in dense}
     if len(sizes) > 1:
         raise ValueError(f"blocks of unequal size: {sorted(sizes)}")
-    if len(set(dense)) != len(dense):
-        seen = set()
-        for blk in dense:
-            if blk in seen:
-                toks = tuple(labels[i] for i in blk)
-                raise ValueError(f"duplicate block {toks}")
-            seen.add(blk)
+    seen = set()
+    for blk in dense:
+        if blk in seen:
+            raise ValueError(f"duplicate block {tuple(labels[i] for i in blk)}")
+        seen.add(blk)
     m = sizes.pop() if sizes else 0
     return Design(
         n=len(labels),

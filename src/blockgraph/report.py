@@ -19,7 +19,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import catalog
-from .cliques import CliqueCensus, census_report, core_restriction
+from .cliques import CliqueCensus, CliqueRecord, census_report, core_restriction
 from .design import Design, ValidationReport, validate_2design
 from .perms import (
     OrbitPartition,
@@ -319,6 +319,12 @@ def render_structured(report: AnalysisReport) -> str:
     return out.getvalue()
 
 
+def core_text(rec: CliqueRecord) -> str:
+    """The "core N" text, with the core restriction's parameters if it is a 2-design."""
+    p = rec.restricted_params
+    return f"core {rec.core_size}" + ("" if p is None else f" forming 2-({p.n},{p.m},1)")
+
+
 def render_text(report: AnalysisReport) -> str:
     census = report.census
     design = census.design
@@ -354,13 +360,8 @@ def render_text(report: AnalysisReport) -> str:
     for rec in census.records:
         if rec.classification.canonical:
             continue
-        core = (
-            f"core {rec.core_size}"
-            if rec.restricted_params is None
-            else f"core {rec.core_size} forming 2-({rec.restricted_params.n},{rec.restricted_params.m},1)"
-        )
         lines.append(
-            f"  non-canonical {list(rec.members)}: support {rec.support_size}, {core}, "
+            f"  non-canonical {list(rec.members)}: support {rec.support_size}, {core_text(rec)}, "
             f"subdesign {'yes' if rec.subdesign.is_design else 'no'}"
         )
     if report.group is not None:

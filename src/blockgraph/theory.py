@@ -154,21 +154,22 @@ class FamilyParams(NamedTuple):
     m: int
 
 
-def affine_params(d: int, q: int) -> FamilyParams:
-    """Point-line design of AG(d,q): 2-(q^d, q, 1)."""
+def _check_space(family: str, d: int, q: int) -> None:
     if not 2 <= d <= MAX_EXPONENT:
-        raise ValueError(f"affine dimension must be in 2..{MAX_EXPONENT}")
+        raise ValueError(f"{family} dimension must be in 2..{MAX_EXPONENT}")
     if not (q <= MAX_MODULUS and is_prime_power(q)):
         raise ValueError(f"{q} is not a prime power in 2..{MAX_MODULUS}")
+
+
+def affine_params(d: int, q: int) -> FamilyParams:
+    """Point-line design of AG(d,q): 2-(q^d, q, 1)."""
+    _check_space("affine", d, q)
     return FamilyParams("affine", (d, q), q**d, q)
 
 
 def projective_params(d: int, q: int) -> FamilyParams:
     """Point-line design of PG(d,q): 2-((q^(d+1)-1)/(q-1), q+1, 1)."""
-    if not 2 <= d <= MAX_EXPONENT:
-        raise ValueError(f"projective dimension must be in 2..{MAX_EXPONENT}")
-    if not (q <= MAX_MODULUS and is_prime_power(q)):
-        raise ValueError(f"{q} is not a prime power in 2..{MAX_MODULUS}")
+    _check_space("projective", d, q)
     return FamilyParams("projective", (d, q), (q ** (d + 1) - 1) // (q - 1), q + 1)
 
 

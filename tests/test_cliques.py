@@ -231,10 +231,10 @@ def test_classify_rejects_non_clique(main66):
 
 
 @pytest.mark.parametrize("kind", ["disjoint", "repeated", "out of range"])
-def test_census_rejects_non_clique_like_check_clique(monkeypatch, main66, kind):
+def test_census_rejects_non_clique_like_clique_record(monkeypatch, main66, kind):
     # the census checks pairwise intersection only through _summary's flag,
     # so a member list from the search that is not a clique must still fail
-    # with check_clique's own text, and clique_record with the same
+    # with clique_record's own text
     masks = main66.block_masks
     other = next(j for j in range(main66.b) if not masks[0] & masks[j])
     members = {
@@ -249,14 +249,36 @@ def test_census_rejects_non_clique_like_check_clique(monkeypatch, main66, kind):
             "repeated": "repeated block index in clique",
             "out of range": f"block index out of range: {10**6}",
         }[kind]
-    with pytest.raises(ValueError) as direct:
-        cliques.check_clique(main66, members)
     with pytest.raises(ValueError) as record:
         cliques.clique_record(main66, members)
     monkeypatch.setattr(cliques, "enumerate_maximum_cliques", lambda graph, size: [members])
     with pytest.raises(ValueError) as exc:
         census_report(main66)
-    assert str(exc.value) == str(direct.value) == str(record.value) == expected
+    assert str(exc.value) == str(record.value) == expected
+
+
+@pytest.mark.parametrize("helper", [
+    clique_support, point_multiplicity_profile, core_restriction, cliques.clique_record
+])
+def test_helpers_reject_block_index_out_of_range(main66, helper):
+    # -1 would otherwise wrap round to the last block
+    for bad in (-1, main66.b):
+        with pytest.raises(ValueError, match=f"^block index out of range: {bad}$"):
+            helper(main66, (0, bad))
+
+
+def test_support_and_profile_need_no_pairwise_pass(monkeypatch, main66):
+    orbit_clique = orbit_clique_members(main66)
+    support = clique_support(main66, orbit_clique)
+    profile = point_multiplicity_profile(main66, orbit_clique)
+
+    def pairwise(*args):
+        raise AssertionError("pairwise _summary pass")
+
+    monkeypatch.setattr(cliques, "_summary", pairwise)
+    assert clique_support(main66, orbit_clique) == support
+    assert point_multiplicity_profile(main66, orbit_clique) == profile
+    assert len(support) == 26 and set(profile.values()) == {3}
 
 
 def test_summary_apart_flag_matches_pairwise_and():

@@ -84,6 +84,7 @@ def reference_verdict(design, members):
     is_design = (
         params is not None and params.admissible and coverage_ok
         and len(members) == int(params.b)
+        and all(len(design.blocks[i]) == design.m for i in members)
     )
     return SubdesignVerdict(ns, params, coverage_ok, is_design)
 
@@ -214,12 +215,20 @@ def test_ag25_noncanonical_records_share_verdicts_and_classification():
     assert all(len(ids) == 1 for ids in verdicts.values())
 
 
+def near_pencil(n):
+    """One block on points 1..n-1 and the n - 1 pairs joining point 0 to
+    it: every pair of the n points is covered once."""
+    return (tuple(range(1, n)),) + tuple((0, p) for p in range(1, n))
+
+
 FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
-NEAR_PENCIL = ((1, 2, 3, 4, 5, 6),) + tuple((0, p) for p in range(1, 7))
+NEAR_PENCIL = near_pencil(7)
 
 # For each shape field, two cliques (blocks, design m) that differ in that
 # field alone and whose shape-built record fields differ.  Blocks may have
-# any sizes: a hand-built blocklist need not be uniform.
+# any sizes: a hand-built blocklist need not be uniform.  Whether the blocks
+# all have m points is no field: where every other test of a design holds,
+# it holds iff the core sizes are {m} (the near-pencil tests below).
 ONE_FIELD_APART = {
     # the Fano lines, three with a point of their own, against six of them,
     # one with three points of its own: only the first core is 2-(7,3,1)
@@ -272,3 +281,20 @@ def test_cliques_one_shape_field_apart(field):
         records.append(clique_record(design, members)[2:])
     assert [f for f in shapes[0] if shapes[0][f] != shapes[1][f]] == [field]
     assert records[0] != records[1]
+
+
+def test_subdesign_requires_blocks_of_size_m():
+    # the near-pencil on 7 points covers each pair once with b(7,3) = 7 blocks
+    verdict = subdesign_test(hand_built(NEAR_PENCIL, 3), range(7))
+    assert verdict.pair_coverage_ok and verdict.candidate_params.admissible
+    assert not verdict.is_design
+    assert subdesign_test(hand_built(FANO, 3), range(7)).is_design
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_near_pencil_cliques_match_references(n):
+    # every subset of a near-pencil's blocks is a clique, of blocks of two sizes
+    for m in range(2, n):
+        design = hand_built(near_pencil(n), m)
+        for members in powerset_cliques(build_block_graph(design)):
+            assert_public_functions_match(design, members)
