@@ -9,15 +9,19 @@ candidates with one vertex per class form a clique that is taken whole.
 Completeness is cross-checked against brute force in the test suite.
 
 ``clique_record`` is the one checked pass per clique, shared by the census,
-``classify_clique`` and ``subdesign_test``: one pass over the member blocks'
-point bitmasks (AND, OR and pairwise ANDs, an empty one flags a non-clique).
+``classify_clique`` and ``subdesign_test``: O(k) bit operations over the k
+member blocks' point masks (AND, OR and core) and their rows in
+``Design.reach``, built once per design.  The members are a clique iff each
+lies in the AND of the members' rows, own bits set; a pair of points is
+covered twice iff a member lies in the OR of their ``twice`` rows.  Only a
+failing clique is rescanned pairwise, to name its first disjoint pair.
 The rest of a record costs what its shape costs: support size, core design
 and subdesign verdict depend only on a few integers (k, |support|, |core|,
-the blocks' core sizes, whether a pair is covered twice, the blocks' pair
-counts and m), so they are built once per shape and shared.  Pair coverage
-and the core's 2-design test are counting identities on those integers,
-exact for any blocklist.  ``clique_support`` lists a clique's support points
-as one OR of the member masks, with no pairwise pass.
+the blocks' core size if uniform, whether a pair is covered twice, the
+blocks' pair counts and m), so they are built once per shape and shared.
+Pair coverage and the core's 2-design test are counting identities on those
+integers, exact for any blocklist.  ``clique_support`` lists a clique's
+support points as one OR of the member masks.
 """
 
 from __future__ import annotations
@@ -180,33 +184,15 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple([p for p, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"])
 
 
-def _summary(masks: list[int], full: int) -> tuple[int, int, int, bool, bool]:
-    """The masks' AND (from ``full``) and OR, i.e. the common points and the
-    support; the points in two or more masks, i.e. the core; whether two
-    masks share >= 2 points, i.e. whether a point pair is covered twice; and
-    whether two masks share none, i.e. whether the blocks are not a clique."""
-    common, support, core, twice, apart = full, 0, 0, False, False
-    for a, x in enumerate(masks):
-        common &= x
-        core |= support & x
-        support |= x
-        for y in masks[:a]:
-            shared = (x & y).bit_count()
-            if shared > 1:
-                twice = True
-            elif not shared:
-                apart = True
-    return common, support, core, twice, apart
-
-
 _NON_CANONICAL = Classification("non-canonical", None)
 
 
 @lru_cache(maxsize=1024)
-def _shape(k: int, ns: int, c: int, sizes: frozenset, twice: bool, pairs: int, m: int) -> tuple:
+def _shape(k: int, ns: int, c: int, m_r: int, twice: bool, pairs: int, m: int) -> tuple:
     """Support size, core size, core design and subdesign verdict of a clique
-    of k blocks with ``sizes`` the sizes of their restrictions to the core
-    and ``pairs`` the sum of |B|(|B|-1); a census asks for few shapes.
+    of k blocks with ``m_r`` the size of each block's restriction to the core
+    (0 if the sizes differ) and ``pairs`` the sum of |B|(|B|-1); a census
+    asks for few shapes.
 
     Member blocks meet only inside the core, so the restricted blocks share
     >= 2 points iff the blocks do.  With no pair covered twice, a uniform
@@ -215,7 +201,6 @@ def _shape(k: int, ns: int, c: int, sizes: frozenset, twice: bool, pairs: int, m
     k = b >= 3 blocks leave no point in one block only, so the core is the
     support and the blocks all have m points iff m_r = m.
     """
-    m_r = next(iter(sizes)) if len(sizes) == 1 else 0
     core_params = (
         admissibility(c, m_r)
         if not twice and 2 <= m_r < c and k * m_r * (m_r - 1) == c * (c - 1)
@@ -230,29 +215,50 @@ def _shape(k: int, ns: int, c: int, sizes: frozenset, twice: bool, pairs: int, m
     return ns, c, core_params, SubdesignVerdict(ns, params, coverage_ok, is_design)
 
 
-def _shape_of(design: Design, masks: list[int], support: int, core: int, twice: bool) -> tuple:
-    """The record fields after the classification, looked up by shape."""
-    pairs = 0
-    sizes = set()
-    for x in masks:
+def _block_masks(design: Design, members) -> tuple[int, ...]:
+    """The design's block masks, once every index in sorted ``members`` is checked."""
+    masks = design.block_masks
+    if members and not (0 <= members[0] and members[-1] < len(masks)):
+        i = next(i for i in members if not 0 <= i < len(masks))
+        raise ValueError(f"block index out of range: {i}")
+    return masks
+
+
+def _scan(design: Design, members) -> tuple[int, int, int, tuple]:
+    """One pass over sorted ``members``, every index checked: the AND of their
+    point masks, the core, the members disjoint from some member (``chosen``,
+    the member mask, less the AND of their rows with their own bits) and the
+    record fields after the classification, looked up by shape."""
+    masks = _block_masks(design, members)
+    _, rows, twice = design.reach
+    common, support, core, pairs = (1 << design.n) - 1, 0, 0, 0
+    chosen, meet_all, doubled = 0, -1, 0
+    for i in members:
+        x = masks[i]
+        bit = 1 << i
+        common &= x
+        core |= support & x
+        support |= x
         size = x.bit_count()
         pairs += size * (size - 1)
-        sizes.add((x & core).bit_count())
-    return _shape(len(masks), support.bit_count(), core.bit_count(), frozenset(sizes),
-                  twice, pairs, design.m)
-
-
-def _member_masks(design: Design, members) -> list[int]:
-    """Point masks of the blocks indexed by sorted ``members``, every index checked."""
-    block_masks = design.block_masks
-    if members and not (0 <= members[0] and members[-1] < len(block_masks)):
-        i = next(i for i in members if not 0 <= i < len(block_masks))
-        raise ValueError(f"block index out of range: {i}")
-    return [block_masks[i] for i in members]
+        chosen |= bit
+        meet_all &= rows[i] | bit
+        doubled |= twice[i]
+    m_r = (masks[members[0]] & core).bit_count() if members else 0
+    for i in members:  # the blocks' common core size, 0 if they differ
+        if (masks[i] & core).bit_count() != m_r:
+            m_r = 0
+            break
+    # a repeated member (only core_restriction takes one) shares its points
+    # with itself: a pair covered twice if it has two, else no core design
+    repeated = chosen.bit_count() < len(members)
+    shape = _shape(len(members), support.bit_count(), core.bit_count(), m_r,
+                   bool(chosen & doubled) or repeated, pairs, design.m)
+    return common, core, chosen & ~meet_all, shape
 
 
 def clique_record(design: Design, members) -> CliqueRecord:
-    """Check and analyse a clique in one pass over its member blocks' masks.
+    """Check and analyse a clique in one pass over its member blocks.
 
     Raises ValueError for a repeated member, then for one out of range, then
     for the first pair of member blocks (in sorted order) that are disjoint.
@@ -260,17 +266,16 @@ def clique_record(design: Design, members) -> CliqueRecord:
     members = tuple(sorted(members))
     if len(set(members)) != len(members):
         raise ValueError("repeated block index in clique")
-    masks = _member_masks(design, members)
-    common, support, core, twice, apart = _summary(masks, (1 << design.n) - 1)
+    common, _, apart, shape = _scan(design, members)
     if apart:
-        i, j = next((i, j) for (i, x), (j, y) in combinations(zip(members, masks), 2)
-                    if not x & y)
+        masks = design.block_masks
+        i, j = next((i, j) for i, j in combinations(members, 2) if not masks[i] & masks[j])
         raise ValueError(f"blocks {i} and {j} do not intersect")
     classification = (
         Classification("canonical", (common & -common).bit_length() - 1)
         if common else _NON_CANONICAL
     )
-    return CliqueRecord(members, classification, *_shape_of(design, masks, support, core, twice))
+    return CliqueRecord(members, classification, *shape)
 
 
 def classify_clique(design: Design, members) -> Classification:
@@ -280,12 +285,14 @@ def classify_clique(design: Design, members) -> Classification:
 
 def clique_support(design: Design, members) -> tuple[int, ...]:
     """Union of the member blocks' points."""
-    return _bits(reduce(or_, _member_masks(design, sorted(members)), 0))
+    members = sorted(members)
+    return _bits(reduce(or_, map(_block_masks(design, members).__getitem__, members), 0))
 
 
 def point_multiplicity_profile(design: Design, members) -> dict[int, int]:
     """How many member blocks each support point lies in."""
-    masks = _member_masks(design, sorted(members))
+    members = sorted(members)
+    masks = list(map(_block_masks(design, members).__getitem__, members))
     return {p: sum(x >> p & 1 for x in masks) for p in _bits(reduce(or_, masks, 0))}
 
 
@@ -296,11 +303,9 @@ def core_restriction(design: Design, members) -> CoreRestriction:
     parameters are reported; degenerate or non-uniform restrictions simply
     carry no parameters.
     """
-    masks = _member_masks(design, sorted(members))
-    _, support, core, twice, _ = _summary(masks, 0)
+    _, core, _, shape = _scan(design, sorted(members))
     restricted = tuple(tuple(p for p in design.blocks[i] if core >> p & 1) for i in members)
-    params = _shape_of(design, masks, support, core, twice)[2]
-    return CoreRestriction(_bits(core), restricted, params)
+    return CoreRestriction(_bits(core), restricted, shape[2])
 
 
 def subdesign_test(design: Design, members) -> SubdesignVerdict:

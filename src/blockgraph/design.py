@@ -81,6 +81,25 @@ class Design(namedtuple("Design", "n m lam labels blocks name", defaults=("",)))
         return tuple(sum(1 << i for i in blk) for blk in self.blocks)
 
     @cached_property
+    def reach(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """Masks over block indices (through, rows, twice): the blocks through
+        each point; for each block, the other blocks that share a point with
+        it (its block-graph row) and those that share two or more."""
+        through = [0] * self.n
+        for i, blk in enumerate(self.blocks):
+            for p in blk:
+                through[p] |= 1 << i
+        rows, twice = [], []
+        for i, blk in enumerate(self.blocks):
+            meets = doubled = 0
+            for p in blk:
+                doubled |= meets & through[p]
+                meets |= through[p]
+            rows.append(meets & ~(1 << i))
+            twice.append(doubled & ~(1 << i))
+        return tuple(through), tuple(rows), tuple(twice)
+
+    @cached_property
     def block_index(self) -> dict[tuple[int, ...], int]:
         return {blk: i for i, blk in enumerate(self.blocks)}
 

@@ -70,18 +70,8 @@ class SrgParams(NamedTuple):
 
 def build_block_graph(design: Design) -> BlockGraph:
     """Vertices are blocks; i ~ j iff blocks i and j share a point."""
-    through = [0] * design.n  # the blocks through each point
-    for i, blk in enumerate(design.blocks):
-        for p in blk:
-            through[p] |= 1 << i
-    v = design.b
-    rows = []
-    for i, blk in enumerate(design.blocks):
-        row = 0
-        for p in blk:
-            row |= through[p]
-        rows.append(row & ~(1 << i))
-    return BlockGraph(v, tuple(rows), tuple(through))
+    through, rows, _ = design.reach
+    return BlockGraph(design.b, rows, through)
 
 
 def _eigenvalues(k: int, lam: int, mu: int) -> tuple[int, int] | tuple[None, None]:

@@ -5,10 +5,12 @@ fields, so a report is byte-identical across runs.  Its bytes are those of
 ``json.dumps(report_document(r), sort_keys=True, indent=2)`` plus a newline,
 which the tests keep as the reference.  Only the document without its clique
 records goes through ``json.dumps``; each record is written into the records
-gap from a frame rendered once per record shape (every field but the members
-and the witness), with the members and the ``json.dumps`` of the witness
-label filled in.  The expected values for the three embedded 66-point
-designs are versioned here and drive the ``--check-paper`` mode.
+gap from a frame (every field but the members and the witness), with the
+members and the ``json.dumps`` of the witness label filled in.  A frame is
+keyed by the kind, the support and core sizes and the identities of the
+core design and verdict, objects the census shares per shape; equal values
+in distinct objects only add a frame.  The expected values for the three
+embedded 66-point designs are versioned here and drive ``--check-paper``.
 """
 
 from __future__ import annotations
@@ -101,11 +103,10 @@ def lift_to_design_automorphism(design: Design, block_perm: Permutation):
     the points are grouped by that set and each class is mapped, in
     ascending order, onto the class on the image set of blocks.
     """
-    through = [0] * design.n
+    through = design.reach[0]
     moved = [0] * design.n
     for i, blk in enumerate(design.blocks):
         for p in blk:
-            through[p] |= 1 << i
             moved[p] |= 1 << block_perm(i)
     classes: dict[int, list[int]] = {}
     for p, blocks in enumerate(through):
@@ -293,16 +294,9 @@ def render_structured(report: AnalysisReport) -> str:
     out.write('\n    "records": [')
     sep = _RECORD_BREAK
     for rec in census.records:
-        core, sub = rec.restricted_params, rec.subdesign
-        shape = (
-            rec.classification.kind,
-            rec.support_size,
-            rec.core_size,
-            None if core is None else (core.n, core.m),
-            bool(sub.candidate_params and sub.candidate_params.admissible),
-            sub.pair_coverage_ok,
-            sub.is_design,
-        )
+        # the records keep these objects alive, so equal ids mean equal values
+        shape = (rec.classification.kind, rec.support_size, rec.core_size,
+                 id(rec.restricted_params), id(rec.subdesign))
         frame = frames.get(shape)
         if frame is None:
             frame = frames[shape] = _record_frame(rec, labels)

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -20,7 +20,7 @@ from blockgraph import (
     validate_2design,
 )
 from blockgraph import cliques
-from blockgraph.design import make_design, parse_design
+from blockgraph.design import Design, make_design, parse_design
 
 from conftest import (
     PLANE_CLIQUE_BLOCKS,
@@ -232,8 +232,8 @@ def test_classify_rejects_non_clique(main66):
 
 @pytest.mark.parametrize("kind", ["disjoint", "repeated", "out of range"])
 def test_census_rejects_non_clique_like_clique_record(monkeypatch, main66, kind):
-    # the census checks pairwise intersection only through _summary's flag,
-    # so a member list from the search that is not a clique must still fail
+    # the census checks intersection only through the reach rows' flag, so
+    # a member list from the search that is not a clique must still fail
     # with clique_record's own text
     masks = main66.block_masks
     other = next(j for j in range(main66.b) if not masks[0] & masks[j])
@@ -272,21 +272,83 @@ def test_support_and_profile_need_no_pairwise_pass(monkeypatch, main66):
     support = clique_support(main66, orbit_clique)
     profile = point_multiplicity_profile(main66, orbit_clique)
 
-    def pairwise(*args):
-        raise AssertionError("pairwise _summary pass")
+    def clique_pass(*args):
+        raise AssertionError("per-clique _scan pass")
 
-    monkeypatch.setattr(cliques, "_summary", pairwise)
+    monkeypatch.setattr(cliques, "_scan", clique_pass)
     assert clique_support(main66, orbit_clique) == support
     assert point_multiplicity_profile(main66, orbit_clique) == profile
     assert len(support) == 26 and set(profile.values()) == {3}
 
 
-def test_summary_apart_flag_matches_pairwise_and():
+def test_scan_flags_match_pairwise_and(monkeypatch):
+    # random blocks, any two of which may be disjoint or share two points:
+    # the members flagged apart and the pair-covered-twice flag handed to
+    # _shape against a pairwise AND of the point masks
+    shapes = []
+    monkeypatch.setattr(cliques, "_shape", lambda *args: shapes.append(args))
     rng = random.Random(11)
     for _ in range(300):
         masks = [rng.getrandbits(12) | 1 << rng.randrange(12) for _ in range(rng.randrange(1, 7))]
-        apart = any(not x & y for x, y in combinations(masks, 2))
-        assert cliques._summary(masks, 0)[4] == apart
+        design = Design(12, 3, 1, tuple(map(str, range(12))), tuple(map(cliques._bits, masks)))
+        members = list(range(len(masks)))
+        apart = {j for i, j in permutations(members, 2) if not masks[i] & masks[j]}
+        twice = any((x & y).bit_count() >= 2 for x, y in combinations(masks, 2))
+        assert set(cliques._bits(cliques._scan(design, members)[2])) == apart
+        assert shapes.pop()[4] == twice
+
+
+def reference_error(design, members):
+    """The first failure in the documented order, or None for a clique."""
+    members = sorted(members)
+    if len(set(members)) < len(members):
+        return "repeated block index in clique"
+    for i in members:
+        if not 0 <= i < design.b:
+            return f"block index out of range: {i}"
+    for i, j in combinations(members, 2):
+        if not set(design.blocks[i]) & set(design.blocks[j]):
+            return f"blocks {i} and {j} do not intersect"
+    return None
+
+
+@pytest.mark.parametrize("members, expected", [
+    ((0, 0, 1), "repeated block index in clique"),
+    ((12, 0, 0), "repeated block index in clique"),
+    ((0, 1, 12), "block index out of range: 12"),
+    ((10, 1, 0), "blocks 0 and 10 do not intersect"),
+])
+def test_ag23_error_texts(members, expected):
+    design = builtin_design("ag23")
+    assert reference_error(design, members) == expected
+    with pytest.raises(ValueError) as exc:
+        cliques.clique_record(design, members)
+    assert str(exc.value) == expected
+
+
+def test_error_precedence_matches_reference(monkeypatch):
+    # repeated, out-of-range and disjoint members mixed at random: clique_record
+    # and the census raise the reference's first failure, or agree on the record
+    design = builtin_design("ag23")
+    pool = [*range(design.b), -1, design.b, 10**6]
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(200):
+        members = [rng.choice(pool) for _ in range(rng.randrange(1, 6))]
+        if rng.random() < 0.3:
+            members.append(rng.choice(members))
+        expected = reference_error(design, members)
+        monkeypatch.setattr(cliques, "enumerate_maximum_cliques", lambda graph, size: [members])
+        if expected is None:
+            record = cliques.clique_record(design, members)
+            assert census_report(design).records == (record,)
+        else:
+            for analyse in (cliques.clique_record, lambda d, _: census_report(d)):
+                with pytest.raises(ValueError) as exc:
+                    analyse(design, members)
+                assert str(exc.value) == expected
+        seen.add((expected or "clique").split(" ")[0])
+    assert seen == {"repeated", "block", "blocks", "clique"}
 
 
 def test_clique_support_sizes(main66):

@@ -14,6 +14,7 @@ from itertools import combinations
 import pytest
 
 from blockgraph import (
+    BUILTIN_NAMES,
     build_block_graph,
     builtin_design,
     census_report,
@@ -281,6 +282,52 @@ def test_cliques_one_shape_field_apart(field):
         records.append(clique_record(design, members)[2:])
     assert [f for f in shapes[0] if shapes[0][f] != shapes[1][f]] == [field]
     assert records[0] != records[1]
+
+
+def reach_designs():
+    """Every builtin, PG(3,2), AG(3,3), the random 3-uniform blocklists
+    (blocks may share two points) and the hand-built designs above (blocks
+    of unequal sizes)."""
+    yield from map(builtin_design, BUILTIN_NAMES)
+    yield parse_design(point_line_blocklist("projective", 3, 2))
+    yield parse_design(point_line_blocklist("affine", 3, 3))
+    yield from random_blocklists()
+    for (blocks, m), (other, _) in ONE_FIELD_APART.values():
+        yield hand_built(blocks + other, m)
+
+
+def test_reach_rows_match_pairwise_references():
+    # the block-graph rows are the blocks meeting a block, its own bit
+    # cleared (the clique check sets it); twice rows by a literal scan
+    doubled = 0
+    for design in reach_designs():
+        masks = design.block_masks
+        through, rows, twice = design.reach
+        assert rows == reference_rows(design)
+        assert twice == tuple(
+            sum(1 << j for j in range(design.b) if j != i and (masks[i] & masks[j]).bit_count() >= 2)
+            for i in range(design.b)
+        )
+        assert through == tuple(
+            sum(1 << i for i, blk in enumerate(design.blocks) if p in blk) for p in range(design.n)
+        )
+        graph = build_block_graph(design)
+        assert graph.rows is rows and graph.pencils is through  # shared, not copied
+        doubled += any(twice)
+    assert doubled > 0
+
+
+def test_core_restriction_with_repeated_members():
+    # six Fano lines and one of them again: k m_r(m_r-1) = c(c-1) holds,
+    # but the repeated line covers its pairs twice, so no core design
+    design = hand_built(FANO, 3)
+    for members in [(0, 1, 2, 3, 4, 5, 5), (0, 0), (5, 2, 6, 5)]:
+        core, restricted, params, _ = reference_core(design, members)
+        got = core_restriction(design, members)
+        assert (got.core_points, got.restricted_blocks, got.restricted_params) == (
+            core, restricted, params
+        )
+    assert reference_core(design, (0, 1, 2, 3, 4, 5, 5))[2:] == (None, True)
 
 
 def test_subdesign_requires_blocks_of_size_m():

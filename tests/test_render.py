@@ -25,8 +25,9 @@ from blockgraph import (
     parse_design,
     subdesign_test,
 )
-from blockgraph.cliques import Classification, CliqueCensus, CliqueRecord
-from blockgraph.design import admissibility, validate_2design
+from blockgraph import report as report_module
+from blockgraph.cliques import Classification, CliqueCensus, CliqueRecord, SubdesignVerdict
+from blockgraph.design import DesignParameters, admissibility, validate_2design
 from blockgraph.report import (
     AnalysisReport,
     automorphism_section,
@@ -181,3 +182,37 @@ def test_records_differing_in_one_shape_field(odd_design):
         records += [variant, base]
     report = plain_report(census._replace(records=tuple(records)))
     assert_renders_like_reference(report)
+
+
+def test_equal_values_in_distinct_objects():
+    """Frames are keyed by the identities of a record's core design and
+    verdict; records holding equal values in distinct objects (copies,
+    ``_replace``) render like the reference too."""
+    census = census_report(builtin_design("main66"))
+    records = []
+    for k, rec in enumerate(census.records):
+        if k % 2:
+            sub, core = rec.subdesign, rec.restricted_params
+            params = sub.candidate_params
+            copy = rec._replace(
+                classification=Classification(*rec.classification),
+                restricted_params=None if core is None else DesignParameters(*core),
+                subdesign=SubdesignVerdict(*sub)._replace(
+                    candidate_params=None if params is None else DesignParameters(*params)
+                ),
+            )
+            assert copy == rec and copy.subdesign is not rec.subdesign
+            rec = copy
+        records.append(rec)
+    assert any(rec.restricted_params is not None for rec in records[1::2])
+    assert_renders_like_reference(plain_report(census._replace(records=tuple(records))))
+
+
+def test_ag25_renders_one_frame_per_shape(monkeypatch):
+    calls = []
+    frame = report_module._record_frame
+    monkeypatch.setattr(report_module, "_record_frame",
+                        lambda *args: calls.append(args) or frame(*args))
+    report = build_report(parse_design(point_line_blocklist("affine", 2, 5)))
+    render_structured(report)
+    assert len(calls) == 6  # the canonical shape and five non-canonical ones
