@@ -6,6 +6,8 @@ node colours its bitset candidates greedily, one class at a time (MCQ,
 Tomita & Seki 2003; BBMC, San Segundo et al. 2011); classes numbered below
 the size still needed are coloured but never listed or branched on, and
 candidates with one vertex per class form a clique that is taken whole.
+The search runs on bit-reversed labels, so an O(1) top-bit walk colours
+each class in ascending index order: the tree is that of a lowest-bit walk.
 Completeness is cross-checked against brute force in the test suite.
 
 ``clique_record`` is the one checked pass per clique, shared by the census,
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, compress, count
 from operator import or_
 from typing import NamedTuple
 
@@ -42,6 +44,9 @@ from .graph import (
     verify_srg,
 )
 
+_REV8 = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))  # each byte's bits reversed
+_DIGITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as compress selectors
+
 
 def _search(rows, best: int, stop_at: int | None = None, found: list | None = None):
     """Colour-bounded branch and bound from the root holding every vertex.
@@ -51,9 +56,17 @@ def _search(rows, best: int, stop_at: int | None = None, found: list | None = No
     ``best`` stays fixed and every clique of ``best + 1`` vertices goes to
     ``found``.  Returns ``best`` and the number of nodes (colourings)
     expanded.  Open nodes wait on a list, not in nested calls, so no
-    recursion limit applies.
+    recursion limit applies.  Vertex v is u = n-1-v inside (rows bit-reversed
+    once per call), so the top set bit, found in O(1), is the lowest vertex:
+    classes are walked in ascending index order.  The stack holds v.
     """
-    nrows = [~(row | 1 << v) for v, row in enumerate(rows)]
+    n = len(rows)
+    nb = (n + 7) // 8
+    full, pad, top = (1 << n) - 1, 8 * nb - n, n - 1
+    bit = [1 << u for u in range(n)]
+    rrows = [int.from_bytes(r.to_bytes(nb, "big").translate(_REV8), "little") >> pad
+             for r in reversed(rows)]
+    keep = [full ^ (row | b) for row, b in zip(rrows, bit)]  # u's non-neighbours less u
     stack: list[int] = []
     nodes = 0
 
@@ -70,56 +83,56 @@ def _search(rows, best: int, stop_at: int | None = None, found: list | None = No
             colour += 1
             avail = uncoloured
             while avail:
-                low = avail & -avail
-                uncoloured ^= low
-                avail &= nrows[low.bit_length() - 1]
+                u = avail.bit_length() - 1
+                uncoloured ^= bit[u]
+                avail &= keep[u]
         order = []
         while uncoloured:
             colour += 1
             avail = uncoloured
             while avail:
-                low = avail & -avail
-                uncoloured ^= low
-                v = low.bit_length() - 1
-                avail &= nrows[v]
-                order.append((v, colour))
+                u = avail.bit_length() - 1
+                uncoloured ^= bit[u]
+                avail &= keep[u]
+                order.append((u, colour))
         # one colour per candidate: the candidates are a clique, taken whole
         if colour == candidates.bit_count():
             if found is None:
                 best = max(best, size + colour)
                 return None
-            if colour == need:
-                found.append(tuple(sorted([*stack, *_bits(candidates)])))
+            if colour == need:  # members ascending: the digits of u from the top
+                digits = bin(candidates)[2:].encode().translate(_DIGITS)
+                found.append(tuple(sorted([*stack, *compress(count(n - len(digits)), digits)])))
                 return None
         return order, candidates, size
 
-    order, candidates, size = expand((1 << len(rows)) - 1) or ([], 0, 0)
+    order, candidates, size = expand(full) or ([], 0, 0)
     parents = []  # the open nodes above this one
     while True:
         if stop_at is not None and best >= stop_at:
             return stop_at, nodes
         # branch on the highest colours first, while one can beat best
         if order:
-            v, c = order.pop()
+            u, c = order.pop()
             if size + c > best:
-                stack.append(v)
+                stack.append(top - u)
                 if size == best and found is not None:
                     found.append(tuple(sorted(stack)))
                 else:
                     best = max(best, size + 1)
-                    rest = candidates & rows[v]
+                    rest = candidates & rrows[u]
                     node = expand(rest) if rest else None
                     if node is not None:
                         parents.append((order, candidates, size))
                         order, candidates, size = node
                         continue
                 stack.pop()
-                candidates ^= 1 << v
+                candidates ^= bit[u]
                 continue
         if not parents:
             return best, nodes
         order, candidates, size = parents.pop()
-        candidates ^= 1 << stack.pop()  # the vertex the parent branched on
+        candidates ^= bit[top - stack.pop()]  # the vertex the parent branched on
 
 
 def clique_number(graph: BlockGraph, upper_bound: int | None = None) -> int:
@@ -303,6 +316,7 @@ def core_restriction(design: Design, members) -> CoreRestriction:
     parameters are reported; degenerate or non-uniform restrictions simply
     carry no parameters.
     """
+    members = tuple(members)  # read twice: sorted for the scan, then in the caller's order
     _, core, _, shape = _scan(design, sorted(members))
     restricted = tuple(tuple(p for p in design.blocks[i] if core >> p & 1) for i in members)
     return CoreRestriction(_bits(core), restricted, shape[2])

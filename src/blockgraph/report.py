@@ -273,6 +273,12 @@ def _record_frame(rec, labels) -> tuple[str, str, str]:
     return head + '"members": [', "]" + middle + '"witness": ', end
 
 
+def _shape_key(rec: CliqueRecord) -> tuple:
+    # the records keep these objects alive, so equal ids mean equal values
+    return (rec.classification.kind, rec.support_size, rec.core_size,
+            id(rec.restricted_params), id(rec.subdesign))
+
+
 def render_structured(report: AnalysisReport) -> str:
     """``json.dumps(report_document(report), sort_keys=True, indent=2)`` + newline.
 
@@ -294,9 +300,7 @@ def render_structured(report: AnalysisReport) -> str:
     out.write('\n    "records": [')
     sep = _RECORD_BREAK
     for rec in census.records:
-        # the records keep these objects alive, so equal ids mean equal values
-        shape = (rec.classification.kind, rec.support_size, rec.core_size,
-                 id(rec.restricted_params), id(rec.subdesign))
+        shape = _shape_key(rec)
         frame = frames.get(shape)
         if frame is None:
             frame = frames[shape] = _record_frame(rec, labels)
@@ -351,13 +355,17 @@ def render_text(report: AnalysisReport) -> str:
         f"maximum cliques: {census.total} = {census.canonical_count} canonical + "
         f"{census.noncanonical_count} non-canonical"
     )
+    tails = {}  # one line tail per record shape
+    block_text = [str(i) for i in range(design.b)]
     for rec in census.records:
         if rec.classification.canonical:
             continue
-        lines.append(
-            f"  non-canonical {list(rec.members)}: support {rec.support_size}, {core_text(rec)}, "
-            f"subdesign {'yes' if rec.subdesign.is_design else 'no'}"
-        )
+        tail = tails.get(shape := _shape_key(rec))
+        if tail is None:
+            tail = tails[shape] = (f": support {rec.support_size}, {core_text(rec)}, "
+                                   f"subdesign {'yes' if rec.subdesign.is_design else 'no'}")
+        members = ", ".join(map(block_text.__getitem__, rec.members))
+        lines.append(f"  non-canonical [{members}]{tail}")
     if report.group is not None:
         g = report.group
         lines.append(

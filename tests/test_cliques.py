@@ -13,11 +13,13 @@ from blockgraph import (
     clique_number,
     clique_support,
     core_restriction,
+    delsarte_bound,
     enumerate_maximum_cliques,
     induced_block_action,
     point_multiplicity_profile,
     subdesign_test,
     validate_2design,
+    verify_srg,
 )
 from blockgraph import cliques
 from blockgraph.design import Design, make_design, parse_design
@@ -111,11 +113,11 @@ def graph_from_edges(n, edges):
     return BlockGraph(n, tuple(rows))
 
 
-def random_graphs(seed=20261018, count=24):
-    """Seeded G(n, p) graphs, not block graphs: 10-16 vertices, p in 0.3-0.9."""
+def random_graphs(seed=20261018, count=24, sizes=(10, 16)):
+    """Seeded G(n, p) graphs, not block graphs: n in ``sizes``, p in 0.3-0.9."""
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randint(10, 16)
+        n = rng.randint(*sizes)
         p = rng.uniform(0.3, 0.9)
         yield graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
@@ -132,7 +134,11 @@ def powerset_cliques_by_size(graph):
 
 
 def test_enumerate_every_size_matches_powerset_on_random_graphs():
-    for graph in random_graphs():
+    # the search pads each row to whole bytes: 1-9 vertices cover both
+    # sides of the first byte boundary, 10-16 the second byte
+    small = list(random_graphs(seed=20261019, count=54, sizes=(1, 9)))
+    assert {graph.v for graph in small} == set(range(1, 10))
+    for graph in [*small, *random_graphs()]:
         by_size = powerset_cliques_by_size(graph)
         omega = max(by_size)
         assert clique_number(graph) == omega
@@ -169,8 +175,9 @@ def test_enumerate_complete_graph_below_its_size(n):
         assert len(found) == math.comb(n, s)
 
 
-def test_search_nodes_main66(monkeypatch, main66_graph):
-    # the colourings the search expands; a change to the search tree shows here
+def count_search_nodes(monkeypatch):
+    """The nodes (colourings) each later ``_search`` call expands, in call
+    order; a change to the search tree shows here."""
     nodes = []
     search = cliques._search
 
@@ -180,12 +187,41 @@ def test_search_nodes_main66(monkeypatch, main66_graph):
         return best, count
 
     monkeypatch.setattr(cliques, "_search", counting_search)
+    return nodes
+
+
+def test_search_nodes_main66(monkeypatch, main66_graph):
+    nodes = count_search_nodes(monkeypatch)
     assert len(enumerate_maximum_cliques(main66_graph, size=13)) == 80
     assert clique_number(main66_graph, upper_bound=13) == 13
     assert clique_number(main66_graph) == 13
     # one root, the set of all vertices, in both modes; best mode takes a
     # node whose candidates get one colour each as a clique, without descending
     assert nodes == [856, 7, 401]
+
+
+@pytest.mark.parametrize(
+    "family, d, p, pin",
+    [
+        ("projective", 3, 2, (80, 4)),
+        ("affine", 3, 3, (64, 4)),
+        ("projective", 3, 3, (220, 4)),
+        ("affine", 2, 5, (3906, 6)),
+        ("projective", 3, 5, (2801, 7)),
+        ("projective", 4, 3, (901, 4)),
+        ("affine", 4, 3, (190, 4)),
+    ],
+)
+def test_search_nodes_geometric(monkeypatch, family, d, p, pin):
+    # (nodes of the enumeration at omega, nodes of clique_number with the
+    # Delsarte bound) on the census's own calls: the same tree on every design
+    graph = build_block_graph(parse_design(point_line_blocklist(family, d, p)))
+    bound = delsarte_bound(verify_srg(graph))
+    nodes = count_search_nodes(monkeypatch)
+    omega = clique_number(graph, upper_bound=bound)
+    assert omega == bound
+    enumerate_maximum_cliques(graph, size=omega)
+    assert (nodes[1], nodes[0]) == pin
 
 
 def test_census_pg33_planes_and_points():
@@ -397,6 +433,19 @@ def test_core_of_canonical_clique_degenerates(main66):
     assert [main66.labels[p] for p in core.core_points] == ["inf"]
     assert set(core.restricted_blocks) == {(main66.label_index["inf"],)}
     assert core.restricted_params is None
+
+
+def test_core_restriction_reads_one_shot_iterables():
+    ag23 = builtin_design("ag23")
+    members = (6, 0, 3)
+    expected = core_restriction(ag23, members)
+    assert expected.restricted_blocks  # three blocks, each with its core points
+    assert core_restriction(ag23, iter(members)) == expected
+    assert core_restriction(ag23, (m for m in members)) == expected
+    # the restricted blocks follow the caller's order, not the sorted one
+    assert expected.restricted_blocks == tuple(
+        tuple(p for p in ag23.blocks[i] if p in expected.core_points) for i in members
+    )
 
 
 def test_subdesign_plane_clique(main66):

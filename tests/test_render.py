@@ -1,4 +1,4 @@
-"""The structured renderer against its reference.
+"""The structured and text renderers against their references.
 
 ``render_structured`` writes each clique record from a frame shared by every
 record of the same shape, without encoding the document as a whole.  These
@@ -7,7 +7,8 @@ indent=2) + "\\n"`` on every kind of report: the paper designs with group
 and automorphism sections, geometric designs up to AG(2,5)'s 15,625
 records, degenerate designs, labels that need escaping, random blocklists
 with every clique of every size, and records whose shapes differ in one
-field at a time.
+field at a time.  ``render_text`` builds each non-canonical line's tail once
+per shape; ``reference_text`` below writes every line field by field.
 """
 
 import json
@@ -35,22 +36,82 @@ from blockgraph.report import (
     builtin_generators,
     lift_to_design_automorphism,
     render_structured,
+    render_text,
     report_document,
 )
 
 from conftest import point_line_blocklist, random_blocklists
 
 
-def assert_renders_like_reference(report):
-    expected = json.dumps(report_document(report), sort_keys=True, indent=2) + "\n"
-    actual = render_structured(report)
+def assert_same_text(renderer, report, expected):
+    actual = renderer(report)
     if actual != expected:
         # point at the first difference; a full diff of megabytes takes minutes
         at = len(os.path.commonprefix([actual, expected]))
         pytest.fail(
-            f"render_structured differs from the reference at offset {at}: "
+            f"{renderer.__name__} differs from the reference at offset {at}: "
             f"{actual[max(at - 80, 0):at + 80]!r} != {expected[max(at - 80, 0):at + 80]!r}"
         )
+
+
+def assert_renders_like_reference(report):
+    expected = json.dumps(report_document(report), sort_keys=True, indent=2) + "\n"
+    assert_same_text(render_structured, report, expected)
+
+
+def reference_text(report):
+    """The text report written field by field, every record on its own."""
+    census, validation = report.census, report.validation
+    design = census.design
+    p = validation.params
+    r = None if p is None else int(p.r) if p.r_integral else str(p.r)
+    lines = [
+        f"{design.name or 'design'}: 2-({design.n},{design.m},{design.lam}) with "
+        f"{design.b} blocks, replication {'undefined' if r is None else r}, "
+        f"{'valid' if validation.valid else 'INVALID'}"
+    ]
+    if not validation.valid:
+        for v in validation.violations[:10]:
+            lines.append(f"  violation: {v.kind} {v.subject} count={v.count} expected={v.expected}")
+        if validation.violation_count > 10:
+            lines.append(f"  ... {validation.violation_count - 10} more")
+    s = census.srg
+    if s is None:
+        lines.append(f"block graph: degenerate ({census.degenerate})")
+    elif s.s_eig is None:
+        lines.append(f"block graph: srg{s.as_tuple()} with irrational eigenvalues")
+    else:
+        lines.append(f"block graph: srg{s.as_tuple()} with eigenvalues {s.r_eig} and {s.s_eig}")
+        lines.append(f"delsarte bound: {census.delsarte}")
+    lines.append(f"clique number: {census.clique_number}")
+    canonical = sum(rec.classification.kind == "canonical" for rec in census.records)
+    lines.append(
+        f"maximum cliques: {len(census.records)} = {canonical} canonical + "
+        f"{len(census.records) - canonical} non-canonical"
+    )
+    for rec in census.records:
+        if rec.classification.kind == "canonical":
+            continue
+        core = rec.restricted_params
+        lines.append(
+            f"  non-canonical {list(rec.members)}: support {rec.support_size}, "
+            f"core {rec.core_size}{'' if core is None else f' forming 2-({core.n},{core.m},1)'}, "
+            f"subdesign {'yes' if rec.subdesign.is_design else 'no'}"
+        )
+    if (g := report.group) is not None:
+        lines += [
+            f"group ({g.source}): order {g.order}, {'abelian' if g.abelian else 'nonabelian'}",
+            f"  point orbit lengths: {list(g.point_orbit_lengths)}",
+            f"  block orbit lengths: {list(g.block_orbit_lengths)}",
+            f"  canonical clique orbit lengths: {list(g.canonical_clique_orbit_lengths)}",
+            f"  non-canonical clique orbit lengths: {list(g.noncanonical_clique_orbit_lengths)}",
+        ]
+    if (a := report.automorphisms) is not None:
+        lines.append(
+            f"graph automorphism group: order {a.order} ({a.generator_count} generators), "
+            f"equals induced design group: {'yes' if a.equals_design_group else 'NO'}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def plain_report(census):
@@ -216,3 +277,37 @@ def test_ag25_renders_one_frame_per_shape(monkeypatch):
     report = build_report(parse_design(point_line_blocklist("affine", 2, 5)))
     render_structured(report)
     assert len(calls) == 6  # the canonical shape and five non-canonical ones
+
+
+def test_text_renders_like_reference(odd_design):
+    main66 = builtin_design("main66")
+    reports = [
+        build_report(main66, builtin_generators(main66, "main66"), "design generators",
+                     include_aut=True),
+        build_report(parse_design(point_line_blocklist("affine", 2, 5), name="AG(2,5)")),
+        build_report(odd_design, include_aut=True),
+    ]
+    assert [r.census.noncanonical_count for r in reports] == [14, 15600, 72]
+    for report in reports:
+        assert_same_text(render_text, report, reference_text(report))
+
+
+def test_text_tails_follow_every_shape_field(odd_design):
+    """One-field variants and equal values in distinct objects: each tail
+    is keyed by what it shows, never shared across differing records."""
+    census = census_report(odd_design)
+    base = next(rec for rec in census.records if not rec.classification.canonical)
+    sub = base.subdesign
+    variants = [
+        base._replace(support_size=base.support_size + 1),
+        base._replace(core_size=base.core_size + 1),
+        base._replace(restricted_params=admissibility(13, 4)),
+        base._replace(subdesign=sub._replace(is_design=not sub.is_design)),
+        base._replace(subdesign=SubdesignVerdict(*sub)),
+        base._replace(members=()),
+    ]
+    records = [base]
+    for variant in variants:
+        records += [variant, base]
+    report = plain_report(census._replace(records=tuple(records)))
+    assert_same_text(render_text, report, reference_text(report))
