@@ -366,7 +366,10 @@ def census_report(design: Design) -> CliqueCensus:
         bound = delsarte_bound(srg)
     except DegenerateGraphError as exc:
         degenerate = str(exc)
-    omega = clique_number(graph, upper_bound=bound)
-    cliques = enumerate_maximum_cliques(graph, size=omega) if omega else []
+    # one search where the Delsarte bound is attained, as by a 2-design's pencils
+    cliques = enumerate_maximum_cliques(graph, size=bound) if bound else []
+    omega = bound if cliques else clique_number(graph, upper_bound=bound)
+    if omega and not cliques:
+        cliques = enumerate_maximum_cliques(graph, size=omega)
     records = tuple([clique_record(design, members) for members in cliques])
     return CliqueCensus(design, graph, srg, degenerate, bound, omega, records)

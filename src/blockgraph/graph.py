@@ -2,12 +2,14 @@
 
 Adjacency rows are python ints used as bit vectors, so common-neighbour
 counts (and the clique search built on top) reduce to word-parallel ``&``
-plus popcount.  The SRG check tests A^2 = kI + lambda A + mu (J - I - A)
-(Brouwer & Van Maldeghem 2022, 1.1) a row at a time on rows packed into byte
-fields, one strip of columns at a time: a sum of pencil sums where the point
-pencils through a block partition its neighbours, else a C-level ``sum`` of
-its neighbours' rows; a mismatch is rescanned pair by pair to name the first
-witness.
+plus popcount.  The SRG check proves A^2 = kI + lambda A + mu (J - I - A)
+(Brouwer & Van Maldeghem 2022, 1.1) entry by entry.  For a 2-(n,m,1) design
+A = N^T N - mI and N N^T = alpha I + beta J, checked in point coordinates at
+n^2/2 popcounts, fix A^2.  Otherwise (a raw graph, a net, a broken row) it
+tests A^2 a row at a time on rows packed into byte fields, one strip of
+columns at a time: a sum of pencil sums where the point pencils through a
+block partition its neighbours, else a C-level ``sum`` of its neighbours'
+rows; a mismatch is rescanned pair by pair to name the first witness.
 All spectral quantities are exact: SRG eigenvalues are integers, or left
 unset where they are irrational (conference graphs), so no numerical solver
 is involved.
@@ -144,6 +146,30 @@ def _strip_matches(rows: tuple[int, ...], pencils: tuple[int, ...], routes: list
     return True
 
 
+def _certificate(pencils: tuple[int, ...], routes: list, v: int) -> tuple[int, int, int] | None:
+    """(k, lambda, mu) proved in point coordinates, or None where it does not apply.
+
+    With every row on the pencil route, A = N^T N - D exactly, N the pencil by
+    vertex incidence matrix and D the pencils through each vertex.  Where
+    D = mI and the pencils, masked to the vertices, meet pairwise in beta and
+    hold alpha + beta vertices each, N N^T = alpha I + beta J and N^T J N =
+    m^2 J give A^2 = (alpha - 2m) A + (alpha m - m^2) I + beta m^2 J.  It
+    needs two pencils, which a graph that is not complete has here: with
+    m >= 1 every vertex is on a pencil, and one pencil through them all
+    would make the graph complete.
+    """
+    m = len(routes[0] or ())
+    if not m or any(route is None or len(route) != m for route in routes):
+        return None
+    masked = [pencil & ((1 << v) - 1) for pencil in pencils]
+    size, beta = masked[0].bit_count(), (masked[0] & masked[1]).bit_count()
+    for p, x in enumerate(masked):
+        if x.bit_count() != size or {*map(int.bit_count, map(x.__and__, masked[p + 1:]))} - {beta}:
+            return None
+    alpha, mu = size - beta, beta * m * m
+    return alpha * m - m * m + mu, alpha - 2 * m + mu, mu
+
+
 def _pair_counts(rows: tuple[int, ...]):
     """(i, j, adjacent, common neighbours) of every pair i < j, row-major."""
     for i, ri in enumerate(rows):
@@ -155,14 +181,20 @@ def verify_srg(graph: BlockGraph) -> SrgParams:
     """Exhaustively verify strong regularity and return its parameters.
 
     Checks constant degree k; lambda and mu come from the first adjacent and
-    non-adjacent pair in row-major order.  Row i of A^2 is the sum of its
-    neighbours' rows packed into w = ceil(bit_length(k) / 8) bytes per vertex
-    (no entry exceeds k, so no field carries), taken over column strips of
-    ``_STRIP_BYTES`` and only rows before the strip's end (A^2 is symmetric).
-    Where the d_i pencils through i, each less i, partition i's neighbours
-    (checked exactly, row by row), that sum is sum_{p through i} S_p - d_i P_i,
-    with P_i row i packed and S_p the sum of pencil p's packed rows, once a strip.
-    The row sums of that identity give k^2 = k + lambda k + mu (v - k - 1), so
+    non-adjacent pair in row-major order.  Where ``_certificate`` proves A^2
+    from the pencils (every row on the pencil route, every vertex on m
+    pencils, N N^T = alpha I + beta J checked pair by pair) and its (k,
+    lambda, mu) are the measured ones, that is the whole check; A, I and J
+    are independent since complete and empty graphs are rejected first.
+    Otherwise (no pencils, a declined certificate or a mismatch) row i of
+    A^2 is the sum of its neighbours' rows packed into w = ceil(bit_length(k)
+    / 8) bytes per vertex (no entry exceeds k, so no field carries), taken
+    over column strips of ``_STRIP_BYTES`` and only rows before the strip's
+    end (A^2 is symmetric).  Where the d_i pencils through i, each less i,
+    partition i's neighbours (checked exactly, row by row), that sum is
+    sum_{p through i} S_p - d_i P_i, with P_i row i packed and S_p the sum of
+    pencil p's packed rows, once a strip.
+    The row sums of the identity give k^2 = k + lambda k + mu (v - k - 1), so
     no separate feasibility check is needed; the eigenvalues are None where
     irrational.  Raises DegenerateGraphError for complete/empty/too-small
     graphs and SrgVerificationError (with the first failing pair, rescanned)
@@ -188,9 +220,10 @@ def verify_srg(graph: BlockGraph) -> SrgParams:
     w = (k.bit_length() + 7) // 8
     step = max(1, _STRIP_BYTES // (v * w))
     routes = _pencil_routes(rows, graph.pencils)
-    if not all(_strip_matches(rows, graph.pencils, routes, start, min(step, v - start),
-                              w, k, lam, mu)
-               for start in range(0, v, step)):
+    if _certificate(graph.pencils, routes, v) != (k, lam, mu) and not all(
+        _strip_matches(rows, graph.pencils, routes, start, min(step, v - start), w, k, lam, mu)
+        for start in range(0, v, step)
+    ):
         for i, j, adjacent, c in _pair_counts(rows):
             expected = lam if adjacent else mu
             if c != expected:

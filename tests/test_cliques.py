@@ -214,7 +214,7 @@ def test_search_nodes_main66(monkeypatch, main66_graph):
 )
 def test_search_nodes_geometric(monkeypatch, family, d, p, pin):
     # (nodes of the enumeration at omega, nodes of clique_number with the
-    # Delsarte bound) on the census's own calls: the same tree on every design
+    # Delsarte bound): the same tree on every design
     graph = build_block_graph(parse_design(point_line_blocklist(family, d, p)))
     bound = delsarte_bound(verify_srg(graph))
     nodes = count_search_nodes(monkeypatch)
@@ -222,6 +222,40 @@ def test_search_nodes_geometric(monkeypatch, family, d, p, pin):
     assert omega == bound
     enumerate_maximum_cliques(graph, size=omega)
     assert (nodes[1], nodes[0]) == pin
+
+
+@pytest.mark.parametrize(
+    "family, d, p, pin", [("projective", 3, 5, 2801), ("projective", 4, 3, 901), ("affine", 4, 3, 190)]
+)
+def test_census_searches_once_when_the_bound_is_attained(monkeypatch, family, d, p, pin):
+    # the point pencils attain the Delsarte bound, so the enumeration at the
+    # bound is the census's only search and finds omega
+    design = parse_design(point_line_blocklist(family, d, p))
+    nodes = count_search_nodes(monkeypatch)
+    census = census_report(design)
+    assert census.clique_number == census.delsarte
+    assert census.canonical_count == design.n
+    assert nodes == [pin]
+
+
+def test_census_searches_again_below_the_bound(monkeypatch):
+    # the Shrikhande graph srg(16,6,2,2) as the block graph of its vertices'
+    # edge sets: Delsarte bound 1 + 6/2 = 4, but its largest cliques are its
+    # 32 triangles, so the empty search at the bound is followed by the
+    # clique number and the enumeration at omega = 3
+    steps = {(1, 0), (0, 1), (1, 1), (3, 0), (0, 3), (3, 3)}  # in Z4 x Z4
+    edges = [(x, y) for x, y in combinations(range(16), 2)
+             if ((y // 4 - x // 4) % 4, (y % 4 - x % 4) % 4) in steps]
+    labels = [f"{x}-{y}" for x, y in edges]
+    blocks = [[f"{x}-{y}" for x, y in edges if z in (x, y)] for z in range(16)]
+    nodes = count_search_nodes(monkeypatch)
+    census = census_report(make_design(labels, blocks))
+    assert census.srg.as_tuple() == (16, 6, 2, 2)
+    assert (census.delsarte, census.clique_number, census.total) == (4, 3, 32)
+    assert census == census._replace(records=tuple(
+        cliques.clique_record(census.design, members)
+        for members in powerset_maximum_cliques(census.graph)))
+    assert len(nodes) == 3
 
 
 def test_census_pg33_planes_and_points():

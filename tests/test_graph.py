@@ -265,6 +265,19 @@ def pencil_rows(graph):
             if route is not None}
 
 
+def count_strip_checks(monkeypatch):
+    """A list that gets one entry per later ``_strip_matches`` call."""
+    calls = []
+    strip_matches = graph_module._strip_matches
+
+    def counting(*args):
+        calls.append(args[3])  # the strip's first column
+        return strip_matches(*args)
+
+    monkeypatch.setattr(graph_module, "_strip_matches", counting)
+    return calls
+
+
 def switched(graph, a, c):
     """Swap edges a~b, c~d for a~d, c~b, with b and d as late as possible;
     every degree stays the same, so only the pair counts can go wrong."""
@@ -300,9 +313,10 @@ def test_verify_srg_matches_reference_on_pg35(pg35_graph):
 
 
 @pytest.mark.parametrize("graph_name", ["main66_graph", "pg35_graph"])
-def test_verify_srg_matches_reference_after_flips(request, graph_name):
+def test_verify_srg_matches_reference_after_flips(monkeypatch, request, graph_name):
     graph = request.getfixturevalue(graph_name)
     v = graph.v
+    strips = count_strip_checks(monkeypatch)
     # one flip, then two in different column strips; and degree-preserving
     # switches, which only the row check (and the rescan) can catch
     for broken in (
@@ -312,8 +326,13 @@ def test_verify_srg_matches_reference_after_flips(request, graph_name):
         switched(graph, 5, v - 1),
         switched(graph, v - 2, v - 1),
     ):
+        strips.clear()
         exc_type, _ = assert_matches_reference(broken)
         assert exc_type is SrgVerificationError
+        # a switch keeps the degrees, and its broken rows leave the
+        # certificate to the strips; a flip is irregular, rejected before
+        regular = len({broken.degree(i) for i in range(v)}) == 1
+        assert bool(strips) == regular
         # exactly the rows a flip touched fall back to the neighbour sum
         changed = {i for i in range(v) if broken.rows[i] != graph.rows[i]}
         assert pencil_rows(broken) == set(range(v)) - changed
@@ -359,9 +378,17 @@ def test_verify_srg_field_width_edge(s):
 def test_verify_srg_matches_reference_in_narrow_strips(monkeypatch, main66_graph, strip_bytes):
     # 1, 8 and 50 columns a strip instead of one strip for all 143
     monkeypatch.setattr(graph_module, "_STRIP_BYTES", strip_bytes)
-    assert assert_matches_reference(main66_graph).as_tuple() == (143, 72, 36, 36)
+    strips = count_strip_checks(monkeypatch)
+    assert verify_srg(main66_graph).as_tuple() == (143, 72, 36, 36)
+    assert strips == []  # certified in point coordinates
+    # the raw graph has no pencils: every strip runs, 143 columns in all
+    raw = BlockGraph(main66_graph.v, main66_graph.rows)
+    assert assert_matches_reference(raw).as_tuple() == (143, 72, 36, 36)
+    assert strips == list(range(0, 143, strip_bytes // 143))
     for a, c in ((0, 1), (0, 142), (70, 71), (141, 142)):
+        strips.clear()
         assert assert_matches_reference(switched(main66_graph, a, c))[0] is SrgVerificationError
+        assert strips
 
 
 def test_strip_matches_a_squared_on_every_5_vertex_graph():
@@ -472,6 +499,86 @@ def test_pencils_that_do_not_partition_change_nothing():
             for _ in range(100)
         ]:
             assert verify_srg(graph._replace(pencils=pencils)).as_tuple() == params
+    # pencils on which every row takes the pencil route, so only N N^T
+    # decides whether the certificate applies: T(5) (the lines of K5 through
+    # its points, srg(10,6,3,4)) is certified; a pencil through no vertex
+    # with a bit past the last, pencils of two sizes (the rows and columns
+    # of the 3x4 rook's graph, not srg; 2K3 with one triangle as a line and
+    # three single points) or two overlaps (the 3x3 rook's rows and
+    # columns) leave it to the strips
+    pairs = list(combinations(range(5), 2))
+    t5 = from_edges(10, [(a, b) for b in range(10) for a in range(b) if set(pairs[a]) & set(pairs[b])])
+    t5_pencils = tuple(sum(1 << i for i, e in enumerate(pairs) if x in e) for x in range(5))
+    rook34 = from_edges(12, [(a, b) for b in range(12) for a in range(b)
+                             if a // 4 == b // 4 or a % 4 == b % 4])
+    two_triangles = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    for graph, pencils, certified in [
+        (t5, t5_pencils, True),
+        (t5, t5_pencils + (1 << 10,), False),
+        (rook, (0b111, 0b111 << 3, 0b111 << 6, 0b1001001, 0b10010010, 0b100100100), False),
+        (rook34, tuple(0b1111 << 4 * r for r in range(3)) + tuple(0x111 << c for c in range(4)),
+         False),
+        (two_triangles, (0b111, 1, 2, 4, 0b11000, 0b110000, 0b101000), False),
+    ]:
+        graph = graph._replace(pencils=pencils)
+        routes = _pencil_routes(graph.rows, pencils)
+        assert None not in routes
+        assert (graph_module._certificate(pencils, routes, graph.v) is not None) == certified
+        assert_matches_reference(graph)
+
+
+CERTIFIED = ["main66", "appendixA66", "appendixB66", "ag23",
+             ("projective", 3, 2), ("affine", 3, 3), ("projective", 3, 3), ("projective", 3, 5)]
+
+
+@pytest.mark.parametrize("source", CERTIFIED, ids=str)
+def test_designs_are_certified_without_strips(monkeypatch, source):
+    # every row takes the pencil route, each block lies on m pencils and the
+    # pencils of a 2-design meet pairwise in one block: N N^T = (r-1) I + J
+    def no_strips(*args):
+        raise AssertionError("strip check reached")
+
+    monkeypatch.setattr(graph_module, "_strip_matches", no_strips)
+    design = (builtin_design(source) if isinstance(source, str)
+              else parse_design(point_line_blocklist(*source)))
+    assert verify_srg(build_block_graph(design)) == srg_from_design_params(design.n, design.m)
+
+
+def test_net_falls_back_to_the_strips(monkeypatch):
+    # AG(2,3) less one parallel class: a partial linear space, not a 2-design.
+    # Every row takes the pencil route, but two points meet in a line or in
+    # none, so N N^T is not alpha I + beta J and the strips decide: the block
+    # graph is K_{3,3,3} = srg(9,6,3,6)
+    net = parse_design("0 1 2\n3 4 5\n6 7 8\n0 3 6\n1 4 7\n2 5 8\n0 4 8\n1 5 6\n2 3 7\n")
+    graph = build_block_graph(net)
+    assert pencil_rows(graph) == set(range(9))
+    assert graph_module._certificate(graph.pencils, _pencil_routes(graph.rows, graph.pencils),
+                                     graph.v) is None
+    strips = count_strip_checks(monkeypatch)
+    assert assert_matches_reference(graph).as_tuple() == (9, 6, 3, 6)
+    assert strips
+
+
+def test_certificate_needs_every_condition():
+    # with (alpha, beta, m) = (2, 1, 2), T(4) = K_{2,2,2} from the lines of
+    # K4 through its points is srg(6,4,2,4); each other case breaks one
+    # condition, the first three with every row on the pencil route
+    pairs = list(combinations(range(4), 2))
+    t4 = tuple(sum(1 << i for i, e in enumerate(pairs) if x in e) for x in range(4))
+    for v, pencils, expected in [
+        (6, t4, (4, 2, 4)),
+        (3, (0b011, 0b110), None),  # the path 0-1-2: vertex 1 on two pencils, 0 on one
+        (3, (0b001, 0b110), None),  # K1 + K2: disjoint pencils of sizes 1 and 2
+        (6, (0b111, 0b111000, 0b111 << 6), None),  # 2K3 and three bits past the last vertex
+        (6, t4[:3] + (t4[3] | 1 << 6,), None),  # off the route: a stray bit on a pencil
+    ]:
+        rows = [0] * v
+        for pencil in pencils:
+            for i in range(v):
+                if pencil >> i & 1:
+                    rows[i] |= pencil & ~(1 << i) & ((1 << v) - 1)
+        routes = _pencil_routes(tuple(rows), pencils)
+        assert graph_module._certificate(pencils, routes, v) == expected
 
 
 def test_raw_graph_has_no_pencils(main66_graph):
