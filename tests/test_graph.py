@@ -17,7 +17,7 @@ from blockgraph import (
 )
 
 from blockgraph import graph as graph_module
-from blockgraph.graph import _pencil_routes, _strip_matches
+from blockgraph.graph import _certificate
 
 from itertools import combinations
 from math import isqrt
@@ -236,7 +236,7 @@ def outcome(check, graph):
 def assert_matches_reference(graph):
     got = outcome(verify_srg, graph)
     assert got == outcome(reference_verify_srg, graph)
-    if graph.pencils:  # and with every row summed neighbour by neighbour
+    if graph.pencils:  # and raw, where only the pair pass can accept it
         assert outcome(verify_srg, BlockGraph(graph.v, graph.rows)) == got
     return got
 
@@ -251,7 +251,7 @@ def from_edges(v, edges):
 
 def flipped(graph, *pairs):
     """The graph with the given pairs' adjacency flipped; its pencils stay,
-    so the broken rows are summed neighbour by neighbour."""
+    but no longer partition the broken rows."""
     rows = list(graph.rows)
     for i, j in pairs:
         rows[i] ^= 1 << j
@@ -260,22 +260,35 @@ def flipped(graph, *pairs):
 
 
 def pencil_rows(graph):
-    """The vertices whose row of A^2 verify_srg sums from pencils."""
-    return {i for i, route in enumerate(_pencil_routes(graph.rows, graph.pencils))
-            if route is not None}
+    """The vertices i whose pencils, each less i, partition row i: their
+    union less i is the row and their sizes less one add up to its degree."""
+    rows, pencils = graph.rows, graph.pencils
+    exact = set()
+    for i, row in enumerate(rows):
+        ps = [p for p in pencils if p >> i & 1]
+        union = 0
+        for p in ps:
+            union |= p
+        if union & ~(1 << i) == row and sum(p.bit_count() - 1 for p in ps) == row.bit_count():
+            exact.add(i)
+    return exact
 
 
-def count_strip_checks(monkeypatch):
-    """A list that gets one entry per later ``_strip_matches`` call."""
+def pair_count_calls(monkeypatch, graph):
+    """How many times verify_srg on the graph calls ``_pair_counts``: none
+    where it stops at the degree check, two to read lambda and mu, and a
+    third only for the full pair-by-pair pass."""
     calls = []
-    strip_matches = graph_module._strip_matches
+    pair_counts = graph_module._pair_counts
 
-    def counting(*args):
-        calls.append(args[3])  # the strip's first column
-        return strip_matches(*args)
+    def counting(rows):
+        calls.append(rows)
+        return pair_counts(rows)
 
-    monkeypatch.setattr(graph_module, "_strip_matches", counting)
-    return calls
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_module, "_pair_counts", counting)
+        outcome(verify_srg, graph)
+    return len(calls)
 
 
 def switched(graph, a, c):
@@ -316,9 +329,8 @@ def test_verify_srg_matches_reference_on_pg35(pg35_graph):
 def test_verify_srg_matches_reference_after_flips(monkeypatch, request, graph_name):
     graph = request.getfixturevalue(graph_name)
     v = graph.v
-    strips = count_strip_checks(monkeypatch)
-    # one flip, then two in different column strips; and degree-preserving
-    # switches, which only the row check (and the rescan) can catch
+    # one flip, then two; and degree-preserving switches, which only the
+    # pair pass can catch
     for broken in (
         flipped(graph, (0, v - 1)),
         flipped(graph, (0, v - 1), (5, 10)),
@@ -326,16 +338,14 @@ def test_verify_srg_matches_reference_after_flips(monkeypatch, request, graph_na
         switched(graph, 5, v - 1),
         switched(graph, v - 2, v - 1),
     ):
-        strips.clear()
         exc_type, _ = assert_matches_reference(broken)
         assert exc_type is SrgVerificationError
-        # a switch keeps the degrees, and its broken rows leave the
-        # certificate to the strips; a flip is irregular, rejected before
+        # the certificate declines the broken rows; a switch keeps the
+        # degrees and leaves the graph to the pair pass, a flip is
+        # irregular and rejected before
+        assert _certificate(broken.rows, broken.pencils) is None
         regular = len({broken.degree(i) for i in range(v)}) == 1
-        assert bool(strips) == regular
-        # exactly the rows a flip touched fall back to the neighbour sum
-        changed = {i for i in range(v) if broken.rows[i] != graph.rows[i]}
-        assert pencil_rows(broken) == set(range(v)) - changed
+        assert pair_count_calls(monkeypatch, broken) == (3 if regular else 0)
 
 
 def test_verify_srg_matches_reference_on_small_graphs():
@@ -362,70 +372,45 @@ def test_verify_srg_conference_graphs_have_irrational_eigenvalues():
 
 @pytest.mark.parametrize("s", [255, 256])
 def test_verify_srg_field_width_edge(s):
-    # k = 255 is the largest degree with 1-byte fields, k = 256 needs 2 bytes:
-    # a diagonal entry of A^2 is k, so a too-narrow field would carry
+    # K_{s,s} = srg(2s, s, 0, s) and two broken variants
     kss = from_edges(2 * s, [(i, s + j) for i in range(s) for j in range(s)])
-    srg = verify_srg(kss)
-    assert srg.as_tuple() == (2 * s, s, 0, s)
-    assert (srg.r_eig, srg.s_eig) == (0, -s)
+    assert assert_matches_reference(kss) == SrgParams(2 * s, s, 0, s, 0, -s)
     assert assert_matches_reference(flipped(kss, (0, 2 * s - 1)))[0] is SrgVerificationError
     # remove 0~s and 1~s+1, add 0~1 and s~s+1: still s-regular
     broken = flipped(kss, (0, s), (1, s + 1), (0, 1), (s, s + 1))
     assert assert_matches_reference(broken)[0] is SrgVerificationError
 
 
-@pytest.mark.parametrize("strip_bytes", [143, 143 * 8, 143 * 50])
-def test_verify_srg_matches_reference_in_narrow_strips(monkeypatch, main66_graph, strip_bytes):
-    # 1, 8 and 50 columns a strip instead of one strip for all 143
-    monkeypatch.setattr(graph_module, "_STRIP_BYTES", strip_bytes)
-    strips = count_strip_checks(monkeypatch)
-    assert verify_srg(main66_graph).as_tuple() == (143, 72, 36, 36)
-    assert strips == []  # certified in point coordinates
-    # the raw graph has no pencils: every strip runs, 143 columns in all
+def test_raw_and_switched_graphs_take_the_pair_pass(monkeypatch, main66_graph):
+    assert pair_count_calls(monkeypatch, main66_graph) == 2  # certified
+    # the raw graph has no pencils, and switched rows are not partitioned
     raw = BlockGraph(main66_graph.v, main66_graph.rows)
     assert assert_matches_reference(raw).as_tuple() == (143, 72, 36, 36)
-    assert strips == list(range(0, 143, strip_bytes // 143))
+    assert pair_count_calls(monkeypatch, raw) == 3
     for a, c in ((0, 1), (0, 142), (70, 71), (141, 142)):
-        strips.clear()
-        assert assert_matches_reference(switched(main66_graph, a, c))[0] is SrgVerificationError
-        assert strips
+        broken = switched(main66_graph, a, c)
+        assert assert_matches_reference(broken)[0] is SrgVerificationError
+        assert pair_count_calls(monkeypatch, broken) == 3
 
 
-def test_strip_matches_a_squared_on_every_5_vertex_graph():
-    # every graph on 5 vertices, every strip, against A^2 entry by entry;
-    # a strip covers the rows before its end, not just its own rows.  Each
-    # row is summed neighbour by neighbour (no pencils) and from pencils:
-    # the edges as 2-vertex pencils partition every neighbourhood
-    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    outcomes = set()
-    for mask in range(1 << len(pairs)):
-        edges = [p for bit, p in enumerate(pairs) if mask >> bit & 1]
-        g = from_edges(5, edges)
-        rows = g.rows
-        pencils = tuple(1 << i | 1 << j for i, j in edges)
-        routes = _pencil_routes(rows, pencils)
-        assert None not in routes
-        k = g.degree(0)
-        counts = [(rows[i] & rows[j]).bit_count() for i, j in pairs[:4]]
-        lam = next((c for (i, j), c in zip(pairs, counts) if g.adjacent(i, j)), 0)
-        mu = next((c for (i, j), c in zip(pairs, counts) if not g.adjacent(i, j)), 0)
-        for start in range(5):
-            for width in range(1, 6 - start):
-                expected = all(
-                    (rows[i] & rows[j]).bit_count()
-                    == (k if i == j else lam if g.adjacent(i, j) else mu)
-                    for i in range(start + width)
-                    for j in range(start, start + width)
-                )
-                for w in (1, 2):
-                    assert _strip_matches(
-                        rows, (), [None] * 5, start, width, w, k, lam, mu
-                    ) == expected
-                    assert _strip_matches(
-                        rows, pencils, routes, start, width, w, k, lam, mu
-                    ) == expected
-                outcomes.add(expected)
-    assert outcomes == {True, False}
+def test_every_small_graph_raw_and_with_edge_pencils(monkeypatch):
+    # every graph on 2 to 5 vertices, raw and with its edges as 2-vertex
+    # pencils, which partition every row: the certificate decides only
+    # where the graph is regular and the edges meet pairwise in one beta.
+    # It accepts a perfect matching (beta = 0) and declines C4 and C5
+    # (beta 0 or 1); a raw regular graph always takes the pair pass
+    calls = set()
+    for v in range(2, 6):
+        pairs = list(combinations(range(v), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [p for bit, p in enumerate(pairs) if mask >> bit & 1]
+            raw = from_edges(v, edges)
+            graph = raw._replace(pencils=tuple(1 << i | 1 << j for i, j in edges))
+            assert pencil_rows(graph) == set(range(v))
+            assert_matches_reference(graph)
+            assert pair_count_calls(monkeypatch, raw) in (0, 3)
+            calls.add(pair_count_calls(monkeypatch, graph))
+    assert calls == {0, 2, 3}
 
 
 LINEAR_BUILTINS = ["main66", "appendixA66", "appendixB66", "fano", "ag23", "pg23"]
@@ -435,19 +420,26 @@ LINEAR_BUILTINS = ["main66", "appendixA66", "appendixB66", "fano", "ag23", "pg23
 def test_every_row_of_a_linear_design_takes_the_pencil_route(name):
     # in a 2-(n,m,1) design two blocks share at most one point, so the
     # pencils through a block, less the block, partition its neighbours
-    graph = build_block_graph(builtin_design(name))
-    assert len(graph.pencils) == builtin_design(name).n
+    # pencils, and the certificate gives the closed form (for fano and pg23,
+    # whose graphs are complete, mu is m^2 but multiplies J - I - A = 0)
+    design = builtin_design(name)
+    graph = build_block_graph(design)
+    assert len(graph.pencils) == design.n
     assert pencil_rows(graph) == set(range(graph.v))
+    m, r = design.m, (design.n - 1) // (design.m - 1)
+    assert _certificate(graph.rows, graph.pencils) == (m * (r - 1), (m - 1) ** 2 + r - 2, m * m)
 
 
 @pytest.mark.parametrize("family, d, p", [("projective", 3, 2), ("affine", 3, 3)])
 def test_every_row_of_a_geometry_takes_the_pencil_route(family, d, p):
     graph = build_block_graph(parse_design(point_line_blocklist(family, d, p)))
     assert pencil_rows(graph) == set(range(graph.v))
+    assert _certificate(graph.rows, graph.pencils) == verify_srg(graph).as_tuple()[1:]
 
 
 def test_every_row_of_pg35_takes_the_pencil_route(pg35_graph):
     assert pencil_rows(pg35_graph) == set(range(pg35_graph.v))
+    assert _certificate(pg35_graph.rows, pg35_graph.pencils) == (180, 54, 36)
 
 
 def all_triples(n):
@@ -458,10 +450,11 @@ def all_triples(n):
 
 def test_verify_srg_on_triples_of_6_points():
     # two triples sharing two points lie on two common pencils, so the
-    # pencils double-cover edges and every row is summed neighbour by
-    # neighbour; the graph is K_20 less a perfect matching
+    # pencils double-cover edges, no row is partitioned and the pair pass
+    # decides; the graph is K_20 less a perfect matching
     graph = build_block_graph(all_triples(6))
     assert pencil_rows(graph) == set()
+    assert _certificate(graph.rows, graph.pencils) is None
     assert assert_matches_reference(graph).as_tuple() == (20, 18, 16, 18)
 
 
@@ -473,8 +466,9 @@ def test_verify_srg_on_triples_of_7_points():
 
 
 def test_pencils_that_do_not_partition_change_nothing():
-    # whatever the pencils are, a row takes the pencil route only where it
-    # is exact: the 3x3 rook's graph = srg(9,4,1,2), Petersen = srg(10,3,0,1)
+    # whatever the pencils are, the certificate applies only where they
+    # partition every row exactly: the 3x3 rook's graph = srg(9,4,1,2),
+    # Petersen = srg(10,3,0,1)
     rook = from_edges(9, [(a, b) for a in range(9) for b in range(a)
                           if a // 3 == b // 3 or a % 3 == b % 3])
     petersen = from_edges(
@@ -499,13 +493,13 @@ def test_pencils_that_do_not_partition_change_nothing():
             for _ in range(100)
         ]:
             assert verify_srg(graph._replace(pencils=pencils)).as_tuple() == params
-    # pencils on which every row takes the pencil route, so only N N^T
-    # decides whether the certificate applies: T(5) (the lines of K5 through
-    # its points, srg(10,6,3,4)) is certified; a pencil through no vertex
+    # pencils that partition every row, so only N N^T decides whether the
+    # certificate applies: T(5) (the lines of K5 through its points,
+    # srg(10,6,3,4)) is certified; a pencil through no vertex
     # with a bit past the last, pencils of two sizes (the rows and columns
     # of the 3x4 rook's graph, not srg; 2K3 with one triangle as a line and
     # three single points) or two overlaps (the 3x3 rook's rows and
-    # columns) leave it to the strips
+    # columns) leave it to the pair pass
     pairs = list(combinations(range(5), 2))
     t5 = from_edges(10, [(a, b) for b in range(10) for a in range(b) if set(pairs[a]) & set(pairs[b])])
     t5_pencils = tuple(sum(1 << i for i, e in enumerate(pairs) if x in e) for x in range(5))
@@ -521,9 +515,8 @@ def test_pencils_that_do_not_partition_change_nothing():
         (two_triangles, (0b111, 1, 2, 4, 0b11000, 0b110000, 0b101000), False),
     ]:
         graph = graph._replace(pencils=pencils)
-        routes = _pencil_routes(graph.rows, pencils)
-        assert None not in routes
-        assert (graph_module._certificate(pencils, routes, graph.v) is not None) == certified
+        assert pencil_rows(graph) == set(range(graph.v))
+        assert (_certificate(graph.rows, pencils) is not None) == certified
         assert_matches_reference(graph)
 
 
@@ -533,36 +526,33 @@ CERTIFIED = ["main66", "appendixA66", "appendixB66", "ag23",
 
 @pytest.mark.parametrize("source", CERTIFIED, ids=str)
 def test_designs_are_certified_without_strips(monkeypatch, source):
-    # every row takes the pencil route, each block lies on m pencils and the
-    # pencils of a 2-design meet pairwise in one block: N N^T = (r-1) I + J
-    def no_strips(*args):
-        raise AssertionError("strip check reached")
-
-    monkeypatch.setattr(graph_module, "_strip_matches", no_strips)
+    # the pencils partition every row, each block lies on m pencils and the
+    # pencils of a 2-design meet pairwise in one block: N N^T = (r-1) I + J,
+    # so the certificate is the whole check and the pair pass never runs
     design = (builtin_design(source) if isinstance(source, str)
               else parse_design(point_line_blocklist(*source)))
-    assert verify_srg(build_block_graph(design)) == srg_from_design_params(design.n, design.m)
+    graph = build_block_graph(design)
+    assert verify_srg(graph) == srg_from_design_params(design.n, design.m)
+    assert pair_count_calls(monkeypatch, graph) == 2
 
 
-def test_net_falls_back_to_the_strips(monkeypatch):
+def test_net_falls_back_to_the_pair_pass(monkeypatch):
     # AG(2,3) less one parallel class: a partial linear space, not a 2-design.
-    # Every row takes the pencil route, but two points meet in a line or in
-    # none, so N N^T is not alpha I + beta J and the strips decide: the block
-    # graph is K_{3,3,3} = srg(9,6,3,6)
+    # The pencils partition every row, but two points meet in a line or in
+    # none, so N N^T is not alpha I + beta J and the pair pass decides: the
+    # block graph is K_{3,3,3} = srg(9,6,3,6)
     net = parse_design("0 1 2\n3 4 5\n6 7 8\n0 3 6\n1 4 7\n2 5 8\n0 4 8\n1 5 6\n2 3 7\n")
     graph = build_block_graph(net)
     assert pencil_rows(graph) == set(range(9))
-    assert graph_module._certificate(graph.pencils, _pencil_routes(graph.rows, graph.pencils),
-                                     graph.v) is None
-    strips = count_strip_checks(monkeypatch)
+    assert _certificate(graph.rows, graph.pencils) is None
     assert assert_matches_reference(graph).as_tuple() == (9, 6, 3, 6)
-    assert strips
+    assert pair_count_calls(monkeypatch, graph) == 3
 
 
 def test_certificate_needs_every_condition():
     # with (alpha, beta, m) = (2, 1, 2), T(4) = K_{2,2,2} from the lines of
     # K4 through its points is srg(6,4,2,4); each other case breaks one
-    # condition, the first three with every row on the pencil route
+    # condition, the first three with pencils that partition every row
     pairs = list(combinations(range(4), 2))
     t4 = tuple(sum(1 << i for i, e in enumerate(pairs) if x in e) for x in range(4))
     for v, pencils, expected in [
@@ -570,21 +560,21 @@ def test_certificate_needs_every_condition():
         (3, (0b011, 0b110), None),  # the path 0-1-2: vertex 1 on two pencils, 0 on one
         (3, (0b001, 0b110), None),  # K1 + K2: disjoint pencils of sizes 1 and 2
         (6, (0b111, 0b111000, 0b111 << 6), None),  # 2K3 and three bits past the last vertex
-        (6, t4[:3] + (t4[3] | 1 << 6,), None),  # off the route: a stray bit on a pencil
+        (6, t4[:3] + (t4[3] | 1 << 6,), None),  # a stray bit: its pencil's rows not partitioned
     ]:
         rows = [0] * v
         for pencil in pencils:
             for i in range(v):
                 if pencil >> i & 1:
                     rows[i] |= pencil & ~(1 << i) & ((1 << v) - 1)
-        routes = _pencil_routes(tuple(rows), pencils)
-        assert graph_module._certificate(pencils, routes, v) == expected
+        assert _certificate(tuple(rows), pencils) == expected
 
 
 def test_raw_graph_has_no_pencils(main66_graph):
     raw = BlockGraph(main66_graph.v, main66_graph.rows)
     assert raw.pencils == ()
     assert pencil_rows(raw) == set()
+    assert _certificate(raw.rows, raw.pencils) is None
     assert verify_srg(raw) == verify_srg(main66_graph)
 
 
