@@ -393,6 +393,20 @@ def test_raw_and_switched_graphs_take_the_pair_pass(monkeypatch, main66_graph):
         assert pair_count_calls(monkeypatch, broken) == 3
 
 
+@pytest.mark.parametrize("strip_cells", [143, 143 * 8, 143 * 50])
+def test_verify_srg_matches_reference_in_narrow_strips(monkeypatch, main66_graph, strip_cells):
+    # a switch between the two end columns of a strip of A 1, 8 or 50
+    # columns wide (143, 1144 or 7150 entries), at the start, the middle
+    # and the end of main66's rows: the certificate declines it and the
+    # pair pass names the reference's first failing pair
+    width = strip_cells // main66_graph.v
+    for a in (0, (main66_graph.v - 1 - width) // 2, main66_graph.v - 1 - width):
+        broken = switched(main66_graph, a, a + width)
+        assert _certificate(broken.rows, broken.pencils) is None
+        assert assert_matches_reference(broken)[0] is SrgVerificationError
+        assert pair_count_calls(monkeypatch, broken) == 3
+
+
 def test_every_small_graph_raw_and_with_edge_pencils(monkeypatch):
     # every graph on 2 to 5 vertices, raw and with its edges as 2-vertex
     # pencils, which partition every row: the certificate decides only
