@@ -19,8 +19,6 @@ from .graph import (
     SrgVerificationError,
     build_block_graph,
     delsarte_bound,
-    serialize_graph,
-    srg_from_design_params,
     verify_srg,
 )
 from .cliques import (
@@ -28,7 +26,6 @@ from .cliques import (
     census_report,
     classify_clique,
     clique_number,
-    clique_support,
     core_restriction,
     enumerate_maximum_cliques,
     point_multiplicity_profile,

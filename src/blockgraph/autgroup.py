@@ -42,8 +42,8 @@ from collections import Counter, deque
 from itertools import chain
 from typing import NamedTuple
 
-from .cliques import _bits, enumerate_maximum_cliques
-from .graph import BlockGraph
+from .cliques import enumerate_maximum_cliques
+from .graph import BlockGraph, _bits
 # close_group is not called here, but perfbench/tracing.py wraps this name
 # and fails when one of its trace targets disappears
 from .perms import Permutation, close_group, is_graph_automorphism, orbit
@@ -207,7 +207,8 @@ def graph_automorphism_group(
 
     Returns the automorphisms the search kept (none for a trivial group),
     the first-path base and the exact order.  Raises SearchBudgetExceeded
-    if the tree grows past ``node_limit`` nodes.
+    before a refinement past the first ``node_limit``: the root and every
+    individualized vertex are one node each, matching trace or not.
     """
     v = graph.v
     if cliques is None:
@@ -229,7 +230,9 @@ def graph_automorphism_group(
         nodes += 1
 
     def individualize(cells: list[int], ci: int, vertex: int):
-        # the parent is equitable, so only the new singleton can split a cell
+        # every refinement is a node; the parent is equitable, so only the
+        # new singleton can split a cell
+        visit()
         split = cells[:ci] + [1 << vertex, cells[ci] & ~(1 << vertex)] + cells[ci + 1:]
         return _refine(colour_rows, split, [1 << vertex])
 
@@ -240,7 +243,6 @@ def graph_automorphism_group(
     base_traces: list[tuple] = []
     while (ci := _first_largest_cell(cells)) is not None:
         path.append((cells, ci))
-        visit()
         cells, trace = individualize(cells, ci, _lowest(cells[ci]))
         base_traces.append(trace)
     base_leaf = [_lowest(c) for c in cells]
@@ -248,7 +250,6 @@ def graph_automorphism_group(
 
     def automorphism_below(cells: list[int], depth: int) -> Permutation | None:
         """The first verified automorphism at a leaf below an off-path node."""
-        visit()
         ci = _first_largest_cell(cells)
         if ci is None:
             images = [0] * v

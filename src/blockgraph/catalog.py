@@ -42,6 +42,9 @@ GENERATOR_RESIDUE_SHIFT = "".join(
     "(" + " ".join(f"{v}_{t}" for v in range(13)) + ")" for t in ("0", "1", "2", "a", "b")
 )
 
+# Known automorphism generators (cycle notation) of the builtins that have any
+BUILTIN_GENERATORS = {"main66": (GENERATOR_FIBRE_ROTATION, GENERATOR_RESIDUE_SHIFT)}
+
 BUILTIN_NAMES = ("main66", "appendixA66", "appendixB66", "fano", "ag23", "pg23")
 
 # Representative non-canonical maximum cliques listed for the appendix
@@ -98,9 +101,3 @@ def builtin_design(name: str) -> Design:
         return develop_base_blocks([("0", "1", "3", "9")], 13, "pg23")
     raise ValueError(f"unknown builtin design {name!r}; know {BUILTIN_NAMES}")
 
-
-def builtin_generator_tokens(name: str) -> tuple[str, ...]:
-    """Known automorphism generators (cycle notation) for a builtin, if any."""
-    if name == "main66":
-        return (GENERATOR_FIBRE_ROTATION, GENERATOR_RESIDUE_SHIFT)
-    return ()

@@ -22,15 +22,14 @@ and subdesign verdict depend only on a few integers (k, |support|, |core|,
 the blocks' core size if uniform, whether a pair is covered twice, the
 blocks' pair counts and m), so they are built once per shape and shared.
 Pair coverage and the core's 2-design test are counting identities on those
-integers, exact for any blocklist.  ``clique_support`` lists a clique's
-support points as one OR of the member masks.
+integers, exact for any blocklist.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, compress, count
+from itertools import combinations
 from operator import or_
 from typing import NamedTuple
 
@@ -38,14 +37,13 @@ from .design import Design, DesignParameters, admissibility
 from .graph import (
     BlockGraph,
     DegenerateGraphError,
-    SrgParams,
+    _bits,
     build_block_graph,
     delsarte_bound,
     verify_srg,
 )
 
 _REV8 = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))  # each byte's bits reversed
-_DIGITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as compress selectors
 
 
 def _search(rows, best: int, stop_at: int | None = None, found: list | None = None):
@@ -100,9 +98,8 @@ def _search(rows, best: int, stop_at: int | None = None, found: list | None = No
             if found is None:
                 best = max(best, size + colour)
                 return None
-            if colour == need:  # members ascending: the digits of u from the top
-                digits = bin(candidates)[2:].encode().translate(_DIGITS)
-                found.append(tuple(sorted([*stack, *compress(count(n - len(digits)), digits)])))
+            if colour == need:
+                found.append(tuple(sorted([*stack, *map(top.__sub__, _bits(candidates))])))
                 return None
         return order, candidates, size
 
@@ -190,11 +187,6 @@ class CliqueRecord(NamedTuple):
     core_size: int
     restricted_params: DesignParameters | None
     subdesign: SubdesignVerdict
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """The set bits of a mask, ascending (its binary digits read backwards)."""
-    return tuple([p for p, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"])
 
 
 _NON_CANONICAL = Classification("non-canonical", None)
@@ -294,12 +286,6 @@ def clique_record(design: Design, members) -> CliqueRecord:
 def classify_clique(design: Design, members) -> Classification:
     """Canonical iff one point lies in every member block (unique for lam=1)."""
     return clique_record(design, members).classification
-
-
-def clique_support(design: Design, members) -> tuple[int, ...]:
-    """Union of the member blocks' points."""
-    members = sorted(members)
-    return _bits(reduce(or_, map(_block_masks(design, members).__getitem__, members), 0))
 
 
 def point_multiplicity_profile(design: Design, members) -> dict[int, int]:

@@ -343,9 +343,6 @@ class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]  # only the first LISTED_PAIR_VIOLATIONS pair failures
     violation_count: int  # every failure
 
-    def violations_of(self, kind: str) -> tuple[Violation, ...]:
-        return tuple(v for v in self.violations if v.kind == kind)
-
 
 def validate_2design(design: Design) -> ValidationReport:
     """Exhaustively check the 2-(n,m,1) axioms by direct counting.

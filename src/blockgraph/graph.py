@@ -15,11 +15,11 @@ is involved.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, count
 from math import isqrt
 from typing import NamedTuple
 
-from .design import Design, admissibility
+from .design import Design
 
 
 class DegenerateGraphError(Exception):
@@ -44,9 +44,6 @@ class BlockGraph(NamedTuple):
 
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
-
-    def edge_count(self) -> int:
-        return sum(self.degree(i) for i in range(self.v)) // 2
 
     def is_complete(self) -> bool:
         full = (1 << self.v) - 1
@@ -86,13 +83,13 @@ def _eigenvalues(k: int, lam: int, mu: int) -> tuple[int, int] | tuple[None, Non
     return (d + s) // 2, (d - s) // 2
 
 
-# format(mask, "b") digits to 0/1 bytes, so a mask flags its vertices
+# binary digits to 0/1 bytes, read as compress selectors
 _BINARY = bytes.maketrans(b"01", b"\0\1")
 
 
-def _flags(mask: int, v: int) -> bytes:
-    """One 0/1 byte per vertex below v: whether the mask holds it."""
-    return format(mask, f"0{v}b")[::-1].encode().translate(_BINARY)
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, ascending (its binary digits read backwards)."""
+    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BINARY)))
 
 
 def _certificate(rows: tuple[int, ...], pencils: tuple[int, ...]) -> tuple[int, int, int] | None:
@@ -109,9 +106,10 @@ def _certificate(rows: tuple[int, ...], pencils: tuple[int, ...]) -> tuple[int, 
     two pencils: one through every vertex would make the graph complete.
     """
     v = len(rows)
+    masked = [pencil & ((1 << v) - 1) for pencil in pencils]
     through: list[list[int]] = [[] for _ in range(v)]
-    for pencil in pencils:
-        for i in compress(range(v), _flags(pencil, v)):
+    for pencil, x in zip(pencils, masked):
+        for i in _bits(x):
             through[i].append(pencil)
     m = len(through[0])
     for i, (row, ps) in enumerate(zip(rows, through)):
@@ -121,7 +119,6 @@ def _certificate(rows: tuple[int, ...], pencils: tuple[int, ...]) -> tuple[int, 
         if (len(ps) != m or union & ~(1 << i) != row
                 or sum(map(int.bit_count, ps)) - len(ps) != row.bit_count()):
             return None
-    masked = [pencil & ((1 << v) - 1) for pencil in pencils]
     size, beta = masked[0].bit_count(), (masked[0] & masked[1]).bit_count()
     for p, x in enumerate(masked):
         if x.bit_count() != size or {*map(int.bit_count, map(x.__and__, masked[p + 1:]))} - {beta}:
@@ -180,22 +177,6 @@ def verify_srg(graph: BlockGraph) -> SrgParams:
     return SrgParams(v, k, lam, mu, *_eigenvalues(k, lam, mu))
 
 
-def srg_from_design_params(n: int, m: int) -> SrgParams:
-    """Closed-form SRG parameters of the block graph of a 2-(n,m,1) design."""
-    params = admissibility(n, m)
-    if not params.admissible:
-        raise ValueError(f"({n},{m}) is not admissible")
-    b = int(params.b)
-    if b <= n:
-        raise ValueError(f"2-({n},{m},1) is symmetric; its block graph is complete")
-    r = int(params.r)
-    v = b
-    k = m * (n - m) // (m - 1)
-    lam = (m - 1) ** 2 + r - 2
-    mu = m * m
-    return SrgParams(v, k, lam, mu, *_eigenvalues(k, lam, mu))
-
-
 def delsarte_bound(params: SrgParams) -> int | None:
     """Clique bound floor(1 - k/theta) from the smallest eigenvalue theta;
     None where theta is irrational."""
@@ -205,26 +186,3 @@ def delsarte_bound(params: SrgParams) -> int | None:
         raise ValueError("smallest eigenvalue must be negative")
     return 1 + params.k // (-params.s_eig)
 
-
-# ---------------------------------------------------------------------------
-# adjacency export
-
-def serialize_graph(graph: BlockGraph, format: str = "matrix") -> str:
-    """Canonical adjacency text: upper-triangular 0/1 rows or an edge list."""
-    if format == "matrix":
-        lines = []
-        for i in range(graph.v):
-            lines.append(
-                "".join("1" if graph.adjacent(i, j) else "0" for j in range(i + 1, graph.v))
-            )
-        return "\n".join(lines) + "\n" if lines else ""
-    if format == "edges":
-        out = []
-        for i in range(graph.v):
-            row = graph.rows[i] >> (i + 1) << (i + 1)
-            while row:
-                j = (row & -row).bit_length() - 1
-                row &= row - 1
-                out.append(f"{i} {j}\n")
-        return "".join(out)
-    raise ValueError(f"unknown graph format {format!r}")

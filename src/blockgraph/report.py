@@ -164,7 +164,7 @@ def build_report(
 def builtin_generators(design: Design, name: str) -> list[Permutation]:
     return [
         parse_cycles(text, design.labels)
-        for text in catalog.builtin_generator_tokens(name)
+        for text in catalog.BUILTIN_GENERATORS.get(name, ())
     ]
 
 

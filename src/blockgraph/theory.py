@@ -47,20 +47,12 @@ class ResidueSet(NamedTuple):
             raise ValueError("elements collide after reduction mod p")
         return ResidueSet(modulus, tuple(reduced))
 
-    def scale(self, c: int) -> "ResidueSet":
-        return ResidueSet.of(self.modulus, [c * e for e in self.elements])
-
 
 def squares_mod(p: int) -> ResidueSet:
     """Nonzero quadratic residues mod an odd prime p."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     return ResidueSet(p, tuple(sorted({i * i % p for i in range(1, p)})))
-
-
-def nonsquares_mod(p: int) -> ResidueSet:
-    sq = set(squares_mod(p).elements)
-    return ResidueSet(p, tuple(i for i in range(1, p) if i not in sq))
 
 
 def _overlap(s: ResidueSet):

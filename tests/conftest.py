@@ -1,10 +1,13 @@
 import random
 import re
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations, permutations, product
 
 import pytest
 
-from blockgraph import BlockGraph, builtin_design, census_report, make_design, parse_design
+from blockgraph import (
+    BlockGraph, SrgParams, builtin_design, census_report, make_design, parse_design,
+)
 from blockgraph.report import builtin_generators
 
 # ---------------------------------------------------------------------------
@@ -52,6 +55,18 @@ def induced_subgraph(graph, vertices):
         for a, i in enumerate(verts)
     )
     return BlockGraph(len(verts), rows)
+
+
+def srg_from_design_params(n, m):
+    """Closed-form SRG parameters of the block graph of a 2-(n,m,1) design:
+    srg(b, m(r-1), (m-1)^2 + r - 2, m^2) with eigenvalues r-1-m and -m."""
+    if m < 2 or n <= m or (n - 1) % (m - 1) or n * (n - 1) % (m * (m - 1)):
+        raise ValueError(f"({n},{m}) is not admissible")
+    r = (n - 1) // (m - 1)
+    b = n * r // m
+    if b <= n:
+        raise ValueError(f"2-({n},{m},1) is symmetric; its block graph is complete")
+    return SrgParams(b, m * (r - 1), (m - 1) ** 2 + r - 2, m * m, r - 1 - m, -m)
 
 
 def same_group(a, b):
@@ -110,6 +125,41 @@ def random_blocklists(seed=20261018, count=24):
         labels = [f"p{i}" for i in range(n)]
         triples = list(combinations(labels, 3))
         yield make_design(labels, rng.sample(triples, rng.randint(4, 10)), name=f"random{k}")
+
+
+def steiner_triple_system(v, seed=0):
+    """The blocks of a random STS(v), v = 1 or 3 mod 6, as sorted triples of
+    0..v-1, by Stinson's hill-climbing (Stinson 1985, Ann. Discrete Math.
+    26): pick a point x on an uncovered pair and two points y, z it has no
+    block with; add the block {x, y, z}, first removing the block on {y, z}
+    if there is one.  The result is checked: b = v(v-1)/6 blocks and every
+    pair in exactly one."""
+    if v % 6 not in (1, 3):
+        raise ValueError(f"no STS({v}): v must be 1 or 3 mod 6")
+    rng = random.Random(seed)
+    third = [{} for _ in range(v)]  # third[x][y] = z for the block {x, y, z}
+    b, size = v * (v - 1) // 6, 0
+    while size < b:
+        x = rng.choice([p for p in range(v) if len(third[p]) < v - 1])
+        y, z = rng.sample([p for p in range(v) if p != x and p not in third[x]], 2)
+        w = third[y].get(z)
+        if w is None:
+            size += 1
+        else:
+            for p, q in permutations((y, z, w), 2):
+                del third[p][q]
+        for p, q, r in permutations((x, y, z)):
+            third[p][q] = r
+    blocks = sorted({tuple(sorted((x, y, z))) for x in range(v) for y, z in third[x].items()})
+    pairs = Counter(pair for blk in blocks for pair in combinations(blk, 2))
+    assert len(blocks) == b and len(pairs) == v * (v - 1) // 2 and set(pairs.values()) == {1}
+    return blocks
+
+
+def steiner_design(v, seed=0):
+    return make_design([str(p) for p in range(v)],
+                       [[str(p) for p in blk] for blk in steiner_triple_system(v, seed)],
+                       name=f"STS({v})")
 
 
 # The 13 blocks of the non-canonical clique analysed in detail for main66

@@ -17,6 +17,7 @@ from blockgraph import (
     is_graph_automorphism,
     parse_design,
 )
+from blockgraph import autgroup
 from blockgraph.autgroup import (
     SearchBudgetExceeded,
     _count_classes,
@@ -25,10 +26,11 @@ from blockgraph.autgroup import (
     _sliced_sum,
     default_seed_invariants,
 )
-from blockgraph.cliques import _bits, enumerate_maximum_cliques
+from blockgraph.cliques import enumerate_maximum_cliques
+from blockgraph.graph import _bits
 from blockgraph.report import automorphism_section
 
-from conftest import point_line_blocklist, random_blocklists, same_group
+from conftest import point_line_blocklist, random_blocklists, same_group, steiner_design
 
 
 def complete_graph(n):
@@ -212,6 +214,21 @@ def test_budget_exceeded_reports_settled_stabilizer():
     assert seen == sorted(seen)
     assert seen[0] == 1 and 1 < seen[-1] < full.order
     assert len(set(seen)) == len(full.base)
+
+
+def test_budget_counts_every_refinement(monkeypatch):
+    # A random STS(45) refines to one cell of 330 vertices at the root and
+    # almost surely has a trivial group, so nothing prunes the tree: each
+    # refinement, whether its trace matches or not, must count as a node.
+    census = census_report(steiner_design(45, seed=1))
+    calls = []
+    monkeypatch.setattr(autgroup, "_refine", lambda *args: calls.append(args) or _refine(*args))
+    with pytest.raises(SearchBudgetExceeded) as info:
+        graph_automorphism_group(
+            census.graph, cliques=[r.members for r in census.records], node_limit=10
+        )
+    assert info.value.nodes == 10
+    assert len(calls) <= 10
 
 
 def test_default_seed_invariants_are_invariant(main66_census):

@@ -1,9 +1,11 @@
+import importlib
 import json
 import locale
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -851,3 +853,45 @@ def test_design_name_is_the_file_stem(tmp_path, capsys, filename, name):
     code, out, _ = run(capsys, "report", "--input", str(path))
     assert code == 0
     assert out.startswith(f"{name}: 2-(7,3,1) with 7 blocks")
+
+
+# ---------------------------------------------------------------------------
+# the public API and the names the benchmark's tracer wraps
+
+PUBLIC_NAMES = [
+    "AnalysisReport", "BUILTIN_NAMES", "BlockGraph", "CliqueCensus", "DegenerateGraphError",
+    "Design", "DesignParameters", "FamilyParams", "GraphGroup", "OrbitPartition", "PermGroup",
+    "Permutation", "ResidueSet", "SearchBudgetExceeded", "SrgParams", "SrgVerificationError",
+    "ValidationReport", "admissibility", "build_block_graph", "build_report", "builtin_design",
+    "census_report", "check_paper_claims", "classify_clique", "clique_number", "close_group",
+    "core_restriction", "delsarte_bound", "denniston_may_have_noncanonical", "develop_base_blocks",
+    "difference_multiset", "enumerate_maximum_cliques", "family_params", "gm_threshold",
+    "graph_automorphism_group", "induced_block_action", "induced_clique_action",
+    "is_design_automorphism", "is_graph_automorphism", "make_design", "only_canonical_guaranteed",
+    "orbit_clique_certificate", "orbit_partition", "parse_cycles", "parse_design",
+    "point_multiplicity_profile", "render_structured", "render_text", "serialize_design",
+    "squares_mod", "subdesign_test", "translate_intersection", "validate_2design", "verify_srg",
+]
+
+
+def test_public_names_are_pinned():
+    import blockgraph
+
+    names = sorted(
+        name for name, value in vars(blockgraph).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    )
+    assert names == PUBLIC_NAMES
+
+
+def test_every_trace_target_resolves():
+    # perfbench/tracing.py is executed from its source, not imported, so
+    # nothing is written under perfbench/
+    path = SRC.parent / "perfbench" / "tracing.py"
+    namespace = {"__name__": "tracing"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    missing = [
+        f"{module}.{attr}" for module, attr, _, _ in namespace["TARGETS"]
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []

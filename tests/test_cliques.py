@@ -11,7 +11,6 @@ from blockgraph import (
     census_report,
     classify_clique,
     clique_number,
-    clique_support,
     core_restriction,
     delsarte_bound,
     enumerate_maximum_cliques,
@@ -23,6 +22,7 @@ from blockgraph import (
 )
 from blockgraph import cliques
 from blockgraph.design import Design, make_design, parse_design
+from blockgraph.graph import _bits
 
 from conftest import (
     PLANE_CLIQUE_BLOCKS,
@@ -30,6 +30,7 @@ from conftest import (
     members_from_tokens,
     orbit_clique_members,
     point_line_blocklist,
+    steiner_design,
 )
 
 
@@ -266,6 +267,18 @@ def test_census_pg33_planes_and_points():
     assert (c.total, c.canonical_count, c.noncanonical_count) == (80, 40, 40)
 
 
+@pytest.mark.parametrize("v, seed", [(19, 1), (21, 2), (25, 3), (27, 4), (31, 5), (33, 6)])
+def test_census_random_steiner_triple_systems(v, seed):
+    # closed forms for any STS(v) with v > 15: pairwise-meeting triples with
+    # no common point number at most 7 (a Fano plane), fewer than r = (v-1)/2,
+    # so srg(b, 3(r-1), r+2, 9), omega = r and the v pencils are all there is
+    census = census_report(steiner_design(v, seed))
+    r, b = (v - 1) // 2, v * (v - 1) // 6
+    assert census.srg.as_tuple() == (b, 3 * (r - 1), r + 2, 9)
+    assert census.clique_number == r
+    assert (census.canonical_count, census.noncanonical_count) == (v, 0)
+
+
 # ---------------------------------------------------------------------------
 # classification and structure
 
@@ -328,7 +341,7 @@ def test_census_rejects_non_clique_like_clique_record(monkeypatch, main66, kind)
 
 
 @pytest.mark.parametrize("helper", [
-    clique_support, point_multiplicity_profile, core_restriction, cliques.clique_record
+    point_multiplicity_profile, core_restriction, cliques.clique_record
 ])
 def test_helpers_reject_block_index_out_of_range(main66, helper):
     # -1 would otherwise wrap round to the last block
@@ -339,16 +352,14 @@ def test_helpers_reject_block_index_out_of_range(main66, helper):
 
 def test_support_and_profile_need_no_pairwise_pass(monkeypatch, main66):
     orbit_clique = orbit_clique_members(main66)
-    support = clique_support(main66, orbit_clique)
     profile = point_multiplicity_profile(main66, orbit_clique)
 
     def clique_pass(*args):
         raise AssertionError("per-clique _scan pass")
 
     monkeypatch.setattr(cliques, "_scan", clique_pass)
-    assert clique_support(main66, orbit_clique) == support
     assert point_multiplicity_profile(main66, orbit_clique) == profile
-    assert len(support) == 26 and set(profile.values()) == {3}
+    assert len(profile) == 26 and set(profile.values()) == {3}
 
 
 def test_scan_flags_match_pairwise_and(monkeypatch):
@@ -360,11 +371,11 @@ def test_scan_flags_match_pairwise_and(monkeypatch):
     rng = random.Random(11)
     for _ in range(300):
         masks = [rng.getrandbits(12) | 1 << rng.randrange(12) for _ in range(rng.randrange(1, 7))]
-        design = Design(12, 3, 1, tuple(map(str, range(12))), tuple(map(cliques._bits, masks)))
+        design = Design(12, 3, 1, tuple(map(str, range(12))), tuple(map(_bits, masks)))
         members = list(range(len(masks)))
         apart = {j for i, j in permutations(members, 2) if not masks[i] & masks[j]}
         twice = any((x & y).bit_count() >= 2 for x, y in combinations(masks, 2))
-        assert set(cliques._bits(cliques._scan(design, members)[2])) == apart
+        assert set(_bits(cliques._scan(design, members)[2])) == apart
         assert shapes.pop()[4] == twice
 
 
@@ -423,10 +434,10 @@ def test_error_precedence_matches_reference(monkeypatch):
 
 def test_clique_support_sizes(main66):
     plane_clique = members_from_tokens(main66, PLANE_CLIQUE_BLOCKS)
-    assert len(clique_support(main66, plane_clique)) == 39
+    assert cliques.clique_record(main66, plane_clique).support_size == 39
     orbit_clique = orbit_clique_members(main66)
-    assert len(clique_support(main66, orbit_clique)) == 26
-    assert len(clique_support(main66, (5,))) == 6
+    assert cliques.clique_record(main66, orbit_clique).support_size == 26
+    assert cliques.clique_record(main66, (5,)).support_size == 6
 
 
 def test_point_multiplicities(main66):
@@ -506,7 +517,7 @@ def test_subdesign_pg23_whole_design():
     assert verdict.is_design
     # mutual consistency with the validator
     sub = make_design(
-        [pg.labels[p] for p in clique_support(pg, range(pg.b))],
+        [pg.labels[p] for p in point_multiplicity_profile(pg, range(pg.b))],
         [pg.block_tokens(i) for i in range(pg.b)],
     )
     assert validate_2design(sub).valid

@@ -19,7 +19,6 @@ from blockgraph import (
     builtin_design,
     census_report,
     classify_clique,
-    clique_support,
     core_restriction,
     enumerate_maximum_cliques,
     point_multiplicity_profile,
@@ -102,7 +101,7 @@ def assert_public_functions_match(design, members):
     core, restricted, params, _ = reference_core(design, members)
     verdict = reference_verdict(design, members)
     assert classify_clique(design, members) == reference_classification(design, members)
-    assert clique_support(design, members) == reference_support(design, members)
+    assert tuple(point_multiplicity_profile(design, members)) == reference_support(design, members)
     assert point_multiplicity_profile(design, members) == reference_profile(design, members)
     got = core_restriction(design, members)
     assert (got.core_points, got.restricted_blocks, got.restricted_params) == (
@@ -156,7 +155,8 @@ def test_census_records_match_references(design):
         assert rec.core_size == len(core)
         assert rec.restricted_params == params
         assert rec.subdesign == verdict
-        assert clique_support(design, rec.members) == reference_support(design, rec.members)
+        support = reference_support(design, rec.members)
+        assert tuple(point_multiplicity_profile(design, rec.members)) == support
 
 
 def test_public_functions_match_references(design):
