@@ -16,7 +16,7 @@ import sys
 from . import catalog, theory
 from .autgroup import DEFAULT_NODE_LIMIT, SearchBudgetExceeded
 from .cliques import census_report, clique_record, point_multiplicity_profile
-from .design import parse_design, serialize_design, validate_2design
+from .design import content_lines, parse_design, serialize_design, validate_2design
 from .graph import (
     DegenerateGraphError,
     SrgVerificationError,
@@ -72,11 +72,8 @@ def _load_generators(args, design):
     parse error, exit 2); an empty list means no generators are known.
     """
     if args.generators:
-        perms = []
-        for line in _read_text(args.generators).splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                perms.append(parse_cycles(line, design.labels))
+        perms = [parse_cycles(line, design.labels)
+                 for _, line in content_lines(_read_text(args.generators))]
         if not perms:
             raise ValueError(f"no generators found in {args.generators}")
         return perms
@@ -97,10 +94,7 @@ def _parse_expect(text: str) -> dict[str, int]:
 
 def _load_clique_file(path: str) -> list[tuple[int, ...]]:
     cliques = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(_read_text(path)):
         try:
             cliques.append(tuple(int(tok) for tok in line.split()))
         except ValueError as exc:

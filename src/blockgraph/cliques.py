@@ -46,17 +46,17 @@ from .graph import (
 _REV8 = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))  # each byte's bits reversed
 
 
-def _search(rows, best: int, stop_at: int | None = None, found: list | None = None):
+def _search(rows, best: int, found: list | None = None):
     """Colour-bounded branch and bound from the root holding every vertex.
 
-    Best mode (``found`` None): ``best`` grows with every larger clique and
-    the search returns ``stop_at`` once ``best`` reaches it.  Target mode:
-    ``best`` stays fixed and every clique of ``best + 1`` vertices goes to
-    ``found``.  Returns ``best`` and the number of nodes (colourings)
-    expanded.  Open nodes wait on a list, not in nested calls, so no
-    recursion limit applies.  Vertex v is u = n-1-v inside (rows bit-reversed
-    once per call), so the top set bit, found in O(1), is the lowest vertex:
-    classes are walked in ascending index order.  The stack holds v.
+    Best mode (``found`` None): ``best`` grows with every larger clique.
+    Target mode: ``best`` stays fixed and every clique of ``best + 1``
+    vertices goes to ``found``.  Returns ``best`` and the number of nodes
+    (colourings) expanded.  Open nodes wait on a list, not in nested calls,
+    so no recursion limit applies.  Vertex v is u = n-1-v inside (rows
+    bit-reversed once per call), so the top set bit, found in O(1), is the
+    lowest vertex: classes are walked in ascending index order.  The stack
+    holds v.
     """
     n = len(rows)
     nb = (n + 7) // 8
@@ -106,8 +106,6 @@ def _search(rows, best: int, stop_at: int | None = None, found: list | None = No
     order, candidates, size = expand(full) or ([], 0, 0)
     parents = []  # the open nodes above this one
     while True:
-        if stop_at is not None and best >= stop_at:
-            return stop_at, nodes
         # branch on the highest colours first, while one can beat best
         if order:
             u, c = order.pop()
@@ -132,13 +130,10 @@ def _search(rows, best: int, stop_at: int | None = None, found: list | None = No
         candidates ^= bit[top - stack.pop()]  # the vertex the parent branched on
 
 
-def clique_number(graph: BlockGraph, upper_bound: int | None = None) -> int:
-    """Exact clique number by branch and bound.
-
-    ``upper_bound`` (e.g. the Delsarte bound) is used as an early exit: the
-    search stops as soon as a clique attaining it is found.
-    """
-    return _search(graph.rows, 0, upper_bound)[0]
+def clique_number(graph: BlockGraph) -> int:
+    """Exact clique number: a best-mode search over the whole tree that the
+    colour bound leaves."""
+    return _search(graph.rows, 0)[0]
 
 
 def enumerate_maximum_cliques(
@@ -352,10 +347,11 @@ def census_report(design: Design) -> CliqueCensus:
         bound = delsarte_bound(srg)
     except DegenerateGraphError as exc:
         degenerate = str(exc)
-    # one search where the Delsarte bound is attained, as by a 2-design's pencils
+    # one search where the Delsarte bound is attained, as by a 2-design's
+    # pencils; with no bound, or none attained, one unbounded enumeration
     cliques = enumerate_maximum_cliques(graph, size=bound) if bound else []
-    omega = bound if cliques else clique_number(graph, upper_bound=bound)
-    if omega and not cliques:
-        cliques = enumerate_maximum_cliques(graph, size=omega)
+    if not cliques:
+        cliques = enumerate_maximum_cliques(graph)
+    omega = len(cliques[0]) if cliques else 0
     records = tuple([clique_record(design, members) for members in cliques])
     return CliqueCensus(design, graph, srg, degenerate, bound, omega, records)

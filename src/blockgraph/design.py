@@ -182,15 +182,21 @@ def parse_design(text: str, format: str = "blocklist", name: str = "") -> Design
     raise ValueError(f"unknown design format {format!r}")
 
 
+def content_lines(text: str):
+    """(line number from 1, text before any ``#``, stripped) of each line
+    that keeps some text: the comment rule of every line-based input."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def _parse_blocklist(text: str, name: str) -> Design:
     declared_n = None
     raw_blocks: list[tuple[str, ...]] = []
     labels: list[str] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if declared_n is None and not raw_blocks:
             header = re.match(r"points:\s*(\d+)\Z", line)
             if header:

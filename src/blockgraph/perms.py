@@ -101,8 +101,9 @@ def parse_cycles(text: str, labels) -> Permutation:
     labels = tuple(labels)
     index = {tok: i for i, tok in enumerate(labels)}
     stripped = re.sub(r"\s+", " ", text).strip()
-    body = re.fullmatch(r"(\s*\([^()]*\)\s*)*", stripped)
-    if body is None:
+    # one optional space after each group: every character has one parse,
+    # so a malformed line fails in linear time, not by backtracking
+    if re.fullmatch(r"(?:\([^()]*\) ?)*", stripped) is None:
         raise ValueError(f"malformed cycle notation: {text!r}")
     images = list(range(len(labels)))
     used: set[int] = set()

@@ -196,7 +196,7 @@ def test_cliques_six_cycle_names_first_failing_pair(tmp_path, capsys):
 
 def test_cliques_conference_block_graph(tmp_path, capsys):
     # the pentagon's block graph is C5 = srg(5,2,0,1), whose eigenvalues are
-    # irrational, so there is no Delsarte bound to stop the search early
+    # irrational, so there is no Delsarte bound to enumerate at first
     path = tmp_path / "pentagon.blk"
     path.write_text("1 2\n2 3\n3 4\n4 5\n5 1\n")
     code, out, err = run(capsys, "cliques", "--input", str(path))
@@ -382,6 +382,23 @@ def test_orbits_bad_generator_file_is_one_error_line(tmp_path, capsys, text, mes
         capsys, "orbits", "--builtin", "main66", "--generators", str(gens)
     )
     assert (code, out, err) == (2, "", f"error: {message.format(gens)}\n")
+
+
+def test_orbits_malformed_long_generator_line_fails_fast(tmp_path):
+    # 200 groups and a stray ")": a grammar in which the space between two
+    # groups has two parses backtracks 2^200 ways; the timeout turns such a
+    # regression into a failure instead of a hang
+    line = "(0_0) " * 200 + ")"
+    gens = tmp_path / "gens.txt"
+    gens.write_text(line + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "blockgraph.cli", "orbits", "--builtin", "main66",
+         "--generators", str(gens)],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: malformed cycle notation: {line!r}\n"
 
 
 def test_orbits_without_generators_for_plain_design(capsys):

@@ -65,7 +65,6 @@ def ag23_graph():
 
 def test_clique_number_main66(main66_graph):
     assert clique_number(main66_graph) == 13
-    assert clique_number(main66_graph, upper_bound=13) == 13
 
 
 def test_clique_number_ag23(ag23_graph):
@@ -158,14 +157,6 @@ def test_enumerate_rejects_size_below_one(graph, size):
         enumerate_maximum_cliques(graph, size=size)
 
 
-def test_clique_number_stops_at_upper_bound(main66_graph):
-    # the bound is an early exit: a smaller one is attained and returned
-    for graph in [main66_graph, *random_graphs(count=8)]:
-        omega = clique_number(graph)
-        for b in range(1, omega + 3):
-            assert clique_number(graph, upper_bound=b) == min(b, omega)
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 def test_enumerate_complete_graph_below_its_size(n):
     # the candidates below every root form a clique larger than needed
@@ -194,35 +185,31 @@ def count_search_nodes(monkeypatch):
 def test_search_nodes_main66(monkeypatch, main66_graph):
     nodes = count_search_nodes(monkeypatch)
     assert len(enumerate_maximum_cliques(main66_graph, size=13)) == 80
-    assert clique_number(main66_graph, upper_bound=13) == 13
     assert clique_number(main66_graph) == 13
-    # one root, the set of all vertices, in both modes; best mode takes a
-    # node whose candidates get one colour each as a clique, without descending
-    assert nodes == [856, 7, 401]
+    # one root, the set of all vertices, in both modes
+    assert nodes == [856, 401]
 
 
 @pytest.mark.parametrize(
     "family, d, p, pin",
     [
-        ("projective", 3, 2, (80, 4)),
-        ("affine", 3, 3, (64, 4)),
-        ("projective", 3, 3, (220, 4)),
-        ("affine", 2, 5, (3906, 6)),
-        ("projective", 3, 5, (2801, 7)),
-        ("projective", 4, 3, (901, 4)),
-        ("affine", 4, 3, (190, 4)),
+        ("projective", 3, 2, [80]),
+        ("affine", 3, 3, [64]),
+        ("projective", 3, 3, [220]),
+        ("affine", 2, 5, [3906]),
+        ("projective", 3, 5, [2801]),
+        ("projective", 4, 3, [901]),
+        ("affine", 4, 3, [190]),
     ],
 )
 def test_search_nodes_geometric(monkeypatch, family, d, p, pin):
-    # (nodes of the enumeration at omega, nodes of clique_number with the
-    # Delsarte bound): the same tree on every design
+    # the nodes of the enumeration at the Delsarte bound, which the point
+    # pencils attain: the same tree on every design
     graph = build_block_graph(parse_design(point_line_blocklist(family, d, p)))
     bound = delsarte_bound(verify_srg(graph))
     nodes = count_search_nodes(monkeypatch)
-    omega = clique_number(graph, upper_bound=bound)
-    assert omega == bound
-    enumerate_maximum_cliques(graph, size=omega)
-    assert (nodes[1], nodes[0]) == pin
+    assert enumerate_maximum_cliques(graph, size=bound)
+    assert nodes == pin
 
 
 @pytest.mark.parametrize(
@@ -239,24 +226,45 @@ def test_census_searches_once_when_the_bound_is_attained(monkeypatch, family, d,
     assert nodes == [pin]
 
 
-def test_census_searches_again_below_the_bound(monkeypatch):
-    # the Shrikhande graph srg(16,6,2,2) as the block graph of its vertices'
-    # edge sets: Delsarte bound 1 + 6/2 = 4, but its largest cliques are its
-    # 32 triangles, so the empty search at the bound is followed by the
-    # clique number and the enumeration at omega = 3
+def shrikhande_design():
+    """The Shrikhande graph srg(16,6,2,2) as the block graph of its vertices'
+    edge sets."""
     steps = {(1, 0), (0, 1), (1, 1), (3, 0), (0, 3), (3, 3)}  # in Z4 x Z4
     edges = [(x, y) for x, y in combinations(range(16), 2)
              if ((y // 4 - x // 4) % 4, (y % 4 - x % 4) % 4) in steps]
     labels = [f"{x}-{y}" for x, y in edges]
-    blocks = [[f"{x}-{y}" for x, y in edges if z in (x, y)] for z in range(16)]
+    return make_design(labels, [[f"{x}-{y}" for x, y in edges if z in (x, y)]
+                                for z in range(16)])
+
+
+@pytest.mark.parametrize(
+    "design, srg, delsarte, omega, total, pin",
+    [
+        # Delsarte bound 1 + 6/2 = 4, but the largest cliques are the 32
+        # triangles: the empty search at the bound, then omega and the cliques
+        (shrikhande_design(), (16, 6, 2, 2), 4, 3, 32, [5, 6, 29]),
+        # C5 = srg(5,2,0,1) has irrational eigenvalues, so no bound
+        (make_design("01234", ["01", "12", "23", "34", "40"]), (5, 2, 0, 1), None, 2, 5, [2, 4]),
+        # disjoint blocks: an empty graph, degenerate, so no bound
+        (make_design("012345", ["01", "23", "45"]), None, None, 1, 3, [1, 1]),
+        # fano's block graph is complete, degenerate, so no bound
+        (builtin_design("fano"), None, None, 7, 1, [1, 1]),
+    ],
+    ids=["shrikhande", "pentagon", "disjoint-blocks", "fano"],
+)
+def test_census_searches_again_below_the_bound(monkeypatch, design, srg, delsarte, omega,
+                                               total, pin):
+    # where no clique reaches the bound, or there is none, the census takes
+    # omega and its cliques from one unbounded enumeration: the clique
+    # number's search, then the one at omega (nodes pinned per search)
     nodes = count_search_nodes(monkeypatch)
-    census = census_report(make_design(labels, blocks))
-    assert census.srg.as_tuple() == (16, 6, 2, 2)
-    assert (census.delsarte, census.clique_number, census.total) == (4, 3, 32)
+    census = census_report(design)
+    assert (census.srg and census.srg.as_tuple()) == srg
+    assert (census.delsarte, census.clique_number, census.total) == (delsarte, omega, total)
     assert census == census._replace(records=tuple(
         cliques.clique_record(census.design, members)
         for members in powerset_maximum_cliques(census.graph)))
-    assert len(nodes) == 3
+    assert nodes == pin
 
 
 def test_census_pg33_planes_and_points():
