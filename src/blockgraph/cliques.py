@@ -1,11 +1,13 @@
 """Exhaustive maximum-clique census and subdesign analysis.
 
-One branch-and-bound core, searching from a single root that holds every
-vertex, serves ``clique_number`` and ``enumerate_maximum_cliques``.  Each
-node colours its bitset candidates greedily, one class at a time (MCQ,
-Tomita & Seki 2003; BBMC, San Segundo et al. 2011); classes numbered below
-the size still needed are coloured but never listed or branched on, and
-candidates with one vertex per class form a clique that is taken whole.
+One branch-and-bound search, from a single root that holds every vertex,
+lists the maximum cliques; ``clique_number`` is their size.  It starts from
+the largest point pencil that is a clique, a lower bound on omega the design
+holds already.  Each node colours its bitset candidates greedily, one class
+at a time (MCQ, Tomita & Seki 2003; BBMC, San Segundo et al. 2011); classes
+numbered below the size still needed are coloured but never listed or
+branched on, and candidates with one vertex per class form a clique that is
+taken whole.
 The search runs on bit-reversed labels, so an O(1) top-bit walk colours
 each class in ascending index order: the tree is that of a lowest-bit walk.
 Completeness is cross-checked against brute force in the test suite.
@@ -46,17 +48,16 @@ from .graph import (
 _REV8 = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))  # each byte's bits reversed
 
 
-def _search(rows, best: int, found: list | None = None):
+def _search(rows, best: int):
     """Colour-bounded branch and bound from the root holding every vertex.
 
-    Best mode (``found`` None): ``best`` grows with every larger clique.
-    Target mode: ``best`` stays fixed and every clique of ``best + 1``
-    vertices goes to ``found``.  Returns ``best`` and the number of nodes
-    (colourings) expanded.  Open nodes wait on a list, not in nested calls,
-    so no recursion limit applies.  Vertex v is u = n-1-v inside (rows
-    bit-reversed once per call), so the top set bit, found in O(1), is the
-    lowest vertex: classes are walked in ascending index order.  The stack
-    holds v.
+    Returns every clique of the largest size at least ``best`` (``best``
+    rises with each larger clique; smaller ones are dropped at the end) and
+    the number of nodes (colourings) expanded.  A branch records its stack
+    only when no candidate extends it.  Open nodes wait on a list, so no
+    recursion limit applies.  Vertex v is u = n-1-v inside (rows bit-reversed
+    once per call), so the top set bit, found in O(1), is the lowest vertex:
+    classes are walked in ascending index order.  The stack holds v.
     """
     n = len(rows)
     nb = (n + 7) // 8
@@ -66,15 +67,16 @@ def _search(rows, best: int, found: list | None = None):
              for r in reversed(rows)]
     keep = [full ^ (row | b) for row, b in zip(rrows, bit)]  # u's non-neighbours less u
     stack: list[int] = []
+    found: list[tuple[int, ...]] = []
     nodes = 0
 
     def expand(candidates: int) -> tuple | None:  # (order, candidates, size) to branch
         nonlocal nodes, best
         nodes += 1
         size = len(stack)
-        need = best + 1 - size
+        need = best - size
         # greedy colouring one class at a time; only classes numbered >= need
-        # can extend the stack past best, so the lower ones are not listed
+        # can extend the stack to best, so the lower ones are not listed
         colour = 0
         uncoloured = candidates
         while uncoloured and colour + 1 < need:
@@ -94,60 +96,55 @@ def _search(rows, best: int, found: list | None = None):
                 avail &= keep[u]
                 order.append((u, colour))
         # one colour per candidate: the candidates are a clique, taken whole
-        if colour == candidates.bit_count():
-            if found is None:
-                best = max(best, size + colour)
-                return None
-            if colour == need:
-                found.append(tuple(sorted([*stack, *map(top.__sub__, _bits(candidates))])))
-                return None
+        if colour == candidates.bit_count() and colour >= need:
+            best = size + colour
+            found.append(tuple(sorted([*stack, *map(top.__sub__, _bits(candidates))])))
+            return None
         return order, candidates, size
 
     order, candidates, size = expand(full) or ([], 0, 0)
     parents = []  # the open nodes above this one
     while True:
-        # branch on the highest colours first, while one can beat best
+        # branch on the highest colours first, while one can reach best
         if order:
             u, c = order.pop()
-            if size + c > best:
+            if size + c >= best:
                 stack.append(top - u)
-                if size == best and found is not None:
-                    found.append(tuple(sorted(stack)))
-                else:
-                    best = max(best, size + 1)
-                    rest = candidates & rrows[u]
-                    node = expand(rest) if rest else None
+                rest = candidates & rrows[u]
+                if rest:
+                    node = expand(rest)
                     if node is not None:
                         parents.append((order, candidates, size))
                         order, candidates, size = node
                         continue
+                elif size + 1 >= best:
+                    best = size + 1
+                    found.append(tuple(sorted(stack)))
                 stack.pop()
                 candidates ^= bit[u]
                 continue
         if not parents:
-            return best, nodes
+            return [c for c in found if len(c) == best], nodes
         order, candidates, size = parents.pop()
         candidates ^= bit[top - stack.pop()]  # the vertex the parent branched on
 
 
-def clique_number(graph: BlockGraph) -> int:
-    """Exact clique number: a best-mode search over the whole tree that the
-    colour bound leaves."""
-    return _search(graph.rows, 0)[0]
-
-
-def enumerate_maximum_cliques(
-    graph: BlockGraph, size: int | None = None
-) -> list[tuple[int, ...]]:
-    """All cliques of maximum size (or of a given ``size`` of at least 1),
-    sorted lexicographically."""
-    if size is not None and size < 1:
-        raise ValueError(f"clique size must be at least 1, got {size}")
+def enumerate_maximum_cliques(graph: BlockGraph) -> list[tuple[int, ...]]:
+    """All cliques of maximum size, sorted lexicographically.  The search
+    starts from the largest pencil, masked to the vertices, that is a clique
+    of the rows (checked largest first), or from 0 if there is none."""
     if graph.v == 0:
         return []
-    found: list[tuple[int, ...]] = []
-    _search(graph.rows, (clique_number(graph) if size is None else size) - 1, found=found)
-    return sorted(found)
+    rows, full = graph.rows, (1 << graph.v) - 1
+    pencils = sorted([p & full for p in graph.pencils], key=int.bit_count, reverse=True)
+    best = next((p.bit_count() for p in pencils
+                 if all((rows[i] | 1 << i) & p == p for i in _bits(p))), 0)
+    return sorted(_search(rows, best)[0])
+
+
+def clique_number(graph: BlockGraph) -> int:
+    """Exact clique number: the size of the maximum cliques."""
+    return max(map(len, enumerate_maximum_cliques(graph)), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +334,8 @@ class CliqueCensus(namedtuple(
 
 
 def census_report(design: Design) -> CliqueCensus:
-    """Run the full pipeline: graph, SRG, bound, enumeration, per-clique analysis."""
+    """Run the full pipeline: graph, SRG, Delsarte bound (reported, not
+    searched), one enumeration, per-clique analysis."""
     graph = build_block_graph(design)
     srg = None
     degenerate = None
@@ -347,11 +345,7 @@ def census_report(design: Design) -> CliqueCensus:
         bound = delsarte_bound(srg)
     except DegenerateGraphError as exc:
         degenerate = str(exc)
-    # one search where the Delsarte bound is attained, as by a 2-design's
-    # pencils; with no bound, or none attained, one unbounded enumeration
-    cliques = enumerate_maximum_cliques(graph, size=bound) if bound else []
-    if not cliques:
-        cliques = enumerate_maximum_cliques(graph)
+    cliques = enumerate_maximum_cliques(graph)
     omega = len(cliques[0]) if cliques else 0
     records = tuple([clique_record(design, members) for members in cliques])
     return CliqueCensus(design, graph, srg, degenerate, bound, omega, records)

@@ -39,9 +39,6 @@ class BlockGraph(NamedTuple):
     rows: tuple[int, ...]
     pencils: tuple[int, ...] = ()
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
 

@@ -47,11 +47,25 @@ def members_from_tokens(design, token_blocks):
     return tuple(sorted(out))
 
 
+def adjacent(graph, i, j):
+    return bool(graph.rows[i] >> j & 1)
+
+
+def powerset_cliques(graph):
+    """Every non-empty vertex subset that is a clique, in mask order."""
+    return [
+        members
+        for mask in range(1, 1 << graph.v)
+        for members in [tuple(v for v in range(graph.v) if mask >> v & 1)]
+        if all(adjacent(graph, a, b) for a, b in combinations(members, 2))
+    ]
+
+
 def induced_subgraph(graph, vertices):
     """Subgraph induced on the given vertices, relabelled 0..k-1 in sorted order."""
     verts = sorted(vertices)
     rows = tuple(
-        sum(1 << b for b, j in enumerate(verts) if a != b and graph.adjacent(i, j))
+        sum(1 << b for b, j in enumerate(verts) if a != b and adjacent(graph, i, j))
         for a, i in enumerate(verts)
     )
     return BlockGraph(len(verts), rows)

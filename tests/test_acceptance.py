@@ -43,7 +43,8 @@ from blockgraph.report import lift_to_design_automorphism
 from blockgraph.theory import denniston_params, projective_params
 
 from conftest import (
-    TWO_FIBRE_BLOCK, induced_subgraph, members_from_tokens, same_group, srg_from_design_params,
+    TWO_FIBRE_BLOCK, adjacent, induced_subgraph, members_from_tokens, same_group,
+    srg_from_design_params,
 )
 
 
@@ -53,7 +54,7 @@ def powerset_maximum_cliques(graph):
         members = [v for v in range(graph.v) if mask >> v & 1]
         if len(members) < best_size:
             continue
-        if all(graph.adjacent(a, b) for a, b in combinations(members, 2)):
+        if all(adjacent(graph, a, b) for a, b in combinations(members, 2)):
             if len(members) > best_size:
                 best_size, best = len(members), []
             best.append(tuple(members))
@@ -63,7 +64,7 @@ def powerset_maximum_cliques(graph):
 def dfs_maximum_cliques(graph):
     """Enumerate every clique by ordered extension; keep the largest ones."""
     neighbours = [
-        frozenset(u for u in range(graph.v) if graph.adjacent(v, u))
+        frozenset(u for u in range(graph.v) if adjacent(graph, v, u))
         for v in range(graph.v)
     ]
     found = []

@@ -30,7 +30,7 @@ from blockgraph.cliques import enumerate_maximum_cliques
 from blockgraph.graph import _bits
 from blockgraph.report import automorphism_section
 
-from conftest import point_line_blocklist, random_blocklists, same_group, steiner_design
+from conftest import adjacent, point_line_blocklist, random_blocklists, same_group, steiner_design
 
 
 def complete_graph(n):
@@ -267,7 +267,7 @@ def pair_counter_colours(graph, cliques):
     pair_counts = Counter(pair for cl in cliques for pair in combinations(cl, 2))
     by_colour = {0: [0] * graph.v}
     for i, j in combinations(range(graph.v), 2):
-        if graph.adjacent(i, j):
+        if adjacent(graph, i, j):
             rows = by_colour.setdefault(pair_counts[(i, j)], [0] * graph.v)
             rows[i] |= 1 << j
             rows[j] |= 1 << i
@@ -277,7 +277,7 @@ def pair_counter_colours(graph, cliques):
 def per_edge_is_automorphism(graph, perm):
     """Reference check: every edge maps to an edge and every non-edge to a non-edge."""
     return perm.degree == graph.v and all(
-        graph.adjacent(perm(a), perm(b)) == graph.adjacent(a, b)
+        adjacent(graph, perm(a), perm(b)) == adjacent(graph, a, b)
         for a, b in combinations(range(graph.v), 2)
     )
 
@@ -295,7 +295,7 @@ def common_neighbour_profiles(graph):
         profile = Counter(
             (graph.rows[v] & graph.rows[u]).bit_count()
             for u in range(graph.v)
-            if graph.adjacent(v, u)
+            if adjacent(graph, v, u)
         )
         out.append(tuple(sorted(profile.items())))
     return out

@@ -2,6 +2,7 @@ import importlib
 import json
 import locale
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,9 @@ from blockgraph import (
 )
 from blockgraph.cli import main
 
-from conftest import PLANE_CLIQUE_BLOCKS, members_from_tokens, point_line_blocklist
+from conftest import (
+    PLANE_CLIQUE_BLOCKS, members_from_tokens, point_line_blocklist, steiner_triple_system,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -870,6 +873,83 @@ def test_design_name_is_the_file_stem(tmp_path, capsys, filename, name):
     code, out, _ = run(capsys, "report", "--input", str(path))
     assert code == 0
     assert out.startswith(f"{name}: 2-(7,3,1) with 7 blocks")
+
+
+# ---------------------------------------------------------------------------
+# robustness: seeded small inputs through every file-reading command
+
+
+def fuzz_inputs(seed=20261019, count=100):
+    """Seeded (design text, clique text, generator text) triples: blocklists
+    and JSON documents on up to 9 points, from Steiner triple systems and
+    random blocks, some spoiled on purpose (a bad token, a repeated point or
+    block, blocks of two sizes, a wrong header or JSON field)."""
+    rng = random.Random(seed)
+    for k in range(count):
+        if rng.random() < 0.4:
+            v = rng.choice((7, 9))
+            labels = [f"x{p}" for p in rng.sample(range(20), v)]
+            blocks = [[labels[p] for p in blk] for blk in steiner_triple_system(v, seed=k)]
+            blocks = rng.sample(blocks, len(blocks) - rng.choice((0, 0, 1, 3)))
+        else:
+            labels = [str(p) for p in range(rng.randint(1, 9))]
+            size = rng.randint(1, min(4, len(labels)))
+            blocks = list({tuple(sorted(rng.sample(labels, size))): None
+                           for _ in range(rng.randint(0, 10))})
+        fault = rng.choice((None,) * 7 + ("token", "point", "block", "sizes", "count"))
+        if blocks and fault == "token":
+            blocks[0] = (*blocks[0][:-1], "a-b")
+        elif blocks and fault == "point":
+            blocks[0] = (*blocks[0], blocks[0][0])
+        elif blocks and fault == "block":
+            blocks.append(blocks[0])
+        elif blocks and fault == "sizes":
+            blocks[-1] = blocks[-1][:-1] or tuple(labels[:2])
+        used = list(dict.fromkeys(tok for blk in blocks for tok in blk))
+        if k % 2:
+            doc = {"n": len(used) + (fault == "count"), "m": len(blocks[0]) if blocks else 0,
+                   "lambda": 1, "labels": used, "blocks": blocks}
+            if rng.random() < 0.2:
+                doc[rng.choice(list(doc))] = rng.choice(("2", None, True, [1], 0))
+            text = json.dumps(doc)
+        else:
+            header = f"points: {len(used) + (fault == 'count')}\n" if rng.random() < 0.3 else ""
+            text = header + "# a comment\n" + "".join(" ".join(blk) + "\n" for blk in blocks)
+        cliques = "".join(
+            " ".join(map(str, rng.choices(range(-1, len(blocks) + 2), k=rng.randint(1, 4)))) + "\n"
+            for _ in range(rng.randint(0, 3))
+        ) + rng.choice(("", "1 x\n"))
+        shuffled, cycles = rng.sample(used, len(used)), "()"
+        while shuffled:  # disjoint cycles of 1-3 points
+            take = rng.randint(1, 3)
+            cycles += "(" + " ".join(shuffled[:take]) + ")"
+            del shuffled[:take]
+        generators = cycles + rng.choice(("\n",) * 8 + (")\n", " (zz)\n"))
+        yield text, cliques, generators
+
+
+def test_fuzzed_inputs_exit_0_1_or_2_without_a_traceback(tmp_path, capsys):
+    design, cliques, generators = (tmp_path / name for name in ("d.txt", "c.txt", "g.txt"))
+    codes = set()
+    for text, clique_text, generator_text in fuzz_inputs():
+        design.write_text(text)
+        cliques.write_text(clique_text)
+        generators.write_text(generator_text)
+        src = ("--input", str(design))
+        for argv in (
+            ("verify", *src),
+            ("cliques", *src),
+            ("aut", *src, "--node-limit", "50"),
+            ("report", *src, "--aut", "--format", "structured"),
+            ("subdesign", *src, "--cliques", str(cliques)),
+            ("orbits", *src, "--generators", str(generators)),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2), (argv, text)
+            if code == 2:
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, text, err)
+            codes.add(code)
+    assert codes == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------

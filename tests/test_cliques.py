@@ -1,4 +1,3 @@
-import math
 import random
 from itertools import combinations, permutations
 
@@ -12,13 +11,11 @@ from blockgraph import (
     classify_clique,
     clique_number,
     core_restriction,
-    delsarte_bound,
     enumerate_maximum_cliques,
     induced_block_action,
     point_multiplicity_profile,
     subdesign_test,
     validate_2design,
-    verify_srg,
 )
 from blockgraph import cliques
 from blockgraph.design import Design, make_design, parse_design
@@ -26,6 +23,7 @@ from blockgraph.graph import _bits
 
 from conftest import (
     PLANE_CLIQUE_BLOCKS,
+    adjacent,
     induced_subgraph,
     members_from_tokens,
     orbit_clique_members,
@@ -42,7 +40,7 @@ def powerset_maximum_cliques(graph):
         members = [v for v in range(graph.v) if mask >> v & 1]
         if len(members) < best_size:
             continue
-        if all(graph.adjacent(a, b) for a, b in combinations(members, 2)):
+        if all(adjacent(graph, a, b) for a, b in combinations(members, 2)):
             if len(members) > best_size:
                 best_size = len(members)
                 best = []
@@ -133,40 +131,6 @@ def powerset_cliques_by_size(graph):
     return by_size
 
 
-def test_enumerate_every_size_matches_powerset_on_random_graphs():
-    # the search pads each row to whole bytes: 1-9 vertices cover both
-    # sides of the first byte boundary, 10-16 the second byte
-    small = list(random_graphs(seed=20261019, count=54, sizes=(1, 9)))
-    assert {graph.v for graph in small} == set(range(1, 10))
-    for graph in [*small, *random_graphs()]:
-        by_size = powerset_cliques_by_size(graph)
-        omega = max(by_size)
-        assert clique_number(graph) == omega
-        for s in range(1, omega + 2):
-            assert enumerate_maximum_cliques(graph, size=s) == sorted(by_size.get(s, []))
-
-
-@pytest.mark.parametrize(
-    "graph",
-    [BlockGraph(3, (2, 1, 0)), graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])],
-    ids=["edge-and-vertex", "triangle"],
-)
-@pytest.mark.parametrize("size", [0, -2])
-def test_enumerate_rejects_size_below_one(graph, size):
-    with pytest.raises(ValueError, match="at least 1"):
-        enumerate_maximum_cliques(graph, size=size)
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_enumerate_complete_graph_below_its_size(n):
-    # the candidates below every root form a clique larger than needed
-    graph = graph_from_edges(n, combinations(range(n), 2))
-    for s in range(1, n + 2):
-        found = enumerate_maximum_cliques(graph, size=s)
-        assert found == list(combinations(range(n), s))
-        assert len(found) == math.comb(n, s)
-
-
 def count_search_nodes(monkeypatch):
     """The nodes (colourings) each later ``_search`` call expands, in call
     order; a change to the search tree shows here."""
@@ -174,20 +138,64 @@ def count_search_nodes(monkeypatch):
     search = cliques._search
 
     def counting_search(*args, **kwargs):
-        best, count = search(*args, **kwargs)
+        found, count = search(*args, **kwargs)
         nodes.append(count)
-        return best, count
+        return found, count
 
     monkeypatch.setattr(cliques, "_search", counting_search)
     return nodes
 
 
-def test_search_nodes_main66(monkeypatch, main66_graph):
+def test_enumerate_every_size_matches_powerset_on_random_graphs():
+    # the search pads each row to whole bytes: 1-9 vertices cover both
+    # sides of the first byte boundary, 10-16 the second byte; with no
+    # pencils the search starts from 0
+    small = list(random_graphs(seed=20261019, count=54, sizes=(1, 9)))
+    assert {graph.v for graph in small} == set(range(1, 10))
+    for graph in [*small, *random_graphs()]:
+        by_size = powerset_cliques_by_size(graph)
+        omega = max(by_size)
+        assert clique_number(graph) == omega
+        assert enumerate_maximum_cliques(graph) == sorted(by_size[omega])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerate_complete_graph_below_its_size(monkeypatch, n):
+    # the search starts from 0, below the clique of all n vertices: the root's
+    # candidates take one colour each, so that clique is taken whole at once
+    graph = graph_from_edges(n, combinations(range(n), 2))
     nodes = count_search_nodes(monkeypatch)
-    assert len(enumerate_maximum_cliques(main66_graph, size=13)) == 80
+    assert enumerate_maximum_cliques(graph) == [tuple(range(n))]
+    assert nodes == [1]
+
+
+def test_pencil_floor_only_from_pencils_that_are_cliques(main66_graph):
+    # main66 less the edge between block 0 and its lowest neighbour, its
+    # pencils kept: the pencil through both is no clique, and the other 79
+    # maximum cliques are found as from the same rows with no pencils
+    j = (main66_graph.rows[0] & -main66_graph.rows[0]).bit_length() - 1
+    rows = list(main66_graph.rows)
+    rows[0] ^= 1 << j
+    rows[j] ^= 1
+    broken = main66_graph._replace(rows=tuple(rows))
+    found = enumerate_maximum_cliques(broken)
+    assert len(found) == 79
+    assert found == enumerate_maximum_cliques(BlockGraph(broken.v, broken.rows))
+    # fano's pencils of 3 blocks on 7 vertices with no edges: each vertex alone
+    fano = build_block_graph(builtin_design("fano"))
+    empty = BlockGraph(7, (0,) * 7, fano.pencils)
+    assert enumerate_maximum_cliques(empty) == [(v,) for v in range(7)]
+    assert clique_number(empty) == 1
+
+
+def test_search_nodes_main66(monkeypatch, main66_graph):
+    # one root, the set of all vertices, started from the pencils' 13
+    nodes = count_search_nodes(monkeypatch)
+    assert len(enumerate_maximum_cliques(main66_graph)) == 80
+    assert nodes == [856]
+    nodes.clear()
     assert clique_number(main66_graph) == 13
-    # one root, the set of all vertices, in both modes
-    assert nodes == [856, 401]
+    assert nodes == [856]
 
 
 @pytest.mark.parametrize(
@@ -203,12 +211,11 @@ def test_search_nodes_main66(monkeypatch, main66_graph):
     ],
 )
 def test_search_nodes_geometric(monkeypatch, family, d, p, pin):
-    # the nodes of the enumeration at the Delsarte bound, which the point
-    # pencils attain: the same tree on every design
+    # the largest point pencil has omega blocks, so the search starts at
+    # omega: the same tree on every design
     graph = build_block_graph(parse_design(point_line_blocklist(family, d, p)))
-    bound = delsarte_bound(verify_srg(graph))
     nodes = count_search_nodes(monkeypatch)
-    assert enumerate_maximum_cliques(graph, size=bound)
+    assert enumerate_maximum_cliques(graph)
     assert nodes == pin
 
 
@@ -216,8 +223,8 @@ def test_search_nodes_geometric(monkeypatch, family, d, p, pin):
     "family, d, p, pin", [("projective", 3, 5, 2801), ("projective", 4, 3, 901), ("affine", 4, 3, 190)]
 )
 def test_census_searches_once_when_the_bound_is_attained(monkeypatch, family, d, p, pin):
-    # the point pencils attain the Delsarte bound, so the enumeration at the
-    # bound is the census's only search and finds omega
+    # the point pencils attain the Delsarte bound, so the search starts at
+    # omega and is the census's only search
     design = parse_design(point_line_blocklist(family, d, p))
     nodes = count_search_nodes(monkeypatch)
     census = census_report(design)
@@ -241,22 +248,21 @@ def shrikhande_design():
     "design, srg, delsarte, omega, total, pin",
     [
         # Delsarte bound 1 + 6/2 = 4, but the largest cliques are the 32
-        # triangles: the empty search at the bound, then omega and the cliques
-        (shrikhande_design(), (16, 6, 2, 2), 4, 3, 32, [5, 6, 29]),
+        # triangles; the pencils are edges, so the search starts at 2
+        (shrikhande_design(), (16, 6, 2, 2), 4, 3, 32, [29]),
         # C5 = srg(5,2,0,1) has irrational eigenvalues, so no bound
-        (make_design("01234", ["01", "12", "23", "34", "40"]), (5, 2, 0, 1), None, 2, 5, [2, 4]),
+        (make_design("01234", ["01", "12", "23", "34", "40"]), (5, 2, 0, 1), None, 2, 5, [4]),
         # disjoint blocks: an empty graph, degenerate, so no bound
-        (make_design("012345", ["01", "23", "45"]), None, None, 1, 3, [1, 1]),
+        (make_design("012345", ["01", "23", "45"]), None, None, 1, 3, [1]),
         # fano's block graph is complete, degenerate, so no bound
-        (builtin_design("fano"), None, None, 7, 1, [1, 1]),
+        (builtin_design("fano"), None, None, 7, 1, [1]),
     ],
     ids=["shrikhande", "pentagon", "disjoint-blocks", "fano"],
 )
-def test_census_searches_again_below_the_bound(monkeypatch, design, srg, delsarte, omega,
-                                               total, pin):
-    # where no clique reaches the bound, or there is none, the census takes
-    # omega and its cliques from one unbounded enumeration: the clique
-    # number's search, then the one at omega (nodes pinned per search)
+def test_census_searches_once_below_the_bound(monkeypatch, design, srg, delsarte, omega,
+                                              total, pin):
+    # where no clique reaches the Delsarte bound, or there is none, the
+    # census still makes one search, started at the largest pencil
     nodes = count_search_nodes(monkeypatch)
     census = census_report(design)
     assert (census.srg and census.srg.as_tuple()) == srg
@@ -342,7 +348,7 @@ def test_census_rejects_non_clique_like_clique_record(monkeypatch, main66, kind)
         }[kind]
     with pytest.raises(ValueError) as record:
         cliques.clique_record(main66, members)
-    monkeypatch.setattr(cliques, "enumerate_maximum_cliques", lambda graph, size: [members])
+    monkeypatch.setattr(cliques, "enumerate_maximum_cliques", lambda graph: [members])
     with pytest.raises(ValueError) as exc:
         census_report(main66)
     assert str(exc.value) == str(record.value) == expected
@@ -427,7 +433,7 @@ def test_error_precedence_matches_reference(monkeypatch):
         if rng.random() < 0.3:
             members.append(rng.choice(members))
         expected = reference_error(design, members)
-        monkeypatch.setattr(cliques, "enumerate_maximum_cliques", lambda graph, size: [members])
+        monkeypatch.setattr(cliques, "enumerate_maximum_cliques", lambda graph: [members])
         if expected is None:
             record = cliques.clique_record(design, members)
             assert census_report(design).records == (record,)

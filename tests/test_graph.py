@@ -20,7 +20,7 @@ from blockgraph.graph import _certificate
 from itertools import combinations
 from math import isqrt
 
-from conftest import induced_subgraph, point_line_blocklist, srg_from_design_params
+from conftest import adjacent, induced_subgraph, point_line_blocklist, srg_from_design_params
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def main66_graph(main66):
 
 def brute_common_neighbours(graph, i, j):
     return sum(
-        1 for u in range(graph.v) if graph.adjacent(i, u) and graph.adjacent(j, u)
+        1 for u in range(graph.v) if adjacent(graph, i, u) and adjacent(graph, j, u)
     )
 
 
@@ -61,11 +61,11 @@ def test_single_block_graph():
 def test_symmetry_irreflexivity_handshake(main66_graph):
     g = main66_graph
     for i in range(g.v):
-        assert not g.adjacent(i, i)
+        assert not adjacent(g, i, i)
     for i in range(0, g.v, 17):
         for j in range(g.v):
-            assert g.adjacent(i, j) == g.adjacent(j, i)
-    edges = sum(g.adjacent(i, j) for i, j in combinations(range(g.v), 2))
+            assert adjacent(g, i, j) == adjacent(g, j, i)
+    edges = sum(adjacent(g, i, j) for i, j in combinations(range(g.v), 2))
     assert sum(g.degree(i) for i in range(g.v)) == 2 * edges
 
 
@@ -84,7 +84,7 @@ def test_verify_srg_ag23_brute_force():
     for i in range(g.v):
         for j in range(i + 1, g.v):
             c = brute_common_neighbours(g, i, j)
-            assert c == (6 if g.adjacent(i, j) else 9)
+            assert c == (6 if adjacent(g, i, j) else 9)
 
 
 def test_verify_srg_degenerate_cases():
@@ -193,7 +193,7 @@ def reference_verify_srg(graph):
     for i in range(v):
         for j in range(i + 1, v):
             c = (rows[i] & rows[j]).bit_count()
-            if graph.adjacent(i, j):
+            if adjacent(graph, i, j):
                 if lam is None:
                     lam = c
                 elif c != lam:
@@ -484,8 +484,8 @@ def test_pencils_that_do_not_partition_change_nothing():
     rng = random.Random(20261018)
     for graph, params in ((rook, (9, 4, 1, 2)), (petersen, (10, 3, 0, 1))):
         assert verify_srg(graph).as_tuple() == params
-        star = [1 | 1 << j for j in range(graph.v) if graph.adjacent(0, j)]
-        other = next(j for j in range(1, graph.v) if not graph.adjacent(0, j))
+        star = [1 | 1 << j for j in range(graph.v) if adjacent(graph, 0, j)]
+        other = next(j for j in range(1, graph.v) if not adjacent(graph, 0, j))
         # row 0's neighbours one by one, the sizes adding up to its degree in
         # each case, but only the first is a partition
         for pencils in [
@@ -591,4 +591,4 @@ def test_induced_subgraph(main66_graph):
     for a in range(10):
         for b in range(10):
             if a != b:
-                assert sub.adjacent(a, b) == main66_graph.adjacent(a, b)
+                assert adjacent(sub, a, b) == adjacent(main66_graph, a, b)

@@ -27,7 +27,7 @@ from blockgraph import (
 from blockgraph.cliques import Classification, SubdesignVerdict, clique_record
 from blockgraph.design import Design, admissibility, make_design, parse_design, validate_2design
 
-from conftest import point_line_blocklist, random_blocklists
+from conftest import point_line_blocklist, powerset_cliques, random_blocklists
 
 
 def reference_classification(design, members):
@@ -117,16 +117,6 @@ def assert_public_functions_match(design, members):
     assert rec.subdesign == verdict
 
 
-def powerset_cliques(graph):
-    """Every non-empty vertex subset that is a clique."""
-    return [
-        members
-        for mask in range(1, 1 << graph.v)
-        for members in [tuple(v for v in range(graph.v) if mask >> v & 1)]
-        if all(graph.adjacent(a, b) for a, b in combinations(members, 2))
-    ]
-
-
 # ---------------------------------------------------------------------------
 # designs: every census record field against the references
 
@@ -175,10 +165,6 @@ def test_random_blocklists_match_references():
         assert graph.rows == reference_rows(design)
         cliques = powerset_cliques(graph)
         largest = max(map(len, cliques))
-        for size in range(1, largest + 1):
-            assert enumerate_maximum_cliques(graph, size=size) == sorted(
-                c for c in cliques if len(c) == size
-            )
         assert enumerate_maximum_cliques(graph) == sorted(c for c in cliques if len(c) == largest)
         for members in cliques:
             assert_public_functions_match(design, members)

@@ -22,7 +22,6 @@ from blockgraph import (
     census_report,
     classify_clique,
     core_restriction,
-    enumerate_maximum_cliques,
     parse_design,
     subdesign_test,
 )
@@ -40,7 +39,7 @@ from blockgraph.report import (
     report_document,
 )
 
-from conftest import point_line_blocklist, random_blocklists
+from conftest import point_line_blocklist, powerset_cliques, random_blocklists
 
 
 def assert_same_text(renderer, report, expected):
@@ -191,23 +190,22 @@ def test_random_blocklists_every_clique():
     for design in random_blocklists():
         graph = build_block_graph(design)
         records = []
-        size = 1
-        while cliques := enumerate_maximum_cliques(graph, size=size):
-            for members in cliques:
-                core = core_restriction(design, members)
-                verdict = subdesign_test(design, members)
-                records.append(
-                    CliqueRecord(
-                        members=members,
-                        classification=classify_clique(design, members),
-                        support_size=verdict.support_size,
-                        core_size=len(core.core_points),
-                        restricted_params=core.restricted_params,
-                        subdesign=verdict,
-                    )
+        cliques = sorted(powerset_cliques(graph), key=lambda c: (len(c), c))
+        for members in cliques:
+            core = core_restriction(design, members)
+            verdict = subdesign_test(design, members)
+            records.append(
+                CliqueRecord(
+                    members=members,
+                    classification=classify_clique(design, members),
+                    support_size=verdict.support_size,
+                    core_size=len(core.core_points),
+                    restricted_params=core.restricted_params,
+                    subdesign=verdict,
                 )
-            size += 1
-        census = CliqueCensus(design, graph, None, "not checked", None, size - 1, tuple(records))
+            )
+        size = len(cliques[-1])
+        census = CliqueCensus(design, graph, None, "not checked", None, size, tuple(records))
         report = plain_report(census)
         assert_renders_like_reference(report)
         for rec in report_document(report)["cliques"]["records"]:
