@@ -248,8 +248,13 @@ def graph_automorphism_group(
     base_leaf = [_lowest(c) for c in cells]
     base = tuple(_lowest(cells[ci]) for cells, ci in path)
 
-    def automorphism_below(cells: list[int], depth: int) -> Permutation | None:
-        """The first verified automorphism at a leaf below an off-path node."""
+    def automorphism_below(cells: list[int], ci: int, vertex: int, depth: int):
+        """The first verified automorphism (or None) at a leaf below the child
+        of an off-path node at ``depth`` that individualizes ``vertex`` in
+        cell ``ci``."""
+        cells, trace = individualize(cells, ci, vertex)
+        if trace != base_traces[depth]:
+            return None
         ci = _first_largest_cell(cells)
         if ci is None:
             images = [0] * v
@@ -258,11 +263,9 @@ def graph_automorphism_group(
             candidate = Permutation(tuple(images))
             return candidate if is_graph_automorphism(graph, candidate) else None
         for vertex in _bits(cells[ci]):
-            child, trace = individualize(cells, ci, vertex)
-            if trace == base_traces[depth]:
-                found = automorphism_below(child, depth + 1)
-                if found is not None:
-                    return found
+            found = automorphism_below(cells, ci, vertex, depth + 1)
+            if found is not None:
+                return found
         return None
 
     # Deepest first-path node first.  Every automorphism found so far then
@@ -275,11 +278,9 @@ def graph_automorphism_group(
         for vertex in _bits(cells[ci]):
             if vertex in explored:
                 continue
-            child, trace = individualize(cells, ci, vertex)
-            if trace == base_traces[depth]:
-                found = automorphism_below(child, depth + 1)
-                if found is not None:
-                    generators.append(found)
+            found = automorphism_below(cells, ci, vertex, depth)
+            if found is not None:
+                generators.append(found)
             explored = orbit(explored | {vertex}, generators)
         # the kept automorphisms now reach every child in the basic orbit
         order *= len(orbit({base[depth]}, generators))

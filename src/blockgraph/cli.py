@@ -109,7 +109,7 @@ def cmd_verify(args) -> int:
     design = _load_design(args)
     validation = validate_2design(design)
     r = validation.params.r if validation.params else None
-    print(f"design: 2-({design.n},{design.m},{design.lam}) with {design.b} blocks")
+    print(f"design: 2-({design.n},{design.m},1) with {design.b} blocks")
     if validation.valid:
         print(f"valid: yes (replication {r})")
     else:

@@ -26,7 +26,6 @@ class DesignParameters(NamedTuple):
 
     n: int
     m: int
-    lam: int
     r: Fraction
     b: Fraction
 
@@ -50,17 +49,18 @@ def admissibility(n: int, m: int) -> DesignParameters:
     return DesignParameters(
         n=n,
         m=m,
-        lam=1,
         r=Fraction(n - 1, m - 1),
         b=Fraction(n * (n - 1), m * (m - 1)),
     )
 
 
-class Design(namedtuple("Design", "n m lam labels blocks name", defaults=("",))):
-    """A block design in canonical form.
+class Design(namedtuple("Design", "n m labels blocks name", defaults=("",))):
+    """A candidate 2-(n,m,1) design in canonical form.
 
-    ``blocks`` are sorted tuples of dense indices into ``labels``; the block
-    list is sorted lexicographically.  Instances are immutable; construct via
+    Lambda is 1 by definition, not a field: :func:`validate_2design` checks
+    that every point pair lies in exactly one block.  ``blocks`` are sorted
+    tuples of dense indices into ``labels``; the block list is sorted
+    lexicographically.  Instances are immutable; construct via
     :func:`make_design`, :func:`parse_design` or :func:`develop_base_blocks`.
     Equality and hash ignore ``name``.  No ``__slots__``: cached properties need a ``__dict__``.
     """
@@ -114,7 +114,7 @@ class Design(namedtuple("Design", "n m lam labels blocks name", defaults=("",)))
         if not isinstance(other, Design):
             return NotImplemented
         return (
-            (self.n, self.m, self.lam) == (other.n, other.m, other.lam)
+            (self.n, self.m) == (other.n, other.m)
             and self.token_blocks == other.token_blocks
         )
 
@@ -124,14 +124,14 @@ class Design(namedtuple("Design", "n m lam labels blocks name", defaults=("",)))
         raise AttributeError(f"cannot assign to Design.{name}: designs are immutable")
 
     def __hash__(self) -> int:
-        return hash((self.n, self.m, self.lam, self.token_blocks))
+        return hash((self.n, self.m, self.token_blocks))
 
     def __repr__(self) -> str:
         tag = self.name or "design"
-        return f"<{tag}: 2-({self.n},{self.m},{self.lam}), {self.b} blocks>"
+        return f"<{tag}: 2-({self.n},{self.m},1), {self.b} blocks>"
 
 
-def make_design(labels, token_blocks, lam=1, name="") -> Design:
+def make_design(labels, token_blocks, name="") -> Design:
     """Canonicalize labels + token blocks into a Design.
 
     Every block must consist of distinct known tokens; blocks of unequal size
@@ -163,7 +163,6 @@ def make_design(labels, token_blocks, lam=1, name="") -> Design:
     return Design(
         n=len(labels),
         m=m,
-        lam=lam,
         labels=labels,
         blocks=tuple(sorted(dense)),
         name=name,
@@ -240,13 +239,15 @@ def _parse_json(text: str, name: str) -> Design:
     for key in ("n", "m", "lambda"):
         if isinstance(doc[key], bool) or not isinstance(doc[key], int):
             raise ValueError(f"json design: {key} must be an integer, got {doc[key]!r}")
+    if doc["lambda"] != 1:
+        raise ValueError(f"json design: lambda must be 1, got {doc['lambda']}")
     labels = _json_tokens(doc["labels"], "labels")
     if len(labels) != doc["n"]:
         raise ValueError("json design: n does not match number of labels")
     if not isinstance(doc["blocks"], list):
         raise ValueError("json design: blocks must be a list of lists")
     blocks = [_json_tokens(blk, "block") for blk in doc["blocks"]]
-    design = make_design(labels, blocks, lam=doc["lambda"], name=name)
+    design = make_design(labels, blocks, name=name)
     if design.m != doc["m"] and design.blocks:
         raise ValueError(f"json design: m={doc['m']} but blocks have size {design.m}")
     return design
@@ -261,7 +262,7 @@ def serialize_design(design: Design, format: str = "blocklist") -> str:
         doc = {
             "n": design.n,
             "m": design.m,
-            "lambda": design.lam,
+            "lambda": 1,
             "labels": list(design.labels),
             "blocks": [list(design.block_tokens(i)) for i in range(design.b)],
         }
@@ -353,14 +354,14 @@ class ValidationReport(NamedTuple):
 def validate_2design(design: Design) -> ValidationReport:
     """Exhaustively check the 2-(n,m,1) axioms by direct counting.
 
-    Every unordered point pair must lie in exactly lambda blocks, the
-    declared lambda (1 unless a JSON file says otherwise), every block must
-    have size m, and every point must lie in r = (n-1)/(m-1) blocks.
-    Failures are reported, not raised.  Pair failures are counted from the
-    covered pairs; the uncovered ones are walked only to list the first few.
+    Every unordered point pair must lie in exactly one block, every block
+    must have size m, and every point must lie in r = (n-1)/(m-1) blocks.
+    Failures are reported, not raised.  The pairs that fail are all those
+    not covered exactly once, counted from the covered pairs; all pairs are
+    walked only to list the first few.
     """
     violations: list[Violation] = []
-    n, m, lam = design.n, design.m, design.lam
+    n, m = design.n, design.m
     if m < 2 or n <= m:
         violations.append(Violation("parameters", (n, m), 0, "n > m >= 2"))
         return ValidationReport(False, None, tuple(violations), 1)
@@ -377,14 +378,11 @@ def validate_2design(design: Design) -> ValidationReport:
             repl[p] += 1
         for p, q in combinations(blk, 2):
             pair_counts[(p, q)] += 1
-    # an uncovered pair fails unless lambda is 0, when only covered pairs can
-    pair_failures = sum(c != lam for c in pair_counts.values())
-    if lam:
-        pair_failures += n * (n - 1) // 2 - len(pair_counts)
+    pair_failures = n * (n - 1) // 2 - sum(c == 1 for c in pair_counts.values())
     failing = (
-        Violation("pair", (design.labels[p], design.labels[q]), c, lam)
-        for p, q in (combinations(range(n), 2) if lam else sorted(pair_counts))
-        if (c := pair_counts.get((p, q), 0)) != lam
+        Violation("pair", (design.labels[p], design.labels[q]), c, 1)
+        for p, q in combinations(range(n), 2)
+        if (c := pair_counts.get((p, q), 0)) != 1
     )
     listed = min(pair_failures, LISTED_PAIR_VIOLATIONS)
     violations += islice(failing, listed)  # the walk ends at the last one listed

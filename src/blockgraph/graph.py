@@ -5,9 +5,10 @@ counts (and the clique search built on top) reduce to word-parallel ``&``
 plus popcount.  The SRG check proves A^2 = kI + lambda A + mu (J - I - A)
 (Brouwer & Van Maldeghem 2022, 1.1) by one of two routes.  A graph built
 from a 2-(n,m,1) design is proved in point coordinates: A = N^T N - mI and
-N N^T = alpha I + beta J, at n^2/2 popcounts of pencil masks.  Every other
-graph (raw rows, a net, a broken row) has its common neighbours counted
-pair by pair in row-major order, so a failure names the first bad pair.
+N N^T = alpha I + beta J, from the pencils through each vertex and one
+count.  Every other graph (raw rows, a net, a broken row) has its common
+neighbours counted pair by pair in row-major order, so a failure names the
+first bad pair.
 All spectral quantities are exact: SRG eigenvalues are integers, or left
 unset where they are irrational (conference graphs), so no numerical solver
 is involved.
@@ -95,14 +96,17 @@ def _certificate(rows: tuple[int, ...], pencils: tuple[int, ...]) -> tuple[int, 
     With N the pencil by vertex incidence matrix, A = N^T N - mI exactly where
     every vertex i lies on m pencils and those pencils, each less i, partition
     row i: their union less i is the row and their sizes less one add up to
-    its degree.  Where the pencils, masked to the vertices, also hold alpha +
-    beta vertices each and meet pairwise in beta, N N^T = alpha I + beta J and
-    N^T J N = m^2 J give A^2 = (alpha - 2m) A + (alpha m - m^2) I + beta m^2 J.
-    On a regular graph that is neither complete nor empty, vertex 0 has a
-    neighbour, so m >= 1 once its pencils partition its row, and there are
-    two pencils: one through every vertex would make the graph complete.
+    its degree.  Two pencils then share at most one vertex, and the pairs
+    that meet are the v m(m-1)/2 pairs of pencils through a common vertex.
+    So of n pencils no two meet if m = 1 (beta = 0), and all pairs meet iff
+    v m(m-1) = n(n-1) (beta = 1), the count of a 2-(n,m,1) design.  Where
+    that holds and the pencils, masked to the vertices, also hold alpha +
+    beta vertices each, N N^T = alpha I + beta J and N^T J N = m^2 J give
+    A^2 = (alpha - 2m) A + (alpha m - m^2) I + beta m^2 J.  On a regular
+    graph that is neither complete nor empty, vertex 0 has a neighbour, so
+    m >= 1 once its pencils partition its row.
     """
-    v = len(rows)
+    v, n = len(rows), len(pencils)
     masked = [pencil & ((1 << v) - 1) for pencil in pencils]
     through: list[list[int]] = [[] for _ in range(v)]
     for pencil, x in zip(pencils, masked):
@@ -116,10 +120,9 @@ def _certificate(rows: tuple[int, ...], pencils: tuple[int, ...]) -> tuple[int, 
         if (len(ps) != m or union & ~(1 << i) != row
                 or sum(map(int.bit_count, ps)) - len(ps) != row.bit_count()):
             return None
-    size, beta = masked[0].bit_count(), (masked[0] & masked[1]).bit_count()
-    for p, x in enumerate(masked):
-        if x.bit_count() != size or {*map(int.bit_count, map(x.__and__, masked[p + 1:]))} - {beta}:
-            return None
+    size, beta = masked[0].bit_count(), int(m > 1)
+    if {*map(int.bit_count, masked)} != {size} or v * m * (m - 1) != beta * n * (n - 1):
+        return None
     alpha, mu = size - beta, beta * m * m
     return alpha * m - m * m + mu, alpha - 2 * m + mu, mu
 

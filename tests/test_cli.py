@@ -49,18 +49,25 @@ def test_verify_fano_degenerate(capsys):
     assert "degenerate" in out
 
 
+# a genuine 2-(6,3,2) design: every pair of its 6 points lies in 2 blocks
+DESIGN_632 = "012 013 024 035 045 125 134 145 234 235".split()
+
+
 @pytest.mark.parametrize("lam", [0, -1, 2])
 def test_verify_rejects_wrong_declared_lambda(tmp_path, capsys, lam):
-    # fano covers every pair once, so any other declared lambda is violated
-    doc = json.loads(serialize_design(builtin_design("fano"), "json"))
-    doc["lambda"] = lam
-    path = tmp_path / "fano.json"
-    path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "verify", "--input", str(path))
-    assert code == 1
-    assert f"design: 2-(7,3,{lam}) with 7 blocks" in out
-    assert "valid: NO" in out
-    assert f"violation: pair ('0', '1') count=1 expected={lam}" in out
+    # every design is a 2-(n,m,1) design, so any other declared lambda is a
+    # parse error, for fano (which covers every pair once) and for a design
+    # that covers every pair twice
+    fano = json.loads(serialize_design(builtin_design("fano"), "json"))
+    twofold = {"n": 6, "m": 3, "labels": list("012345"), "blocks": [list(b) for b in DESIGN_632]}
+    for doc in (fano, twofold):
+        doc["lambda"] = lam
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(doc))
+        for command in ("verify", "report"):
+            code, out, err = run(capsys, command, "--input", str(path))
+            assert (code, out) == (2, "")
+            assert err == f"error: json design: lambda must be 1, got {lam}\n"
 
 
 def test_verify_duplicate_block_file(tmp_path, capsys):

@@ -385,7 +385,7 @@ def test_scan_flags_match_pairwise_and(monkeypatch):
     rng = random.Random(11)
     for _ in range(300):
         masks = [rng.getrandbits(12) | 1 << rng.randrange(12) for _ in range(rng.randrange(1, 7))]
-        design = Design(12, 3, 1, tuple(map(str, range(12))), tuple(map(_bits, masks)))
+        design = Design(12, 3, tuple(map(str, range(12))), tuple(map(_bits, masks)))
         members = list(range(len(masks)))
         apart = {j for i, j in permutations(members, 2) if not masks[i] & masks[j]}
         twice = any((x & y).bit_count() >= 2 for x, y in combinations(masks, 2))

@@ -218,14 +218,14 @@ def test_validate_lambda_2_coverage_rejected():
 
 def all_violations(design):
     """Reference: every failure, walking all C(n,2) pairs."""
-    n, m, lam = design.n, design.m, design.lam
+    n, m = design.n, design.m
     params = admissibility(n, m)
     out = [("block_size", (i,)) for i, blk in enumerate(design.blocks) if len(blk) != m]
     pairs = Counter(pair for blk in design.blocks for pair in combinations(blk, 2))
     out += [
         ("pair", (design.labels[p], design.labels[q]))
         for p, q in combinations(range(n), 2)
-        if pairs[(p, q)] != lam
+        if pairs[(p, q)] != 1
     ]
     through = Counter(p for blk in design.blocks for p in blk)
     if params.r_integral:
@@ -237,13 +237,11 @@ def all_violations(design):
     return out
 
 
-@pytest.mark.parametrize("lam", [0, 1, 2])
-def test_validate_lists_leading_pair_violations_and_counts_all(lam):
+def test_validate_lists_leading_pair_violations_and_counts_all():
     pairs = make_design([f"p{i}" for i in range(60)], [(f"p{i}", f"p{i + 1}") for i in range(0, 60, 2)])
     main = builtin_design("main66")
     broken = make_design(main.labels, [main.block_tokens(i) for i in range(1, main.b)])
     for design in [pairs, broken, builtin_design("fano"), *random_blocklists()]:
-        design = make_design(design.labels, [design.block_tokens(i) for i in range(design.b)], lam=lam)
         report = validate_2design(design)
         full = all_violations(design)
         listed = (

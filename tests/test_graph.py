@@ -556,12 +556,14 @@ def test_net_falls_back_to_the_pair_pass(monkeypatch):
 
 def test_certificate_needs_every_condition():
     # with (alpha, beta, m) = (2, 1, 2), T(4) = K_{2,2,2} from the lines of
-    # K4 through its points is srg(6,4,2,4); each other case breaks one
+    # K4 through its points is srg(6,4,2,4); with m = 1 two disjoint pencils
+    # give 2K3, (alpha, beta) = (3, 0); each other case breaks one
     # condition, the first three with pencils that partition every row
     pairs = list(combinations(range(4), 2))
     t4 = tuple(sum(1 << i for i, e in enumerate(pairs) if x in e) for x in range(4))
     for v, pencils, expected in [
         (6, t4, (4, 2, 4)),
+        (6, (0b111, 0b111000), (2, 1, 0)),
         (3, (0b011, 0b110), None),  # the path 0-1-2: vertex 1 on two pencils, 0 on one
         (3, (0b001, 0b110), None),  # K1 + K2: disjoint pencils of sizes 1 and 2
         (6, (0b111, 0b111000, 0b111 << 6), None),  # 2K3 and three bits past the last vertex

@@ -238,7 +238,7 @@ def hand_built(blocks, m):
     """A Design straight from integer blocks, of any sizes."""
     blocks = tuple(sorted({tuple(sorted(blk)) for blk in blocks}))
     n = 1 + max(p for blk in blocks for p in blk)
-    return Design(n, m, 1, tuple(f"p{p}" for p in range(n)), blocks)
+    return Design(n, m, tuple(f"p{p}" for p in range(n)), blocks)
 
 
 def reference_shape(design, members):

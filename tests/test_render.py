@@ -65,7 +65,7 @@ def reference_text(report):
     p = validation.params
     r = None if p is None else int(p.r) if p.r_integral else str(p.r)
     lines = [
-        f"{design.name or 'design'}: 2-({design.n},{design.m},{design.lam}) with "
+        f"{design.name or 'design'}: 2-({design.n},{design.m},1) with "
         f"{design.b} blocks, replication {'undefined' if r is None else r}, "
         f"{'valid' if validation.valid else 'INVALID'}"
     ]
