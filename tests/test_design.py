@@ -1,4 +1,6 @@
 import os
+import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -76,6 +78,94 @@ def test_parse_header_mismatch_rejected():
 
 def test_parse_appendix_listing(appendix_a):
     assert (appendix_a.n, appendix_a.m, appendix_a.b) == (66, 6, 143)
+
+
+def per_token_blocklist(text):
+    """Reference of the blocklist rule, token by token: each line less its
+    ``#`` comment and outer whitespace, an optional ``points: N`` header
+    before the first block, then whitespace-split tokens each matched on
+    their own.  The first failure's text, or (labels in first-appearance
+    order, blocks as token sets)."""
+    declared, blocks, labels = None, [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        header = re.match(r"points:\s*(\d+)\Z", line)
+        if header and declared is None and not blocks:
+            declared = int(header.group(1))
+            continue
+        for tok in line.split():
+            if not re.match(r"[A-Za-z0-9_]+\Z", tok):
+                return f"line {lineno}: unparseable token {tok!r}"
+            if tok not in labels:
+                labels.append(tok)
+        blocks.append(frozenset(line.split()))
+    if declared is not None and declared != len(labels):
+        return f"header declares {declared} points but {len(labels)} distinct tokens occur"
+    return tuple(labels), frozenset(blocks)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1\t2\t3\n4 5 6\n",
+        "1\xa02 3\n4\u30005\u20036\n",
+        "1 2 3\x0b\n\u3000 4 5 6 \xa0\n",
+        "1 2 3\x1c4 5 6\n",  # \x1c ends a line for str.splitlines
+        "1 2 3\n4 5 \u00e9\n",
+        "\u00e9 2 3\n",
+        "1 -2 3\n",
+        "1 2-3 4\n",
+        "1 2 3\n4 5 6-\n",
+        "1\u200b2 3\n",  # a zero-width space is not whitespace
+        "\uff11 2 3\n",  # nor is a fullwidth digit a token character
+        "a_b A9 _ # trailing # comment\n",
+        "1 2 # 3\n4 5\n",
+        "1 2 3#4\n",
+        "x-y 1 2 # a-b\n",
+        "points: 3\n1 2 3\n",
+        "points:3\n1 2 3\n",
+        "points:\t 3 # header\n1 2 3\n",
+        "  points: 3  \n1 2 3\n",
+        "points: \u0663\n1 2 3\n",  # \d takes any Unicode decimal digit
+        "points: 4\n1 2 3\n",
+        "Points: 3\n1 2 3\n",
+        "points: 3 4\n1 2 3\n",
+        "points: x\n1 2 3\n",
+        "points:\n1 2 3\n",
+        "points: 3\npoints: 3\n1 2 3\n",
+        "1 2 3\npoints: 3\n",
+        "# only\n\n   \n",
+    ],
+)
+def test_parse_matches_per_token_rule(text):
+    expected = per_token_blocklist(text)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            parse_design(text)
+        assert str(exc.value) == expected
+    else:
+        d = parse_design(text)
+        assert (d.labels, d.token_blocks) == expected
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([["a", "b"], ["x", "y"]], "unknown point token 'x'"),
+        ([["a", "c"], ["c", "y", "x"]], "unknown point token 'y'"),
+        ([["a", "b"], ["c", "c"]], "duplicate point within block ('c', 'c')"),
+        ([["a", "a"], ["a", "z"]], "duplicate point within block ('a', 'a')"),
+        ([["a", "z"], ["a", "a"]], "unknown point token 'z'"),
+        ([["b", "c"], ["a", "b"], ["c", "b"], ["b", "a"]], "duplicate block ('b', 'c')"),
+        ([["a", "b"], ["b", "c"], ["a", "b", "c"], ["c", "b"]], "blocks of unequal size: [2, 3]"),
+    ],
+)
+def test_make_design_error_texts(blocks, message):
+    with pytest.raises(ValueError) as exc:
+        make_design(["a", "b", "c", "d"], blocks)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -217,31 +307,53 @@ def test_validate_lambda_2_coverage_rejected():
 
 
 def all_violations(design):
-    """Reference: every failure, walking all C(n,2) pairs."""
+    """Reference: every failure as (kind, subject, count, expected), each
+    point pair and each point counted on its own against every block."""
     n, m = design.n, design.m
     params = admissibility(n, m)
-    out = [("block_size", (i,)) for i, blk in enumerate(design.blocks) if len(blk) != m]
-    pairs = Counter(pair for blk in design.blocks for pair in combinations(blk, 2))
-    out += [
-        ("pair", (design.labels[p], design.labels[q]))
-        for p, q in combinations(range(n), 2)
-        if pairs[(p, q)] != 1
-    ]
-    through = Counter(p for blk in design.blocks for p in blk)
+    out = [("block_size", (i,), len(blk), m) for i, blk in enumerate(design.blocks) if len(blk) != m]
+    tokens = [set(design.block_tokens(i)) for i in range(design.b)]
+    for a, b in combinations(design.labels, 2):
+        count = sum(a in blk and b in blk for blk in tokens)
+        if count != 1:
+            out.append(("pair", (a, b), count, 1))
     if params.r_integral:
-        out += [("replication", (design.labels[p],)) for p in range(n) if through[p] != params.r]
+        r = int(params.r)
+        for a in design.labels:
+            count = sum(a in blk for blk in tokens)
+            if count != r:
+                out.append(("replication", (a,), count, r))
     else:
-        out.append(("parameters", (n, m)))
+        out.append(("parameters", (n, m), 0, "r integral"))
     if not out and not (params.admissible and design.b == params.b):
-        out.append(("parameters", (n, m)))
+        out.append(("parameters", (n, m), design.b, params.b))
     return out
+
+
+def multiply_covered_blocklists(seed=20261019, count=16):
+    """Blocklists of 3- or 4-sets on 7-10 points where the pair {p0, p1} lies
+    in three blocks and {p0, p2} in two, among random other blocks: a pair
+    tally with a wrong multiplicity names a wrong count for them."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n, m = rng.randint(7, 10), rng.choice((3, 4))
+        labels = [f"p{i}" for i in range(n)]
+        blocks, rest = set(), range(3, n)
+        for pair, times in (((0, 1), 3), ((0, 2), 2)):
+            while sum(set(pair) <= blk for blk in blocks) < times:
+                blocks.add(frozenset(pair).union(rng.sample(rest, m - 2)))
+        target = len(blocks) + rng.randint(0, 4)
+        while len(blocks) < target:  # blocks off p0 keep the two counts exact
+            blocks.add(frozenset(rng.sample(range(1, n), m)))
+        yield make_design(labels, [[labels[p] for p in blk] for blk in blocks], name=f"multiple{k}")
 
 
 def test_validate_lists_leading_pair_violations_and_counts_all():
     pairs = make_design([f"p{i}" for i in range(60)], [(f"p{i}", f"p{i + 1}") for i in range(0, 60, 2)])
     main = builtin_design("main66")
     broken = make_design(main.labels, [main.block_tokens(i) for i in range(1, main.b)])
-    for design in [pairs, broken, builtin_design("fano"), *random_blocklists()]:
+    counts = set()
+    for design in [pairs, broken, builtin_design("fano"), *random_blocklists(), *multiply_covered_blocklists()]:
         report = validate_2design(design)
         full = all_violations(design)
         listed = (
@@ -249,9 +361,11 @@ def test_validate_lists_leading_pair_violations_and_counts_all():
             + [v for v in full if v[0] == "pair"][:20]
             + [v for v in full if v[0] in ("replication", "parameters")]
         )
-        assert [(v.kind, v.subject) for v in report.violations] == listed
+        assert [tuple(v) for v in report.violations] == listed
         assert report.violation_count == len(full)
         assert report.valid == (not full)
+        counts.update(v.count for v in report.violations if v.kind == "pair")
+    assert {0, 2, 3} <= counts
 
 
 def test_validate_disjoint_pairs_in_linear_memory():
