@@ -19,21 +19,28 @@ order.  A split cell that was not queued queues all fragments but its
 first largest.  After individualizing a vertex of an equitable partition
 only the new singleton is queued: the rest of its cell splits nothing the
 singleton does not.  The trace of (colour, position, (count, size) per
-fragment) steps is isomorphism-invariant.
+fragment) steps is isomorphism-invariant.  A refinement walks only the
+non-singleton cells, kept as a list of their positions, and copies the
+runs of cells between two splits as slices, so once most cells are
+singletons a splitter costs what the few open cells cost.
 
 The search walks a deterministic tree: refine to an equitable partition,
 individualize the lowest-index vertex in the first largest cell, recurse.
 The first root-to-leaf path fixes a base labelling; every other leaf whose
 refinement trace matches the first path yields a candidate automorphism,
-which is verified explicitly before being kept.  The first-path nodes are
-processed deepest first.  At each, a child in the orbit of an explored
-child under the automorphisms found so far is skipped, and the search below
-any other child stops at its first verified automorphism and jumps back to
-the first-path node (McKay & Piperno 2014, *Practical graph isomorphism
-II*).  Each kept automorphism therefore enlarges the group.  Once the node
-at depth i is done, the kept automorphisms all fix the base points before
-it and their orbit of its base point is the i-th basic orbit, so the order
-is the product of those orbit lengths (McKay 1981), with no Schreier-Sims.
+which is verified explicitly before being kept.  Off the first path, a
+refinement stops at the first step where its trace leaves the first path's
+trace at that depth, or runs past its end (nauty's trace comparison): the
+tree is the same, and each refuted node costs only the steps up to where
+it parts.  The first-path nodes are processed deepest first.  At each, a
+child in the orbit of an explored child under the automorphisms found so
+far is skipped, and the search below any other child stops at its first
+verified automorphism and jumps back to the first-path node (McKay &
+Piperno 2014, *Practical graph isomorphism II*).  Each kept automorphism
+therefore enlarges the group.  Once the node at depth i is done, the kept
+automorphisms all fix the base points before it and their orbit of its
+base point is the i-th basic orbit, so the order is the product of those
+orbit lengths (McKay 1981), with no Schreier-Sims.
 """
 
 from __future__ import annotations
@@ -129,7 +136,9 @@ def _edge_colour_rows(graph: BlockGraph, cliques) -> list[list[int]]:
     return [by_colour[c] for c in sorted(by_colour)]
 
 
-def _refine(colour_rows, cells: list[int], splitters=None) -> tuple[list[int], tuple]:
+def _refine(
+    colour_rows, cells: list[int], splitters=None, expect=None
+) -> tuple[list[int], tuple]:
     """The coarsest equitable partition finer than ``cells``, and the trace
     of the splits that produced it.
 
@@ -141,12 +150,18 @@ def _refine(colour_rows, cells: list[int], splitters=None) -> tuple[list[int], t
     to every other cell.  A split cell's fragments are all queued if it was
     queued, otherwise all but its first largest, whose counts follow from
     the cell's and the other fragments' (Hopcroft's rule; Paige & Tarjan
-    1987).
+    1987).  Only the non-singleton cells are walked, by index; the runs of
+    cells between two splits are copied as slices.
+
+    With ``expect``, a trace to match, the refinement stops at the first
+    step that differs from ``expect`` or runs past its end, and returns the
+    trace so far with the partition as split up to that step.
     """
     cells = list(cells)
     queue = deque(cells if splitters is None else splitters)
     queued = set(queue)
-    active = sum(cell for cell in cells if cell & (cell - 1))  # non-singletons
+    wide = [i for i, cell in enumerate(cells) if cell & (cell - 1)]  # non-singletons
+    active = sum(cells[i] for i in wide)
     trace = []
     while active and queue:
         splitter = queue.popleft()
@@ -161,29 +176,43 @@ def _refine(colour_rows, cells: list[int], splitters=None) -> tuple[list[int], t
             # the vertices of non-singleton cells with a non-zero count
             touched = active ^ (classes[0][1] if classes[0][0] == 0 else 0)
             out: list[int] = []
-            for cell in cells:
+            out_wide: list[int] = []
+            prev = shift = 0  # cells[prev:] not yet copied; fragments added
+            for i in wide:
+                cell = cells[i]
                 if not cell & touched:
-                    out.append(cell)
+                    out_wide.append(i + shift)
                     continue
                 for _, mask in classes:
                     if cell & mask:
                         break
                 if not cell & ~mask:  # inside the first class it meets
-                    out.append(cell)
+                    out_wide.append(i + shift)
                     continue
                 fragments = [(k, part) for k, mask in classes if (part := cell & mask)]
                 sizes = [part.bit_count() for _, part in fragments]
-                trace.append((colour, len(out), tuple(zip((k for k, _ in fragments), sizes))))
+                trace.append((colour, i + shift, tuple(zip((k for k, _ in fragments), sizes))))
+                out.extend(cells[prev:i])
+                prev = i + 1
                 skip = -1 if cell in queued else sizes.index(max(sizes))
                 queued.discard(cell)
-                for i, (_, part) in enumerate(fragments):
-                    out.append(part)
-                    if i != skip:
+                for j, (_, part) in enumerate(fragments):
+                    if j != skip:
                         queue.append(part)
                         queued.add(part)
-                    if not part & (part - 1):
+                    if part & (part - 1):
+                        out_wide.append(len(out))
+                    else:
                         active ^= part
-            cells = out
+                    out.append(part)
+                shift += len(fragments) - 1
+                if expect is not None and (
+                    len(trace) > len(expect) or trace[-1] != expect[len(trace) - 1]
+                ):
+                    return out + cells[prev:], tuple(trace)
+            if shift:
+                out.extend(cells[prev:])
+                cells, wide = out, out_wide
     return cells, tuple(trace)
 
 
@@ -208,7 +237,8 @@ def graph_automorphism_group(
     Returns the automorphisms the search kept (none for a trivial group),
     the first-path base and the exact order.  Raises SearchBudgetExceeded
     before a refinement past the first ``node_limit``: the root and every
-    individualized vertex are one node each, matching trace or not.
+    individualized vertex are one node each, matching trace or not, and
+    whether or not the refinement stops early where the traces part.
     """
     v = graph.v
     if cliques is None:
@@ -229,12 +259,12 @@ def graph_automorphism_group(
             raise SearchBudgetExceeded(nodes, tuple(generators), order)
         nodes += 1
 
-    def individualize(cells: list[int], ci: int, vertex: int):
-        # every refinement is a node; the parent is equitable, so only the
-        # new singleton can split a cell
+    def individualize(cells: list[int], ci: int, vertex: int, expect=None):
+        # every refinement is a node, aborted or not; the parent is
+        # equitable, so only the new singleton can split a cell
         visit()
         split = cells[:ci] + [1 << vertex, cells[ci] & ~(1 << vertex)] + cells[ci + 1:]
-        return _refine(colour_rows, split, [1 << vertex])
+        return _refine(colour_rows, split, [1 << vertex], expect)
 
     # first path: always the lowest-index vertex of the first largest cell
     visit()
@@ -252,7 +282,9 @@ def graph_automorphism_group(
         """The first verified automorphism (or None) at a leaf below the child
         of an off-path node at ``depth`` that individualizes ``vertex`` in
         cell ``ci``."""
-        cells, trace = individualize(cells, ci, vertex)
+        # stops where the trace leaves the first path's, which may also end
+        # before the first path's does
+        cells, trace = individualize(cells, ci, vertex, base_traces[depth])
         if trace != base_traces[depth]:
             return None
         ci = _first_largest_cell(cells)

@@ -12,6 +12,7 @@ from blockgraph import (
     builtin_design,
     census_report,
     close_group,
+    develop_base_blocks,
     graph_automorphism_group,
     induced_block_action,
     is_graph_automorphism,
@@ -483,13 +484,26 @@ def fragment_list_refine(colour_rows, cells, splitters=None):
     return cells, tuple(trace)
 
 
-@pytest.mark.parametrize(
-    "name", ["main66", "appendixA66", "appendixB66", "fano", "ag23", "pg23"]
-)
-def test_refine_matches_fragment_list_reference(name):
+BUILTINS = ["main66", "appendixA66", "appendixB66", "fano", "ag23", "pg23"]
+
+
+def named_design(name, request):
+    """A builtin, the pg32 or ag33 fixture, PG(3,3), or the STS(21) of seed 0."""
+    if name in ("pg32", "ag33"):
+        return request.getfixturevalue(name)
+    if name == "pg33":
+        return parse_design(point_line_blocklist("projective", 3, 3), name="PG(3,3)")
+    if name == "sts21":
+        return steiner_design(21, seed=0)
+    return builtin_design(name)
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["pg32", "ag33", "sts21"])
+def test_refine_matches_fragment_list_reference(name, request):
     # the same cells in the same order and the same trace, from the seed
-    # partition and from every vertex individualized below it
-    census = census_report(builtin_design(name))
+    # partition and from every vertex individualized below it; the
+    # reference walks every cell, the kernel only the non-singleton ones
+    census = census_report(named_design(name, request))
     cliques = [r.members for r in census.records]
     colours = _edge_colour_rows(census.graph, cliques)
     seed = seed_partition(census.graph, cliques)
@@ -500,6 +514,66 @@ def test_refine_matches_fragment_list_reference(name):
         assert _refine(colours, start, [1 << vertex]) == fragment_list_refine(
             colours, start, [1 << vertex]
         )
+
+
+def test_refine_with_its_own_trace_expected_runs_to_the_end(graph_case):
+    graph, cliques, _ = graph_case
+    colours = _edge_colour_rows(graph, cliques)
+    seed = seed_partition(graph, cliques)
+    cells, _ = _refine(colours, seed)
+    starts = [(seed, None)] + [
+        (individualized(cells, vertex), [1 << vertex]) for vertex in unsettled(cells)[::3]
+    ]
+    for start, splitters in starts:
+        full = _refine(colours, start, splitters)
+        assert _refine(colours, start, splitters, full[1]) == full
+
+
+def test_refine_stops_where_the_trace_leaves_expect(graph_case):
+    # an expected trace altered at step t, or cut to its first t steps: the
+    # refinement returns t + 1 steps, the first t as expected and the last
+    # not, and the partition split by those steps: between the start and
+    # the full result, each step adding its fragments but one
+    graph, cliques, _ = graph_case
+    colours = _edge_colour_rows(graph, cliques)
+    cells, _ = _refine(colours, seed_partition(graph, cliques))
+    checked = 0
+    for vertex in unsettled(cells)[::3]:
+        start = individualized(cells, vertex)
+        refined, full = _refine(colours, start, [1 << vertex])
+        for t in sorted({0, len(full) // 2, len(full) - 1} & set(range(len(full)))):
+            colour, position, counts = full[t]
+            altered = full[:t] + ((colour, position + 1, counts),) + full[t + 1:]
+            for expect in (altered, full[:t]):
+                got, trace = _refine(colours, start, [1 << vertex], expect)
+                assert trace == full[: t + 1] and expect[:t] == full[:t]
+                assert trace != expect[: t + 1]
+                assert len(got) == len(start) + sum(len(step[2]) - 1 for step in trace)
+                assert all(any(c & ~s == 0 for s in start) for c in got)
+                assert all(any(c & ~g == 0 for g in got) for c in refined)
+                checked += 1
+    assert checked or not unsettled(cells)
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["pg32", "ag33", "sts21"])
+def test_trace_abort_changes_nothing_but_time(name, request, monkeypatch):
+    # the same generators, base, order and number of refinements with the
+    # abort as with every refinement run to its end
+    census = census_report(named_design(name, request))
+    cliques = [r.members for r in census.records]
+
+    def run(refine):
+        calls = []
+        monkeypatch.setattr(autgroup, "_refine", lambda *args: calls.append(1) or refine(*args))
+        group = graph_automorphism_group(census.graph, cliques=cliques)
+        return group, len(calls)
+
+    aborting = run(_refine)
+    complete = run(lambda colour_rows, cells, splitters=None, expect=None: _refine(
+        colour_rows, cells, splitters))
+    assert aborting == complete
+    if name == "sts21":
+        assert (aborting[0].order, aborting[1]) == (1, 3011)
 
 
 def test_edge_colours_match_pair_counter(graph_case):
@@ -558,17 +632,9 @@ GROUP_TABLE = {
 }
 
 
-def group_table_design(name, request):
-    if name in ("pg32", "ag33"):
-        return request.getfixturevalue(name)
-    if name == "pg33":
-        return parse_design(point_line_blocklist("projective", 3, 3), name="PG(3,3)")
-    return builtin_design(name)
-
-
 @pytest.mark.parametrize("name", sorted(GROUP_TABLE))
 def test_group_table(name, request):
-    design = group_table_design(name, request)
+    design = named_design(name, request)
     section, group = automorphism_section(design, census_report(design))
     assert (section.order, section.generator_count, section.equals_design_group) == GROUP_TABLE[name]
     assert group.order == section.order == close_group(group.generators).order
@@ -579,8 +645,39 @@ def test_common_neighbour_profile_never_splits(name, request):
     # the premise for seeding with clique counts alone: on every block graph
     # searched here (an SRG or K_v) the common-neighbour profile is one
     # value, so it could not split a seed cell
-    graph = build_block_graph(group_table_design(name, request))
+    graph = build_block_graph(named_design(name, request))
     assert len(set(common_neighbour_profiles(graph))) == 1
+
+
+# Cyclic Steiner triple systems (Peltesohn 1939): the base blocks developed
+# over Z_v, so the shift by 1 is an automorphism and v divides the order.
+# STS(13) also has the multiplier 3 (order 3 mod 13), which maps {0,1,4} to
+# {0,3,12} = {0,1,4} - 1.
+@pytest.mark.parametrize(
+    "v, base_blocks, order",
+    [
+        (13, [("0", "1", "4"), ("0", "2", "7")], 39),
+        (19, [("0", "1", "4"), ("0", "2", "9"), ("0", "5", "11")], 19),
+    ],
+    ids=["sts13", "sts19"],
+)
+def test_cyclic_steiner_triple_system_orders(v, base_blocks, order):
+    design = develop_base_blocks(base_blocks, v, name=f"cyclic STS({v})")
+    census = census_report(design)
+    group = graph_automorphism_group(census.graph, cliques=[r.members for r in census.records])
+    assert group.order % v == 0
+    assert group.order == order == closed_order(group, census.graph.v)
+    assert all(is_graph_automorphism(census.graph, g) for g in group.generators)
+
+
+def test_random_sts31_is_rigid_in_full_search(monkeypatch):
+    # a random STS(31) has a trivial group, so nothing prunes the tree: the
+    # whole search is 17,516 refinements, most cut short by the trace abort
+    census = census_report(steiner_design(31, seed=0))
+    calls = []
+    monkeypatch.setattr(autgroup, "_refine", lambda *args: calls.append(1) or _refine(*args))
+    group = graph_automorphism_group(census.graph, cliques=[r.members for r in census.records])
+    assert (group.generators, group.order, len(calls)) == ((), 1, 17_516)
 
 
 # |PGL(4,5)| = (5^4-1)(5^4-5)(5^4-5^2)(5^4-5^3)/(5-1), doubled by duality;
