@@ -18,21 +18,25 @@ with each count's mask, its fragments taking its place in ascending-count
 order.  A split cell that was not queued queues all fragments but its
 first largest.  After individualizing a vertex of an equitable partition
 only the new singleton is queued: the rest of its cell splits nothing the
-singleton does not.  The trace of (colour, position, (count, size) per
-fragment) steps is isomorphism-invariant.  A refinement walks only the
-non-singleton cells, kept as a list of their positions, and copies the
-runs of cells between two splits as slices, so once most cells are
-singletons a splitter costs what the few open cells cost.
+singleton does not.  A partition is held as its open (non-singleton)
+cells, in canonical order, and its closed vertices, in the order their
+singleton cells were closed; as in nauty and Traces, fixed points leave
+the cell list, so a refinement walks only the open cells and once most
+cells are singletons a splitter costs what the few open cells cost.  The
+trace of (colour, position among the open cells, (count, size) per
+fragment) steps is isomorphism-invariant.
 
 The search walks a deterministic tree: refine to an equitable partition,
-individualize the lowest-index vertex in the first largest cell, recurse.
-The first root-to-leaf path fixes a base labelling; every other leaf whose
-refinement trace matches the first path yields a candidate automorphism,
-which is verified explicitly before being kept.  Off the first path, a
-refinement stops at the first step where its trace leaves the first path's
-trace at that depth, or runs past its end (nauty's trace comparison): the
-tree is the same, and each refuted node costs only the steps up to where
-it parts.  The first-path nodes are processed deepest first.  At each, a
+individualize the lowest-index vertex in the first largest open cell,
+recurse until no cell is open.  The first root-to-leaf path fixes a base
+labelling, its closing order; every other leaf whose refinement trace
+matches the first path yields a candidate automorphism, mapping the j-th
+vertex closed on the first path to the j-th closed at the leaf, which is
+verified explicitly before being kept.  Off the first path, a refinement
+stops at the first step where its trace leaves the first path's trace at
+that depth, or runs past its end (nauty's trace comparison): the tree is
+the same, and each refuted node costs only the steps up to where it
+parts.  The first-path nodes are processed deepest first.  At each, a
 child in the orbit of an explored child under the automorphisms found so
 far is skipped, and the search below any other child stops at its first
 verified automorphism and jumps back to the first-path node (McKay &
@@ -138,30 +142,33 @@ def _edge_colour_rows(graph: BlockGraph, cliques) -> list[list[int]]:
 
 def _refine(
     colour_rows, cells: list[int], splitters=None, expect=None
-) -> tuple[list[int], tuple]:
-    """The coarsest equitable partition finer than ``cells``, and the trace
-    of the splits that produced it.
+) -> tuple[list[int], list[int], tuple]:
+    """The coarsest equitable partition finer than ``cells``, as its open
+    (non-singleton) cells and its closed vertices, and the trace of the
+    splits that produced it.
 
-    Cells are bitmasks in a list whose order is canonical: a cell's
-    fragments take its place in ascending-count order, so positions (and
-    hence the trace) are comparable between search branches.  Splitters
-    come off a queue that starts with ``splitters`` (default: every cell),
-    which must be cells such that the partition is equitable with respect
-    to every other cell.  A split cell's fragments are all queued if it was
+    Cells are bitmasks.  The open list's order is canonical: a cell's open
+    fragments take its place in ascending-count order, and each one-vertex
+    fragment leaves it for ``closed``, which lists the singleton cells in
+    the order they were closed (those of ``cells`` first, in list order).
+    So positions in the open list, and hence the trace, are comparable
+    between search branches, and so is the closing order.  Splitters come
+    off a queue that starts with ``splitters`` (default: every cell), which
+    must be cells such that the partition is equitable with respect to
+    every other cell.  A split cell's fragments are all queued if it was
     queued, otherwise all but its first largest, whose counts follow from
     the cell's and the other fragments' (Hopcroft's rule; Paige & Tarjan
-    1987).  Only the non-singleton cells are walked, by index; the runs of
-    cells between two splits are copied as slices.
+    1987).
 
     With ``expect``, a trace to match, the refinement stops at the first
     step that differs from ``expect`` or runs past its end, and returns the
     trace so far with the partition as split up to that step.
     """
-    cells = list(cells)
+    open_ = [cell for cell in cells if cell & (cell - 1)]
+    closed = [_lowest(cell) for cell in cells if not cell & (cell - 1)]
     queue = deque(cells if splitters is None else splitters)
     queued = set(queue)
-    wide = [i for i, cell in enumerate(cells) if cell & (cell - 1)]  # non-singletons
-    active = sum(cells[i] for i in wide)
+    active = sum(open_)
     trace = []
     while active and queue:
         splitter = queue.popleft()
@@ -172,28 +179,24 @@ def _refine(
         for colour, rows in enumerate(colour_rows):
             classes = _count_classes(_sliced_sum([rows[u] for u in members]), active)
             if len(classes) < 2:
-                continue  # no non-singleton cell can split
-            # the vertices of non-singleton cells with a non-zero count
+                continue  # no open cell can split
+            # the vertices of open cells with a non-zero count
             touched = active ^ (classes[0][1] if classes[0][0] == 0 else 0)
             out: list[int] = []
-            out_wide: list[int] = []
-            prev = shift = 0  # cells[prev:] not yet copied; fragments added
-            for i in wide:
-                cell = cells[i]
+            rest = iter(open_)
+            for cell in rest:
                 if not cell & touched:
-                    out_wide.append(i + shift)
+                    out.append(cell)
                     continue
                 for _, mask in classes:
                     if cell & mask:
                         break
                 if not cell & ~mask:  # inside the first class it meets
-                    out_wide.append(i + shift)
+                    out.append(cell)
                     continue
                 fragments = [(k, part) for k, mask in classes if (part := cell & mask)]
                 sizes = [part.bit_count() for _, part in fragments]
-                trace.append((colour, i + shift, tuple(zip((k for k, _ in fragments), sizes))))
-                out.extend(cells[prev:i])
-                prev = i + 1
+                trace.append((colour, len(out), tuple(zip((k for k, _ in fragments), sizes))))
                 skip = -1 if cell in queued else sizes.index(max(sizes))
                 queued.discard(cell)
                 for j, (_, part) in enumerate(fragments):
@@ -201,25 +204,22 @@ def _refine(
                         queue.append(part)
                         queued.add(part)
                     if part & (part - 1):
-                        out_wide.append(len(out))
+                        out.append(part)
                     else:
                         active ^= part
-                    out.append(part)
-                shift += len(fragments) - 1
+                        closed.append(_lowest(part))
                 if expect is not None and (
                     len(trace) > len(expect) or trace[-1] != expect[len(trace) - 1]
                 ):
-                    return out + cells[prev:], tuple(trace)
-            if shift:
-                out.extend(cells[prev:])
-                cells, wide = out, out_wide
-    return cells, tuple(trace)
+                    out.extend(rest)
+                    return out, closed, tuple(trace)
+            open_ = out
+    return open_, closed, tuple(trace)
 
 
-def _first_largest_cell(cells: list[int]) -> int | None:
+def _first_largest_cell(cells: list[int]) -> int:
     sizes = [cell.bit_count() for cell in cells]
-    largest = max(sizes, default=0)
-    return sizes.index(largest) if largest > 1 else None
+    return sizes.index(max(sizes))
 
 
 def _lowest(cell: int) -> int:
@@ -259,43 +259,47 @@ def graph_automorphism_group(
             raise SearchBudgetExceeded(nodes, tuple(generators), order)
         nodes += 1
 
-    def individualize(cells: list[int], ci: int, vertex: int, expect=None):
+    def individualize(open_: list[int], closed: list[int], ci: int, vertex: int, expect=None):
         # every refinement is a node, aborted or not; the parent is
         # equitable, so only the new singleton can split a cell
         visit()
-        split = cells[:ci] + [1 << vertex, cells[ci] & ~(1 << vertex)] + cells[ci + 1:]
-        return _refine(colour_rows, split, [1 << vertex], expect)
+        split = open_[:ci] + [1 << vertex, open_[ci] & ~(1 << vertex)] + open_[ci + 1:]
+        open_, closing, trace = _refine(colour_rows, split, [1 << vertex], expect)
+        return open_, closed + closing, trace
 
-    # first path: always the lowest-index vertex of the first largest cell
+    # first path: always the lowest-index vertex of the first largest open cell
     visit()
-    cells, _ = _refine(colour_rows, [seed_cells[k] for k in sorted(seed_cells)])
-    path: list[tuple[list[int], int]] = []
+    open_, closed, _ = _refine(colour_rows, [seed_cells[k] for k in sorted(seed_cells)])
+    path: list[tuple[list[int], list[int], int]] = []
     base_traces: list[tuple] = []
-    while (ci := _first_largest_cell(cells)) is not None:
-        path.append((cells, ci))
-        cells, trace = individualize(cells, ci, _lowest(cells[ci]))
+    while open_:
+        ci = _first_largest_cell(open_)
+        path.append((open_, closed, ci))
+        open_, closed, trace = individualize(open_, closed, ci, _lowest(open_[ci]))
         base_traces.append(trace)
-    base_leaf = [_lowest(c) for c in cells]
-    base = tuple(_lowest(cells[ci]) for cells, ci in path)
+    base_closed = closed
+    base = tuple(_lowest(open_[ci]) for open_, _, ci in path)
 
-    def automorphism_below(cells: list[int], ci: int, vertex: int, depth: int):
+    def automorphism_below(open_: list[int], closed: list[int], ci: int, vertex: int, depth: int):
         """The first verified automorphism (or None) at a leaf below the child
         of an off-path node at ``depth`` that individualizes ``vertex`` in
-        cell ``ci``."""
+        open cell ``ci``."""
         # stops where the trace leaves the first path's, which may also end
         # before the first path's does
-        cells, trace = individualize(cells, ci, vertex, base_traces[depth])
+        open_, closed, trace = individualize(open_, closed, ci, vertex, base_traces[depth])
         if trace != base_traces[depth]:
             return None
-        ci = _first_largest_cell(cells)
-        if ci is None:
+        if not open_:
+            # a leaf: the j-th vertex closed here is the image of the j-th
+            # vertex closed on the first path
             images = [0] * v
-            for a, c in zip(base_leaf, cells):
-                images[a] = _lowest(c)
+            for a, c in zip(base_closed, closed):
+                images[a] = c
             candidate = Permutation(tuple(images))
             return candidate if is_graph_automorphism(graph, candidate) else None
-        for vertex in _bits(cells[ci]):
-            found = automorphism_below(cells, ci, vertex, depth + 1)
+        ci = _first_largest_cell(open_)
+        for vertex in _bits(open_[ci]):
+            found = automorphism_below(open_, closed, ci, vertex, depth + 1)
             if found is not None:
                 return found
         return None
@@ -305,12 +309,12 @@ def graph_automorphism_group(
     # explored child roots an equivalent subtree and is skipped; one
     # automorphism below a child settles that child (McKay & Piperno 2014).
     for depth in reversed(range(len(path))):
-        cells, ci = path[depth]
+        open_, closed, ci = path[depth]
         explored = {base[depth]}
-        for vertex in _bits(cells[ci]):
+        for vertex in _bits(open_[ci]):
             if vertex in explored:
                 continue
-            found = automorphism_below(cells, ci, vertex, depth)
+            found = automorphism_below(open_, closed, ci, vertex, depth)
             if found is not None:
                 generators.append(found)
             explored = orbit(explored | {vertex}, generators)

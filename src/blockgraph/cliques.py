@@ -213,7 +213,10 @@ def _shape(k: int, ns: int, c: int, m_r: int, twice: bool, pairs: int, m: int) -
 
 
 def _block_masks(design: Design, members) -> tuple[int, ...]:
-    """The design's block masks, once every index in sorted ``members`` is checked."""
+    """The design's block masks, once sorted ``members`` is checked for a
+    repeated index and then for one out of range."""
+    if len(set(members)) != len(members):
+        raise ValueError("repeated block index in clique")
     masks = design.block_masks
     if members and not (0 <= members[0] and members[-1] < len(masks)):
         i = next(i for i in members if not 0 <= i < len(masks))
@@ -222,10 +225,11 @@ def _block_masks(design: Design, members) -> tuple[int, ...]:
 
 
 def _scan(design: Design, members) -> tuple[int, int, int, tuple]:
-    """One pass over sorted ``members``, every index checked: the AND of their
-    point masks, the core, the members disjoint from some member (``chosen``,
-    the member mask, less the AND of their rows with their own bits) and the
-    record fields after the classification, looked up by shape."""
+    """One pass over sorted ``members``, checked by ``_block_masks``: the AND
+    of their point masks, the core, the members disjoint from some member
+    (``chosen``, the member mask, less the AND of their rows with their own
+    bits) and the record fields after the classification, looked up by
+    shape."""
     masks = _block_masks(design, members)
     _, rows, twice = design.reach
     common, support, core, pairs = (1 << design.n) - 1, 0, 0, 0
@@ -246,11 +250,8 @@ def _scan(design: Design, members) -> tuple[int, int, int, tuple]:
         if (masks[i] & core).bit_count() != m_r:
             m_r = 0
             break
-    # a repeated member (only core_restriction takes one) shares its points
-    # with itself: a pair covered twice if it has two, else no core design
-    repeated = chosen.bit_count() < len(members)
     shape = _shape(len(members), support.bit_count(), core.bit_count(), m_r,
-                   bool(chosen & doubled) or repeated, pairs, design.m)
+                   bool(chosen & doubled), pairs, design.m)
     return common, core, chosen & ~meet_all, shape
 
 
@@ -261,8 +262,6 @@ def clique_record(design: Design, members) -> CliqueRecord:
     for the first pair of member blocks (in sorted order) that are disjoint.
     """
     members = tuple(sorted(members))
-    if len(set(members)) != len(members):
-        raise ValueError("repeated block index in clique")
     common, _, apart, shape = _scan(design, members)
     if apart:
         masks = design.block_masks
@@ -281,7 +280,8 @@ def classify_clique(design: Design, members) -> Classification:
 
 
 def point_multiplicity_profile(design: Design, members) -> dict[int, int]:
-    """How many member blocks each support point lies in."""
+    """How many member blocks each support point lies in.  Raises ValueError
+    for a repeated member, then for one out of range."""
     members = sorted(members)
     masks = list(map(_block_masks(design, members).__getitem__, members))
     return {p: sum(x >> p & 1 for x in masks) for p in _bits(reduce(or_, masks, 0))}
@@ -292,7 +292,8 @@ def core_restriction(design: Design, members) -> CoreRestriction:
 
     If the restricted blocks form a uniform 2-design on the core, its
     parameters are reported; degenerate or non-uniform restrictions simply
-    carry no parameters.
+    carry no parameters.  Raises ValueError for a repeated member, then for
+    one out of range.
     """
     members = tuple(members)  # read twice: sorted for the scan, then in the caller's order
     _, core, _, shape = _scan(design, sorted(members))

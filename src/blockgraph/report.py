@@ -26,7 +26,6 @@ from .design import Design, ValidationReport, validate_2design
 from .perms import (
     OrbitPartition,
     Permutation,
-    _set_images,
     close_group,
     induced_block_action,
     induced_clique_action,
@@ -120,8 +119,7 @@ def lift_to_design_automorphism(design: Design, block_perm: Permutation):
         for p, q in zip(points, target):
             images[p] = q
     perm = Permutation(tuple(images))
-    found = tuple(_set_images(perm.images, design.blocks, design.block_index))
-    return perm if found == block_perm.images else None
+    return perm if induced_block_action(design, perm) == block_perm else None
 
 
 def automorphism_section(

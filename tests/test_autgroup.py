@@ -351,6 +351,21 @@ def unsettled(cells):
     return [v for c in cells if c & (c - 1) for v in range(c.bit_length()) if c >> v & 1]
 
 
+def full_cells(open_, closed):
+    """The whole partition as one cell list: the open cells, then the closed
+    vertices as singleton cells in their closing order."""
+    return open_ + [1 << x for x in closed]
+
+
+def assert_partition(refined, v):
+    """``_refine``'s open cells hold two vertices or more, its closed vertices
+    are distinct, and together they partition the v vertices."""
+    open_, closed, _ = refined
+    assert all(c & (c - 1) for c in open_)
+    assert len(set(closed)) == len(closed)
+    assert sum(open_) + sum(1 << x for x in closed) == (1 << v) - 1
+
+
 def individualized(cells, vertex):
     ci = next(i for i, cell in enumerate(cells) if cell >> vertex & 1)
     return cells[:ci] + [1 << vertex, cells[ci] & ~(1 << vertex)] + cells[ci + 1:]
@@ -390,61 +405,80 @@ def test_refine_matches_all_cells_reference(graph_case):
     colours = _edge_colour_rows(graph, cliques)
     rng = random.Random(graph.v)
     starts = [seed_partition(graph, cliques), [(1 << graph.v) - 1]]
-    cells, _ = _refine(colours, starts[0])
+    cells = full_cells(*_refine(colours, starts[0])[:2])
     for vertex in rng.sample(unsettled(cells), min(len(unsettled(cells)), 6)):
         starts.append(individualized(cells, vertex))
-        once, _ = _refine(colours, starts[-1])
+        once = full_cells(*_refine(colours, starts[-1])[:2])
         if unsettled(once):
             starts.append(individualized(once, rng.choice(unsettled(once))))
     for start in starts:
-        got, _ = _refine(colours, start)
-        assert set(got) == set(all_cells_refine(colours, start))
-        assert sum(got) == (1 << graph.v) - 1
+        got = _refine(colours, start)
+        assert_partition(got, graph.v)
+        open_, closed, _ = got
+        assert set(open_) | {1 << x for x in closed} == set(all_cells_refine(colours, start))
+    # a discrete start splits nothing and closes its singletons in list order
+    order = rng.sample(range(graph.v), graph.v)
+    assert _refine(colours, [1 << x for x in order]) == ([], order, ())
 
 
 def test_singleton_splitter_refines_like_all_cells(graph_case):
     # from an equitable partition, queueing only an individualized vertex
     # reaches the same coarsest equitable partition as queueing every cell
+    # the same open cells and trace when the start holds only the open
+    # cells and the new singleton, as in the search
     graph, cliques, _ = graph_case
     colours = _edge_colour_rows(graph, cliques)
-    cells, _ = _refine(colours, seed_partition(graph, cliques))
+    open_, closed, _ = _refine(colours, seed_partition(graph, cliques))
     rng = random.Random(2 * graph.v)
     for _ in range(4):
-        if not unsettled(cells):
+        if not open_:
             break
-        vertex = rng.choice(unsettled(cells))
-        start = individualized(cells, vertex)
-        got, _ = _refine(colours, start, [1 << vertex])
-        assert set(got) == set(all_cells_refine(colours, start))
-        cells = got
+        vertex = rng.choice(unsettled(open_))
+        start = individualized(full_cells(open_, closed), vertex)
+        got = _refine(colours, start, [1 << vertex])
+        assert_partition(got, graph.v)
+        assert set(full_cells(*got[:2])) == set(all_cells_refine(colours, start))
+        child, closing, trace = _refine(colours, individualized(open_, vertex), [1 << vertex])
+        assert (child, trace) == (got[0], got[2])
+        assert sorted(closed + closing) == sorted(got[1])
+        open_, closed = child, closed + closing
 
 
 def test_refine_trace_is_invariant(graph_case):
     # refining the image of a partition under an automorphism gives the
-    # image of the refined partition, cell for cell, with the same trace,
-    # whether every cell or only the new singleton is queued
+    # image of the refined partition, open cell for open cell and closed
+    # vertex for closed vertex, with the same trace, whether every cell of
+    # the whole partition is queued, or only the new singleton, or only the
+    # new singleton of the open cells as in the search
     graph, cliques, group = graph_case
     colours = _edge_colour_rows(graph, cliques)
-    cells, _ = _refine(colours, seed_partition(graph, cliques))
+    open_, closed, _ = _refine(colours, seed_partition(graph, cliques))
+    cells = full_cells(open_, closed)
     for g in group.generators:
-        for vertex in unsettled(cells)[::5]:
-            start = individualized(cells, vertex)
-            got, trace = _refine(colours, start)
-            moved, moved_trace = _refine(colours, [image_mask(g, c) for c in start])
-            assert moved == [image_mask(g, c) for c in got]
-            assert moved_trace == trace
-            got, trace = _refine(colours, start, [1 << vertex])
-            moved, moved_trace = _refine(
-                colours, [image_mask(g, c) for c in start], [1 << g(vertex)]
-            )
-            assert moved == [image_mask(g, c) for c in got]
-            assert moved_trace == trace
+        for vertex in unsettled(open_)[::5]:
+            for start, splitters, moved_splitters in [
+                (individualized(cells, vertex), None, None),
+                (individualized(cells, vertex), [1 << vertex], [1 << g(vertex)]),
+                (individualized(open_, vertex), [1 << vertex], [1 << g(vertex)]),
+            ]:
+                got_open, got_closed, trace = _refine(colours, start, splitters)
+                moved_open, moved_closed, moved_trace = _refine(
+                    colours, [image_mask(g, c) for c in start], moved_splitters
+                )
+                assert moved_open == [image_mask(g, c) for c in got_open]
+                assert moved_closed == [g(x) for x in got_closed]
+                assert moved_trace == trace
 
 
 def fragment_list_refine(colour_rows, cells, splitters=None):
-    """Reference splitter queue that builds every touched cell's fragment
-    list before asking whether the cell splits."""
+    """Reference splitter queue that walks every cell, singletons too, and
+    builds every touched cell's fragment list before asking whether the cell
+    splits.  It returns the open cells of the whole list, the closed
+    vertices in the order their cells became singletons (those of ``cells``
+    first) and the trace, a split's position counting the open cells before
+    it."""
     cells = list(cells)
+    closed = [c.bit_length() - 1 for c in cells if not c & (c - 1)]
     queue = deque(cells if splitters is None else splitters)
     queued = set(queue)
     active = sum(cell for cell in cells if cell & (cell - 1))
@@ -470,7 +504,8 @@ def fragment_list_refine(colour_rows, cells, splitters=None):
                     out.append(cell)
                     continue
                 sizes = [part.bit_count() for _, part in fragments]
-                trace.append((colour, len(out), tuple(zip((k for k, _ in fragments), sizes))))
+                position = sum(1 for c in out if c & (c - 1))
+                trace.append((colour, position, tuple(zip((k for k, _ in fragments), sizes))))
                 skip = -1 if cell in queued else sizes.index(max(sizes))
                 queued.discard(cell)
                 for i, (_, part) in enumerate(fragments):
@@ -480,8 +515,9 @@ def fragment_list_refine(colour_rows, cells, splitters=None):
                         queued.add(part)
                     if not part & (part - 1):
                         active ^= part
+                        closed.append(part.bit_length() - 1)
             cells = out
-    return cells, tuple(trace)
+    return [c for c in cells if c & (c - 1)], closed, tuple(trace)
 
 
 BUILTINS = ["main66", "appendixA66", "appendixB66", "fano", "ag23", "pg23"]
@@ -500,59 +536,71 @@ def named_design(name, request):
 
 @pytest.mark.parametrize("name", BUILTINS + ["pg32", "ag33", "sts21"])
 def test_refine_matches_fragment_list_reference(name, request):
-    # the same cells in the same order and the same trace, from the seed
-    # partition and from every vertex individualized below it; the
-    # reference walks every cell, the kernel only the non-singleton ones
+    # the same open cells in the same order, the same closing order and the
+    # same trace, from the seed partition and from every vertex
+    # individualized below it, in the whole partition and among the open
+    # cells alone; the reference walks every cell, the kernel only the
+    # open ones
     census = census_report(named_design(name, request))
     cliques = [r.members for r in census.records]
     colours = _edge_colour_rows(census.graph, cliques)
     seed = seed_partition(census.graph, cliques)
-    cells, trace = _refine(colours, seed)
-    assert (cells, trace) == fragment_list_refine(colours, seed)
-    for vertex in unsettled(cells):
-        start = individualized(cells, vertex)
-        assert _refine(colours, start, [1 << vertex]) == fragment_list_refine(
-            colours, start, [1 << vertex]
-        )
+    refined = _refine(colours, seed)
+    assert refined == fragment_list_refine(colours, seed)
+    open_, closed, _ = refined
+    for vertex in unsettled(open_):
+        for start in (individualized(full_cells(open_, closed), vertex),
+                      individualized(open_, vertex)):
+            assert _refine(colours, start, [1 << vertex]) == fragment_list_refine(
+                colours, start, [1 << vertex]
+            )
 
 
 def test_refine_with_its_own_trace_expected_runs_to_the_end(graph_case):
     graph, cliques, _ = graph_case
     colours = _edge_colour_rows(graph, cliques)
     seed = seed_partition(graph, cliques)
-    cells, _ = _refine(colours, seed)
+    open_, closed, _ = _refine(colours, seed)
     starts = [(seed, None)] + [
-        (individualized(cells, vertex), [1 << vertex]) for vertex in unsettled(cells)[::3]
+        (individualized(start, vertex), [1 << vertex])
+        for vertex in unsettled(open_)[::3]
+        for start in (full_cells(open_, closed), open_)
     ]
     for start, splitters in starts:
         full = _refine(colours, start, splitters)
-        assert _refine(colours, start, splitters, full[1]) == full
+        assert _refine(colours, start, splitters, full[2]) == full
 
 
 def test_refine_stops_where_the_trace_leaves_expect(graph_case):
     # an expected trace altered at step t, or cut to its first t steps: the
     # refinement returns t + 1 steps, the first t as expected and the last
     # not, and the partition split by those steps: between the start and
-    # the full result, each step adding its fragments but one
+    # the full result, each step adding its fragments but one, with the
+    # vertices closed so far a prefix of the full closing order
     graph, cliques, _ = graph_case
     colours = _edge_colour_rows(graph, cliques)
-    cells, _ = _refine(colours, seed_partition(graph, cliques))
+    open_, closed, _ = _refine(colours, seed_partition(graph, cliques))
+    cells = full_cells(open_, closed)
     checked = 0
-    for vertex in unsettled(cells)[::3]:
+    for vertex in unsettled(open_)[::3]:
         start = individualized(cells, vertex)
-        refined, full = _refine(colours, start, [1 << vertex])
+        refined_open, refined_closed, full = _refine(colours, start, [1 << vertex])
+        refined = full_cells(refined_open, refined_closed)
         for t in sorted({0, len(full) // 2, len(full) - 1} & set(range(len(full)))):
             colour, position, counts = full[t]
             altered = full[:t] + ((colour, position + 1, counts),) + full[t + 1:]
             for expect in (altered, full[:t]):
-                got, trace = _refine(colours, start, [1 << vertex], expect)
+                got_open, got_closed, trace = _refine(colours, start, [1 << vertex], expect)
                 assert trace == full[: t + 1] and expect[:t] == full[:t]
                 assert trace != expect[: t + 1]
+                assert_partition((got_open, got_closed, trace), graph.v)
+                assert refined_closed[: len(got_closed)] == got_closed
+                got = full_cells(got_open, got_closed)
                 assert len(got) == len(start) + sum(len(step[2]) - 1 for step in trace)
                 assert all(any(c & ~s == 0 for s in start) for c in got)
                 assert all(any(c & ~g == 0 for g in got) for c in refined)
                 checked += 1
-    assert checked or not unsettled(cells)
+    assert checked or not unsettled(open_)
 
 
 @pytest.mark.parametrize("name", BUILTINS + ["pg32", "ag33", "sts21"])

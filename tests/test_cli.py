@@ -24,6 +24,7 @@ from conftest import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -431,6 +432,24 @@ def test_aut_main66(capsys):
     assert code == 0
     assert "order: 39" in out
     assert "equals induced design automorphism group: yes" in out
+
+
+# `aut` stdout as recorded under tests/golden/: every kept generator is
+# pinned, so a change to the search tree shows here
+@pytest.mark.parametrize(
+    "name", ["main66", "appendixA66", "appendixB66", "fano", "ag23", "pg23", "pg32", "ag33"]
+)
+def test_aut_stdout_is_pinned(tmp_path, capsys, name):
+    if name in ("pg32", "ag33"):
+        path = tmp_path / f"{name}.blk"
+        family = "projective" if name == "pg32" else "affine"
+        path.write_text(point_line_blocklist(family, 3, int(name[-1])))
+        source = ("--input", str(path))
+    else:
+        source = ("--builtin", name)
+    code, out, _ = run(capsys, "aut", *source)
+    assert code == 0
+    assert out == (GOLDEN / f"aut-{name}.out").read_text()
 
 
 def test_aut_budget_exhaustion(capsys):

@@ -304,16 +304,16 @@ def test_reach_rows_match_pairwise_references():
 
 
 def test_core_restriction_with_repeated_members():
-    # six Fano lines and one of them again: k m_r(m_r-1) = c(c-1) holds,
-    # but the repeated line covers its pairs twice, so no core design
+    # a member list with a repeated block is not a clique: core_restriction
+    # and point_multiplicity_profile raise clique_record's error, before any
+    # index is checked against the range, and whether the members come as a
+    # tuple or as a one-shot iterator
     design = hand_built(FANO, 3)
-    for members in [(0, 1, 2, 3, 4, 5, 5), (0, 0), (5, 2, 6, 5)]:
-        core, restricted, params, _ = reference_core(design, members)
-        got = core_restriction(design, members)
-        assert (got.core_points, got.restricted_blocks, got.restricted_params) == (
-            core, restricted, params
-        )
-    assert reference_core(design, (0, 1, 2, 3, 4, 5, 5))[2:] == (None, True)
+    for members in [(0, 1, 2, 3, 4, 5, 5), (0, 0), (5, 2, 6, 5), (9, 9, 0), (0, 7, 0)]:
+        for helper in (core_restriction, point_multiplicity_profile, clique_record):
+            for given in (members, iter(members)):
+                with pytest.raises(ValueError, match="^repeated block index in clique$"):
+                    helper(design, given)
 
 
 def test_subdesign_requires_blocks_of_size_m():

@@ -1,3 +1,7 @@
+import random
+from collections import Counter
+from itertools import combinations, permutations
+
 import pytest
 
 from blockgraph import (
@@ -5,6 +9,7 @@ from blockgraph import (
     build_block_graph,
     builtin_design,
     close_group,
+    graph_automorphism_group,
     induced_block_action,
     induced_clique_action,
     is_design_automorphism,
@@ -285,6 +290,48 @@ def test_lift_rejects_twin_classes_of_different_sizes():
     # two points of its own and block 2 only one
     design = make_design("abcpqs", ["abp", "pqs", "qcs"])
     assert lift_to_design_automorphism(design, Permutation((2, 1, 0))) is None
+
+
+def small_designs(seed=27, count=30):
+    """Seeded designs on 3-7 points with 1-6 blocks of one size: twins,
+    points on one block only and points on no block all occur."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(3, 7)
+        labels = [f"p{i}" for i in range(n)]
+        pool = list(combinations(labels, rng.randint(2, min(4, n - 1))))
+        blocks = rng.sample(pool, rng.randint(1, min(6, len(pool))))
+        yield make_design(labels, blocks, name=f"small{k}")
+
+
+def test_lift_matches_brute_force_over_point_permutations():
+    # a block permutation lifts exactly when one of the n! point
+    # permutations induces it, and a returned lift induces it
+    rng = random.Random(28)
+    lifted, shapes = Counter(), Counter()
+    for design in small_designs():
+        index = {frozenset(blk): i for i, blk in enumerate(design.blocks)}
+        induced = set()
+        for images in permutations(range(design.n)):
+            moved = tuple(index.get(frozenset(images[p] for p in blk)) for blk in design.blocks)
+            if None not in moved:
+                induced.add(moved)
+        on = Counter(frozenset(i for i, blk in enumerate(design.blocks) if p in blk)
+                     for p in range(design.n))
+        shapes["twins"] += any(blocks and count > 1 for blocks, count in on.items())
+        shapes["one block"] += any(len(blocks) == 1 for blocks in on)
+        b = len(design.blocks)
+        block_perms = list(graph_automorphism_group(build_block_graph(design)).generators)
+        block_perms += [Permutation(tuple(rng.sample(range(b), b))) for _ in range(4)]
+        for block_perm in block_perms:
+            lift = lift_to_design_automorphism(design, block_perm)
+            assert (lift is not None) == (block_perm.images in induced)
+            if lift is not None:
+                assert all(index[frozenset(map(lift, blk))] == block_perm(i)
+                           for i, blk in enumerate(design.blocks))
+            lifted[lift is not None] += 1
+    assert lifted[True] and lifted[False]
+    assert shapes["twins"] and shapes["one block"]
 
 
 def test_lift_recovers_main66_generators(main66, main66_generators):

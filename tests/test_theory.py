@@ -17,6 +17,7 @@ from blockgraph import (
     translate_intersection,
 )
 from blockgraph.theory import (
+    MAX_EXPONENT,
     affine_params,
     denniston_params,
     is_prime_power,
@@ -229,11 +230,16 @@ def test_denniston_examples():
 
 
 def test_denniston_equivalence_exhaustive():
-    for r in range(2, 12):
-        for s in range(r + 1, 13):
+    # the whole accepted domain 2 <= r < s <= MAX_EXPONENT: the closed form
+    # s < 2r against the threshold on the exact parameters
+    for r in range(2, MAX_EXPONENT):
+        for s in range(r + 1, MAX_EXPONENT + 1):
             p = denniston_params(r, s)
             assert (s < 2 * r) == (p.n <= gm_threshold(p.m))
             assert denniston_may_have_noncanonical(r, s) == (s < 2 * r)
+    for r, s in [(1, 3), (3, 3), (4, 2), (2, MAX_EXPONENT + 1)]:
+        with pytest.raises(ValueError):
+            denniston_may_have_noncanonical(r, s)
 
 
 def test_denniston_large_values_exact():
