@@ -10,8 +10,10 @@ search tree to a handful of nodes.
 
 Counting is bit-sliced: a sum of vertex bitmasks is held as planes, bit v
 of plane j being bit j of v's count, so one ripple-carry add per mask
-counts every vertex at once.  The edge colours are the sliced sums of the
-clique masks through each vertex.  Refinement is a splitter queue
+counts every vertex at once.  Seeds and edge colours come from one pass
+that builds each maximum clique's mask once: a vertex's seed is the number
+of masks through it and its edge colours are their sliced sum, one list
+of rows per colour that occurs.  Refinement is a splitter queue
 (McKay & Piperno 2014; Paige & Tarjan 1987): a splitter's per-colour
 counts are the sliced sum of its members' rows, and each cell splits by AND
 with each count's mask, its fragments taking its place in ascending-count
@@ -49,8 +51,7 @@ orbit lengths (McKay 1981), with no Schreier-Sims.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from itertools import chain
+from collections import deque
 from typing import NamedTuple
 
 from .cliques import enumerate_maximum_cliques
@@ -84,14 +85,6 @@ class GraphGroup(NamedTuple):
     order: int
 
 
-def default_seed_invariants(graph: BlockGraph, cliques) -> list[int]:
-    """The number of maximum cliques through each vertex.  No common-neighbour
-    profile: it is the same at every vertex of an SRG, K_v or an empty graph,
-    and elsewhere refinement still reaches the exact group without it."""
-    counts = Counter(chain.from_iterable(cliques))
-    return [counts[v] for v in range(graph.v)]
-
-
 def _sliced_sum(masks) -> list[int]:
     """Bit-sliced sum of bitmasks: bit v of plane j is bit j of the number
     of masks holding v, so one ripple-carry add per mask counts every
@@ -112,7 +105,7 @@ def _sliced_sum(masks) -> list[int]:
 def _count_classes(planes: list[int], within: int) -> list[tuple[int, int]]:
     """(count, mask) for each count the sliced sum takes on ``within``,
     ascending by count."""
-    classes = [(0, within)]
+    classes = [(0, within)] if within else []
     for j, plane in enumerate(planes):
         split = []
         for k, mask in classes:
@@ -125,19 +118,25 @@ def _count_classes(planes: list[int], within: int) -> list[tuple[int, int]]:
     return sorted(classes)
 
 
-def _edge_colour_rows(graph: BlockGraph, cliques) -> list[list[int]]:
-    """Adjacency split by edge colour = number of maximum cliques on the
-    pair, one list of rows per colour, ascending by colour."""
+def default_seed_invariants(graph: BlockGraph, cliques) -> tuple[list[int], list[list[int]]]:
+    """The seed cells (vertices by the number of maximum cliques through
+    them) and the edge colours (rows split by the number of cliques on the
+    edge, one list per colour that occurs), both ascending, from one pass
+    over the cliques' masks.  No common-neighbour profile: it is the same
+    at every vertex of an SRG, K_v or an empty graph, and elsewhere
+    refinement still reaches the exact group without it."""
     through: list[list[int]] = [[] for _ in range(graph.v)]
     for cl in cliques:
         mask = sum(1 << u for u in cl)
         for u in cl:
             through[u].append(mask)
-    by_colour: dict[int, list[int]] = {0: [0] * graph.v}
-    for u, row in enumerate(graph.rows):
-        for colour, mask in _count_classes(_sliced_sum(through[u]), row):
+    seeds: dict[int, int] = {}
+    by_colour: dict[int, list[int]] = {}
+    for u, (masks, row) in enumerate(zip(through, graph.rows)):
+        seeds[len(masks)] = seeds.get(len(masks), 0) | 1 << u
+        for colour, mask in _count_classes(_sliced_sum(masks), row):
             by_colour.setdefault(colour, [0] * graph.v)[u] = mask
-    return [by_colour[c] for c in sorted(by_colour)]
+    return [seeds[k] for k in sorted(seeds)], [by_colour[c] for c in sorted(by_colour)]
 
 
 def _refine(
@@ -244,10 +243,7 @@ def graph_automorphism_group(
     if cliques is None:
         cliques = enumerate_maximum_cliques(graph)
 
-    colour_rows = _edge_colour_rows(graph, cliques)
-    seed_cells: dict[int, int] = {}
-    for vertex, key in enumerate(default_seed_invariants(graph, cliques)):
-        seed_cells[key] = seed_cells.get(key, 0) | (1 << vertex)
+    seed_cells, colour_rows = default_seed_invariants(graph, cliques)
 
     generators: list[Permutation] = []
     nodes = 0
@@ -269,7 +265,7 @@ def graph_automorphism_group(
 
     # first path: always the lowest-index vertex of the first largest open cell
     visit()
-    open_, closed, _ = _refine(colour_rows, [seed_cells[k] for k in sorted(seed_cells)])
+    open_, closed, _ = _refine(colour_rows, seed_cells)
     path: list[tuple[list[int], list[int], int]] = []
     base_traces: list[tuple] = []
     while open_:

@@ -2,8 +2,8 @@
 
 A design is stored densely: ``labels`` maps point indices to tokens and each
 block is a sorted tuple of point indices, with the block list itself sorted.
-Dense index assignment is an internal detail (developed designs order their
-labels by tag, then residue, with ``inf`` last; parsed designs use
+Dense index assignment is an internal detail (developed designs list each
+tag's residues in tag order, then ``inf``; parsed designs use
 first-appearance order), so two designs are equal when they have the same
 parameters and the same blocks *as sets of tokens*.
 """
@@ -291,40 +291,34 @@ def develop_base_blocks(base_blocks, modulus: int, name: str = "") -> Design:
 
     ``inf`` is fixed by every shift; any other token is a residue
     ``<digits>`` or ``<digits>_<tag>`` and shift e adds e mod ``modulus`` to
-    its value, keeping the tag.  Labels are ordered by tag (untagged first),
-    then by value, with ``inf`` last.  The designs developed here have full
-    orbits, so a duplicate developed block signals corrupt input and is an
-    error rather than silently deduplicated.
+    its value, keeping the tag.  The labels are each tag's residues
+    0..modulus-1, tags in string order (untagged first), then ``inf``.  The
+    designs developed here have full orbits, so a duplicate developed block
+    signals corrupt input and is an error rather than silently deduplicated.
     """
     if modulus < 1:
         raise ValueError(f"modulus must be at least 1, got {modulus}")
-    developed: set[frozenset] = set()
+    # each tag's tokens for the values 0..2*modulus-1 taken mod modulus, so a
+    # point (tag, value) shifted by e is tokens[tag][value + e]; inf has tag None
+    tokens: dict[str | None, list[str]] = {}
+    developed: set[frozenset[str]] = set()
+    blocks = []
     for i, blk in enumerate(base_blocks):
-        points = [None if tok == INF_TOKEN else residue_token(tok, modulus) for tok in blk]
+        points = [(None, 0) if tok == INF_TOKEN else residue_token(tok, modulus) for tok in blk]
         if len(set(points)) != len(points):
             raise ValueError(f"duplicate point within base block {tuple(blk)}")
+        for tag, _ in points:
+            if tag not in tokens:
+                tokens[tag] = 2 * ([INF_TOKEN] * modulus if tag is None else
+                                   [f"{r}_{tag}" if tag else str(r) for r in range(modulus)])
         for e in range(modulus):
-            image = frozenset(
-                None if p is None else (p[0], (p[1] + e) % modulus) for p in points
-            )
-            if image in developed:
-                raise ValueError(
-                    f"development produced a duplicate block (base {i}, shift {e})"
-                )
-            developed.add(image)
-
-    def token(p):
-        if p is None:
-            return INF_TOKEN
-        tag, value = p
-        return f"{value}_{tag}" if tag else str(value)
-
-    support = sorted(set().union(*developed), key=lambda p: (p is None, p or ()))
-    return make_design(
-        [token(p) for p in support],
-        [[token(p) for p in blk] for blk in developed],
-        name=name,
-    )
+            image = [tokens[tag][value + e] for tag, value in points]
+            if (key := frozenset(image)) in developed:
+                raise ValueError(f"development produced a duplicate block (base {i}, shift {e})")
+            developed.add(key)
+            blocks.append(image)
+    labels = [tok for tag in sorted(tokens.keys() - {None}) for tok in tokens[tag][:modulus]]
+    return make_design(labels + [INF_TOKEN] * (None in tokens), blocks, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -105,9 +105,9 @@ def lift_to_design_automorphism(design: Design, block_perm: Permutation):
     """
     through = design.reach[0]
     moved = [0] * design.n
-    for i, blk in enumerate(design.blocks):
+    for blk, image in zip(design.blocks, block_perm.images):
         for p in blk:
-            moved[p] |= 1 << block_perm(i)
+            moved[p] |= 1 << image
     classes: dict[int, list[int]] = {}
     for p, blocks in enumerate(through):
         classes.setdefault(blocks, []).append(p)

@@ -20,9 +20,9 @@ from blockgraph import (
 )
 from blockgraph import autgroup
 from blockgraph.autgroup import (
+    GraphGroup,
     SearchBudgetExceeded,
     _count_classes,
-    _edge_colour_rows,
     _refine,
     _sliced_sum,
     default_seed_invariants,
@@ -235,8 +235,21 @@ def test_budget_counts_every_refinement(monkeypatch):
 def test_default_seed_invariants_are_invariant(main66_census):
     # vertices in the same true orbit must get equal seed invariants
     graph = main66_census.graph
-    seeds = default_seed_invariants(graph, [r.members for r in main66_census.records])
-    assert len(set(seeds)) == 2  # the infinity-star blocks vs all others
+    cells, _ = default_seed_invariants(graph, [r.members for r in main66_census.records])
+    assert len(cells) == 2  # the infinity-star blocks vs all others
+
+
+def test_empty_graph_has_no_invariants_and_the_trivial_group():
+    graph = BlockGraph(0, ())
+    assert default_seed_invariants(graph, enumerate_maximum_cliques(graph)) == ([], [])
+    assert graph_automorphism_group(graph) == GraphGroup((), (), 1)
+
+
+def test_isolated_vertex_adds_no_edge_colour():
+    # an edge {0, 1} and an isolated vertex 2 in no maximum clique: two seed
+    # cells, and the one colour that occurs, an edge in one clique
+    graph = BlockGraph(3, (0b010, 0b001, 0))
+    assert default_seed_invariants(graph, [(0, 1)]) == ([0b100, 0b011], [[0b010, 0b001, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +277,10 @@ def all_cells_refine(colour_rows, cells):
 
 
 def pair_counter_colours(graph, cliques):
-    """Reference edge colours: a table of pairs counted clique by clique."""
+    """Reference edge colours: a table of pairs counted clique by clique, one
+    list of rows per colour that occurs."""
     pair_counts = Counter(pair for cl in cliques for pair in combinations(cl, 2))
-    by_colour = {0: [0] * graph.v}
+    by_colour = {}
     for i, j in combinations(range(graph.v), 2):
         if adjacent(graph, i, j):
             rows = by_colour.setdefault(pair_counts[(i, j)], [0] * graph.v)
@@ -339,11 +353,16 @@ def graph_case(request):
 
 
 def seed_partition(graph, cliques):
-    seeds = default_seed_invariants(graph, cliques)
+    """Reference seed cells: vertices with equal clique counts, ascending."""
     cells = {}
-    for v, key in enumerate(seeds):
+    for v, key in enumerate(membership_counts(graph, cliques)):
         cells[key] = cells.get(key, 0) | (1 << v)
     return [cells[k] for k in sorted(cells)]
+
+
+def edge_colours(graph, cliques):
+    """The colour rows the search refines with."""
+    return default_seed_invariants(graph, cliques)[1]
 
 
 def unsettled(cells):
@@ -402,7 +421,7 @@ def test_first_path_order_matches_closure_on_random_block_graphs():
 
 def test_refine_matches_all_cells_reference(graph_case):
     graph, cliques, _ = graph_case
-    colours = _edge_colour_rows(graph, cliques)
+    colours = edge_colours(graph, cliques)
     rng = random.Random(graph.v)
     starts = [seed_partition(graph, cliques), [(1 << graph.v) - 1]]
     cells = full_cells(*_refine(colours, starts[0])[:2])
@@ -427,7 +446,7 @@ def test_singleton_splitter_refines_like_all_cells(graph_case):
     # the same open cells and trace when the start holds only the open
     # cells and the new singleton, as in the search
     graph, cliques, _ = graph_case
-    colours = _edge_colour_rows(graph, cliques)
+    colours = edge_colours(graph, cliques)
     open_, closed, _ = _refine(colours, seed_partition(graph, cliques))
     rng = random.Random(2 * graph.v)
     for _ in range(4):
@@ -451,7 +470,7 @@ def test_refine_trace_is_invariant(graph_case):
     # the whole partition is queued, or only the new singleton, or only the
     # new singleton of the open cells as in the search
     graph, cliques, group = graph_case
-    colours = _edge_colour_rows(graph, cliques)
+    colours = edge_colours(graph, cliques)
     open_, closed, _ = _refine(colours, seed_partition(graph, cliques))
     cells = full_cells(open_, closed)
     for g in group.generators:
@@ -543,7 +562,7 @@ def test_refine_matches_fragment_list_reference(name, request):
     # open ones
     census = census_report(named_design(name, request))
     cliques = [r.members for r in census.records]
-    colours = _edge_colour_rows(census.graph, cliques)
+    colours = edge_colours(census.graph, cliques)
     seed = seed_partition(census.graph, cliques)
     refined = _refine(colours, seed)
     assert refined == fragment_list_refine(colours, seed)
@@ -558,7 +577,7 @@ def test_refine_matches_fragment_list_reference(name, request):
 
 def test_refine_with_its_own_trace_expected_runs_to_the_end(graph_case):
     graph, cliques, _ = graph_case
-    colours = _edge_colour_rows(graph, cliques)
+    colours = edge_colours(graph, cliques)
     seed = seed_partition(graph, cliques)
     open_, closed, _ = _refine(colours, seed)
     starts = [(seed, None)] + [
@@ -578,7 +597,7 @@ def test_refine_stops_where_the_trace_leaves_expect(graph_case):
     # the full result, each step adding its fragments but one, with the
     # vertices closed so far a prefix of the full closing order
     graph, cliques, _ = graph_case
-    colours = _edge_colour_rows(graph, cliques)
+    colours = edge_colours(graph, cliques)
     open_, closed, _ = _refine(colours, seed_partition(graph, cliques))
     cells = full_cells(open_, closed)
     checked = 0
@@ -626,12 +645,12 @@ def test_trace_abort_changes_nothing_but_time(name, request, monkeypatch):
 
 def test_edge_colours_match_pair_counter(graph_case):
     graph, cliques, _ = graph_case
-    assert _edge_colour_rows(graph, cliques) == pair_counter_colours(graph, cliques)
+    assert default_seed_invariants(graph, cliques)[1] == pair_counter_colours(graph, cliques)
 
 
 def test_seed_invariants_match_per_neighbour_counter(graph_case):
     graph, cliques, _ = graph_case
-    assert default_seed_invariants(graph, cliques) == membership_counts(graph, cliques)
+    assert default_seed_invariants(graph, cliques)[0] == seed_partition(graph, cliques)
 
 
 def test_automorphism_check_matches_per_edge_loop(graph_case):

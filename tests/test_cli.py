@@ -437,12 +437,13 @@ def test_aut_main66(capsys):
 # `aut` stdout as recorded under tests/golden/: every kept generator is
 # pinned, so a change to the search tree shows here
 @pytest.mark.parametrize(
-    "name", ["main66", "appendixA66", "appendixB66", "fano", "ag23", "pg23", "pg32", "ag33"]
+    "name",
+    ["main66", "appendixA66", "appendixB66", "fano", "ag23", "pg23", "pg32", "ag33", "pg33"],
 )
 def test_aut_stdout_is_pinned(tmp_path, capsys, name):
-    if name in ("pg32", "ag33"):
+    if name in ("pg32", "ag33", "pg33"):
         path = tmp_path / f"{name}.blk"
-        family = "projective" if name == "pg32" else "affine"
+        family = "projective" if name.startswith("pg") else "affine"
         path.write_text(point_line_blocklist(family, 3, int(name[-1])))
         source = ("--input", str(path))
     else:
@@ -695,6 +696,15 @@ def test_export_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["n"] == 13 and len(doc["blocks"]) == 13
+
+
+# the label and block order of the developed designs, which Design equality
+# ignores, as recorded under tests/golden/
+@pytest.mark.parametrize("name", ["main66", "fano", "pg23"])
+def test_export_json_is_pinned(capsys, name):
+    code, out, _ = run(capsys, "export", "--builtin", name, "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / f"export-{name}.json").read_text()
 
 
 def test_theory_gm(capsys):

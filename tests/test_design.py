@@ -258,6 +258,13 @@ def test_develop_duplicate_orbit_rejected():
     b1_shift = "3_0 6_0 5_1 10_1 1_a 7_a".split()
     with pytest.raises(ValueError, match="duplicate block"):
         develop_base_blocks([b1, b1_shift], 13)
+    # base blocks are developed in order, so the first error is reported: a
+    # duplicate before a malformed token in a later base block, and the
+    # malformed token before a duplicate in a later one
+    with pytest.raises(ValueError, match=r"duplicate block \(base 1, shift 0\)"):
+        develop_base_blocks([b1, b1_shift, ["x_a", "0_0"]], 13)
+    with pytest.raises(ValueError, match="not a residue token: 'x_a'"):
+        develop_base_blocks([b1, ["x_a", "0_0"], b1_shift], 13)
 
 
 # ---------------------------------------------------------------------------
