@@ -1,19 +1,20 @@
 """Graph automorphism groups via individualization-refinement.
 
 Plain degree refinement cannot split a strongly regular graph (degrees and
-common-neighbour counts are constant by definition), so vertices are seeded
-with their maximum-clique counts alone, and the refinement additionally
-distinguishes edges by how many maximum cliques contain both endpoints.
-Both are preserved by any graph automorphism, so the seeded search still
-finds the full group; on the block graphs of interest they shrink the
-search tree to a handful of nodes.
+common-neighbour counts are constant by definition), so the refinement
+distinguishes edges by how many maximum cliques contain both endpoints;
+any graph automorphism preserves that count.  The root is one cell of
+every vertex: a vertex's colour-weighted degree is omega - 1 times the
+number of maximum cliques through it, so the first splitter pass already
+separates the vertices by that number.  On the block graphs of interest
+the search tree is a handful of nodes.
 
 Counting is bit-sliced: a sum of vertex bitmasks is held as planes, bit v
 of plane j being bit j of v's count, so one ripple-carry add per mask
-counts every vertex at once.  Seeds and edge colours come from one pass
-that builds each maximum clique's mask once: a vertex's seed is the number
-of masks through it and its edge colours are their sliced sum, one list
-of rows per colour that occurs.  Refinement is a splitter queue
+counts every vertex at once.  The edge colours come from one pass that
+builds each maximum clique's mask once: a vertex's edge colours are the
+sliced sum of the masks through it, one list of rows per colour that
+occurs.  Refinement is a splitter queue
 (McKay & Piperno 2014; Paige & Tarjan 1987): a splitter's per-colour
 counts are the sliced sum of its members' rows, and each cell splits by AND
 with each count's mask, its fragments taking its place in ascending-count
@@ -30,7 +31,7 @@ fragment) steps is isomorphism-invariant.
 
 The search walks a deterministic tree: refine to an equitable partition,
 individualize the lowest-index vertex in the first largest open cell,
-recurse until no cell is open.  The first root-to-leaf path fixes a base
+repeat until no cell is open.  The first root-to-leaf path fixes a base
 labelling, its closing order; every other leaf whose refinement trace
 matches the first path yields a candidate automorphism, mapping the j-th
 vertex closed on the first path to the j-th closed at the leaf, which is
@@ -118,10 +119,9 @@ def _count_classes(planes: list[int], within: int) -> list[tuple[int, int]]:
     return sorted(classes)
 
 
-def default_seed_invariants(graph: BlockGraph, cliques) -> tuple[list[int], list[list[int]]]:
-    """The seed cells (vertices by the number of maximum cliques through
-    them) and the edge colours (rows split by the number of cliques on the
-    edge, one list per colour that occurs), both ascending, from one pass
+def default_seed_invariants(graph: BlockGraph, cliques) -> list[list[int]]:
+    """The edge colours: the rows split by the number of maximum cliques on
+    the edge, one list per colour that occurs, ascending, from one pass
     over the cliques' masks.  No common-neighbour profile: it is the same
     at every vertex of an SRG, K_v or an empty graph, and elsewhere
     refinement still reaches the exact group without it."""
@@ -130,13 +130,11 @@ def default_seed_invariants(graph: BlockGraph, cliques) -> tuple[list[int], list
         mask = sum(1 << u for u in cl)
         for u in cl:
             through[u].append(mask)
-    seeds: dict[int, int] = {}
     by_colour: dict[int, list[int]] = {}
     for u, (masks, row) in enumerate(zip(through, graph.rows)):
-        seeds[len(masks)] = seeds.get(len(masks), 0) | 1 << u
         for colour, mask in _count_classes(_sliced_sum(masks), row):
             by_colour.setdefault(colour, [0] * graph.v)[u] = mask
-    return [seeds[k] for k in sorted(seeds)], [by_colour[c] for c in sorted(by_colour)]
+    return [by_colour[c] for c in sorted(by_colour)]
 
 
 def _refine(
@@ -230,8 +228,8 @@ def graph_automorphism_group(
     cliques=None,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> GraphGroup:
-    """Complete automorphism group of a desk-scale graph, seeded with the
-    cells of equal maximum-clique counts.
+    """Complete automorphism group of a desk-scale graph, refined from one
+    cell by the maximum-clique edge colours.
 
     Returns the automorphisms the search kept (none for a trivial group),
     the first-path base and the exact order.  Raises SearchBudgetExceeded
@@ -243,7 +241,7 @@ def graph_automorphism_group(
     if cliques is None:
         cliques = enumerate_maximum_cliques(graph)
 
-    seed_cells, colour_rows = default_seed_invariants(graph, cliques)
+    colour_rows = default_seed_invariants(graph, cliques)
 
     generators: list[Permutation] = []
     nodes = 0
@@ -265,7 +263,7 @@ def graph_automorphism_group(
 
     # first path: always the lowest-index vertex of the first largest open cell
     visit()
-    open_, closed, _ = _refine(colour_rows, seed_cells)
+    open_, closed, _ = _refine(colour_rows, [(1 << v) - 1] if v else [])
     path: list[tuple[list[int], list[int], int]] = []
     base_traces: list[tuple] = []
     while open_:
@@ -273,31 +271,32 @@ def graph_automorphism_group(
         path.append((open_, closed, ci))
         open_, closed, trace = individualize(open_, closed, ci, _lowest(open_[ci]))
         base_traces.append(trace)
-    base_closed = closed
+    base_index = sorted(range(v), key=closed.__getitem__)  # where each vertex closes
     base = tuple(_lowest(open_[ci]) for open_, _, ci in path)
 
-    def automorphism_below(open_: list[int], closed: list[int], ci: int, vertex: int, depth: int):
+    def automorphism_below(depth: int, vertex: int):
         """The first verified automorphism (or None) at a leaf below the child
-        of an off-path node at ``depth`` that individualizes ``vertex`` in
-        open cell ``ci``."""
-        # stops where the trace leaves the first path's, which may also end
-        # before the first path's does
-        open_, closed, trace = individualize(open_, closed, ci, vertex, base_traces[depth])
-        if trace != base_traces[depth]:
-            return None
-        if not open_:
-            # a leaf: the j-th vertex closed here is the image of the j-th
-            # vertex closed on the first path
-            images = [0] * v
-            for a, c in zip(base_closed, closed):
-                images[a] = c
-            candidate = Permutation(tuple(images))
-            return candidate if is_graph_automorphism(graph, candidate) else None
-        ci = _first_largest_cell(open_)
-        for vertex in _bits(open_[ci]):
-            found = automorphism_below(open_, closed, ci, vertex, depth + 1)
-            if found is not None:
-                return found
+        of first-path node ``depth`` that individualizes ``vertex``, walked
+        by a stack of (open, closed, cell, children left) frames."""
+        frames = [(*path[depth], iter([vertex]))]
+        while frames:
+            open_, closed, ci, children = frames[-1]
+            if (vertex := next(children, None)) is None:
+                frames.pop()
+                continue
+            # stops where the trace leaves the first path's, which may also
+            # end before the first path's does
+            expect = base_traces[depth + len(frames) - 1]
+            open_, closed, trace = individualize(open_, closed, ci, vertex, expect)
+            if trace == expect and open_:
+                ci = _first_largest_cell(open_)
+                frames.append((open_, closed, ci, iter(_bits(open_[ci]))))
+            elif trace == expect:
+                # a leaf: the j-th vertex closed here is the image of the j-th
+                # vertex closed on the first path
+                candidate = Permutation(tuple(map(closed.__getitem__, base_index)))
+                if is_graph_automorphism(graph, candidate):
+                    return candidate
         return None
 
     # Deepest first-path node first.  Every automorphism found so far then
@@ -310,7 +309,7 @@ def graph_automorphism_group(
         for vertex in _bits(open_[ci]):
             if vertex in explored:
                 continue
-            found = automorphism_below(open_, closed, ci, vertex, depth)
+            found = automorphism_below(depth, vertex)
             if found is not None:
                 generators.append(found)
             explored = orbit(explored | {vertex}, generators)

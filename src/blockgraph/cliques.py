@@ -1,13 +1,12 @@
 """Exhaustive maximum-clique census and subdesign analysis.
 
 One branch-and-bound search, from a single root that holds every vertex,
-lists the maximum cliques; ``clique_number`` is their size.  It starts from
-the largest point pencil that is a clique, a lower bound on omega the design
-holds already.  Each node colours its bitset candidates greedily, one class
-at a time (MCQ, Tomita & Seki 2003; BBMC, San Segundo et al. 2011); classes
-numbered below the size still needed are coloured but never listed or
-branched on, and candidates with one vertex per class form a clique that is
-taken whole.
+lists the maximum cliques; ``clique_number`` is their size.  Its bound
+starts at 0 and rises with each larger clique found.  Each node colours its
+bitset candidates greedily, one class at a time (MCQ, Tomita & Seki 2003;
+BBMC, San Segundo et al. 2011); classes numbered below the size still
+needed are coloured but never listed or branched on, and candidates with
+one vertex per class form a clique that is taken whole.
 The search runs on bit-reversed labels, so an O(1) top-bit walk colours
 each class in ascending index order: the tree is that of a lowest-bit walk.
 Completeness is cross-checked against brute force in the test suite.
@@ -48,16 +47,16 @@ from .graph import (
 _REV8 = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))  # each byte's bits reversed
 
 
-def _search(rows, best: int):
+def _search(rows):
     """Colour-bounded branch and bound from the root holding every vertex.
 
-    Returns every clique of the largest size at least ``best`` (``best``
-    rises with each larger clique; smaller ones are dropped at the end) and
-    the number of nodes (colourings) expanded.  A branch records its stack
-    only when no candidate extends it.  Open nodes wait on a list, so no
-    recursion limit applies.  Vertex v is u = n-1-v inside (rows bit-reversed
-    once per call), so the top set bit, found in O(1), is the lowest vertex:
-    classes are walked in ascending index order.  The stack holds v.
+    Returns every clique of the largest size (``best``, from 0, rises with
+    each larger clique; smaller ones are dropped at the end) and the number
+    of nodes (colourings) expanded.  A branch records its stack only when no
+    candidate extends it.  Open nodes wait on a list, so no recursion limit
+    applies.  Vertex v is u = n-1-v inside (rows bit-reversed once per
+    call), so the top set bit, found in O(1), is the lowest vertex: classes
+    are walked in ascending index order.  The stack holds v.
     """
     n = len(rows)
     nb = (n + 7) // 8
@@ -68,7 +67,7 @@ def _search(rows, best: int):
     keep = [full ^ (row | b) for row, b in zip(rrows, bit)]  # u's non-neighbours less u
     stack: list[int] = []
     found: list[tuple[int, ...]] = []
-    nodes = 0
+    nodes = best = 0
 
     def expand(candidates: int) -> tuple | None:  # (order, candidates, size) to branch
         nonlocal nodes, best
@@ -130,16 +129,9 @@ def _search(rows, best: int):
 
 
 def enumerate_maximum_cliques(graph: BlockGraph) -> list[tuple[int, ...]]:
-    """All cliques of maximum size, sorted lexicographically.  The search
-    starts from the largest pencil, masked to the vertices, that is a clique
-    of the rows (checked largest first), or from 0 if there is none."""
-    if graph.v == 0:
-        return []
-    rows, full = graph.rows, (1 << graph.v) - 1
-    pencils = sorted([p & full for p in graph.pencils], key=int.bit_count, reverse=True)
-    best = next((p.bit_count() for p in pencils
-                 if all((rows[i] | 1 << i) & p == p for i in _bits(p))), 0)
-    return sorted(_search(rows, best)[0])
+    """All cliques of maximum size, sorted lexicographically, from one
+    search of the rows alone."""
+    return sorted(_search(graph.rows)[0]) if graph.v else []
 
 
 def clique_number(graph: BlockGraph) -> int:

@@ -34,7 +34,7 @@ class SrgVerificationError(Exception):
 class BlockGraph(NamedTuple):
     """Intersection graph of a design's blocks (symmetric, irreflexive), with
     the blocks through each point as vertex masks (``pencils``) if it was
-    built from a design."""
+    built from a design; only the SRG certificate reads them."""
 
     v: int
     rows: tuple[int, ...]

@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import sys
 from collections import Counter, deque
 from itertools import combinations, permutations
 
@@ -233,23 +235,40 @@ def test_budget_counts_every_refinement(monkeypatch):
 
 
 def test_default_seed_invariants_are_invariant(main66_census):
-    # vertices in the same true orbit must get equal seed invariants
+    # refined from one cell, main66's edge colours leave three open cells
+    # of 13, 117 and 13 blocks, each of one number of maximum cliques
     graph = main66_census.graph
-    cells, _ = default_seed_invariants(graph, [r.members for r in main66_census.records])
-    assert len(cells) == 2  # the infinity-star blocks vs all others
+    cliques = [r.members for r in main66_census.records]
+    open_, closed, _ = _refine(default_seed_invariants(graph, cliques), [(1 << graph.v) - 1])
+    assert ([cell.bit_count() for cell in open_], closed) == ([13, 117, 13], [])
+    counts = membership_counts(graph, cliques)
+    assert all(len({counts[u] for u in _bits(cell)}) == 1 for cell in open_)
 
 
 def test_empty_graph_has_no_invariants_and_the_trivial_group():
     graph = BlockGraph(0, ())
-    assert default_seed_invariants(graph, enumerate_maximum_cliques(graph)) == ([], [])
+    assert default_seed_invariants(graph, enumerate_maximum_cliques(graph)) == []
     assert graph_automorphism_group(graph) == GraphGroup((), (), 1)
 
 
 def test_isolated_vertex_adds_no_edge_colour():
-    # an edge {0, 1} and an isolated vertex 2 in no maximum clique: two seed
-    # cells, and the one colour that occurs, an edge in one clique
+    # an edge {0, 1} and an isolated vertex 2 in no maximum clique: the one
+    # colour that occurs, an edge in one clique
     graph = BlockGraph(3, (0b010, 0b001, 0))
-    assert default_seed_invariants(graph, [(0, 1)]) == ([0b100, 0b011], [[0b010, 0b001, 0]])
+    assert default_seed_invariants(graph, [(0, 1)]) == [[0b010, 0b001, 0]]
+
+
+def test_deep_search_needs_no_recursion():
+    # the empty graph on 150 vertices: below each first-path node the search
+    # descends through every level to a leaf, 149 levels at the root, more
+    # than the recursion limit leaves room for
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        group = graph_automorphism_group(BlockGraph(150, (0,) * 150))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (group.order, len(group.generators)) == (math.factorial(150), 149)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +381,7 @@ def seed_partition(graph, cliques):
 
 def edge_colours(graph, cliques):
     """The colour rows the search refines with."""
-    return default_seed_invariants(graph, cliques)[1]
+    return default_seed_invariants(graph, cliques)
 
 
 def unsettled(cells):
@@ -645,12 +664,20 @@ def test_trace_abort_changes_nothing_but_time(name, request, monkeypatch):
 
 def test_edge_colours_match_pair_counter(graph_case):
     graph, cliques, _ = graph_case
-    assert default_seed_invariants(graph, cliques)[1] == pair_counter_colours(graph, cliques)
+    assert edge_colours(graph, cliques) == pair_counter_colours(graph, cliques)
 
 
 def test_seed_invariants_match_per_neighbour_counter(graph_case):
+    # a vertex's colour-weighted degree is omega - 1 times its number of
+    # maximum cliques, so refining from one cell separates the vertices by
+    # that number: each cell lies in one cell of the seed partition, and
+    # the coarsest equitable partition is the one the seed partition refines to
     graph, cliques, _ = graph_case
-    assert default_seed_invariants(graph, cliques)[0] == seed_partition(graph, cliques)
+    colours = edge_colours(graph, cliques)
+    root = full_cells(*_refine(colours, [(1 << graph.v) - 1])[:2])
+    seeds = seed_partition(graph, cliques)
+    assert all(any(cell & ~seed == 0 for seed in seeds) for cell in root)
+    assert set(root) == set(full_cells(*_refine(colours, seeds)[:2]))
 
 
 def test_automorphism_check_matches_per_edge_loop(graph_case):

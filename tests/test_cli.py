@@ -585,6 +585,22 @@ def test_report_with_aut_section(capsys):
     assert "graph automorphism group: order 39" in out
 
 
+# `report --aut` of the paper's designs as recorded under tests/golden/:
+# --check-paper prints the same report and its checks on stderr
+@pytest.mark.parametrize("name", ["main66", "appendixA66", "appendixB66"])
+def test_report_aut_is_pinned(capsys, name):
+    report = (GOLDEN / f"report-aut-{name}.out").read_text()
+    assert run(capsys, "report", "--builtin", name, "--aut") == (0, report, "")
+    assert run(capsys, "report", "--builtin", name, "--aut", "--check-paper") == (
+        0, report, (GOLDEN / f"check-paper-{name}.err").read_text())
+
+
+def test_report_aut_structured_is_pinned(capsys):
+    code, out, _ = run(capsys, "report", "--builtin", "main66", "--aut", "--format", "structured")
+    assert code == 0
+    assert out == (GOLDEN / "report-aut-structured-main66.json").read_text()
+
+
 def test_report_aut_budget_exhaustion(capsys):
     code, out, err = run(capsys, "report", "--builtin", "main66", "--aut", "--node-limit", "1")
     assert code == 1

@@ -148,8 +148,7 @@ def count_search_nodes(monkeypatch):
 
 def test_enumerate_every_size_matches_powerset_on_random_graphs():
     # the search pads each row to whole bytes: 1-9 vertices cover both
-    # sides of the first byte boundary, 10-16 the second byte; with no
-    # pencils the search starts from 0
+    # sides of the first byte boundary, 10-16 the second byte
     small = list(random_graphs(seed=20261019, count=54, sizes=(1, 9)))
     assert {graph.v for graph in small} == set(range(1, 10))
     for graph in [*small, *random_graphs()]:
@@ -169,7 +168,13 @@ def test_enumerate_complete_graph_below_its_size(monkeypatch, n):
     assert nodes == [1]
 
 
-def test_pencil_floor_only_from_pencils_that_are_cliques(main66_graph):
+def test_pencils_do_not_change_the_census(monkeypatch, main66_graph):
+    # the search reads the rows alone: main66 with and without its pencils
+    # takes the same tree to the same 80 cliques
+    nodes = count_search_nodes(monkeypatch)
+    raw = BlockGraph(main66_graph.v, main66_graph.rows)
+    assert enumerate_maximum_cliques(main66_graph) == enumerate_maximum_cliques(raw)
+    assert nodes == [856, 856]
     # main66 less the edge between block 0 and its lowest neighbour, its
     # pencils kept: the pencil through both is no clique, and the other 79
     # maximum cliques are found as from the same rows with no pencils
@@ -189,7 +194,7 @@ def test_pencil_floor_only_from_pencils_that_are_cliques(main66_graph):
 
 
 def test_search_nodes_main66(monkeypatch, main66_graph):
-    # one root, the set of all vertices, started from the pencils' 13
+    # one root, the set of all vertices, its bound rising from 0
     nodes = count_search_nodes(monkeypatch)
     assert len(enumerate_maximum_cliques(main66_graph)) == 80
     assert nodes == [856]
@@ -211,8 +216,8 @@ def test_search_nodes_main66(monkeypatch, main66_graph):
     ],
 )
 def test_search_nodes_geometric(monkeypatch, family, d, p, pin):
-    # the largest point pencil has omega blocks, so the search starts at
-    # omega: the same tree on every design
+    # the search trees of the geometric designs, pinned: a change to the
+    # search shows here
     graph = build_block_graph(parse_design(point_line_blocklist(family, d, p)))
     nodes = count_search_nodes(monkeypatch)
     assert enumerate_maximum_cliques(graph)
@@ -223,8 +228,8 @@ def test_search_nodes_geometric(monkeypatch, family, d, p, pin):
     "family, d, p, pin", [("projective", 3, 5, 2801), ("projective", 4, 3, 901), ("affine", 4, 3, 190)]
 )
 def test_census_searches_once_when_the_bound_is_attained(monkeypatch, family, d, p, pin):
-    # the point pencils attain the Delsarte bound, so the search starts at
-    # omega and is the census's only search
+    # the point pencils attain the Delsarte bound, and the census takes
+    # omega from its one search
     design = parse_design(point_line_blocklist(family, d, p))
     nodes = count_search_nodes(monkeypatch)
     census = census_report(design)
@@ -248,7 +253,7 @@ def shrikhande_design():
     "design, srg, delsarte, omega, total, pin",
     [
         # Delsarte bound 1 + 6/2 = 4, but the largest cliques are the 32
-        # triangles; the pencils are edges, so the search starts at 2
+        # triangles, above the pencils' 2 blocks
         (shrikhande_design(), (16, 6, 2, 2), 4, 3, 32, [29]),
         # C5 = srg(5,2,0,1) has irrational eigenvalues, so no bound
         (make_design("01234", ["01", "12", "23", "34", "40"]), (5, 2, 0, 1), None, 2, 5, [4]),
@@ -262,7 +267,7 @@ def shrikhande_design():
 def test_census_searches_once_below_the_bound(monkeypatch, design, srg, delsarte, omega,
                                               total, pin):
     # where no clique reaches the Delsarte bound, or there is none, the
-    # census still makes one search, started at the largest pencil
+    # census still makes one search
     nodes = count_search_nodes(monkeypatch)
     census = census_report(design)
     assert (census.srg and census.srg.as_tuple()) == srg
