@@ -43,7 +43,7 @@ from .perms import (
     orbit_partition,
     parse_cycles,
 )
-from .autgroup import GraphGroup, SearchBudgetExceeded, graph_automorphism_group
+from .autgroup import SearchBudgetExceeded, graph_automorphism_group
 from .theory import (
     FamilyParams,
     ResidueSet,

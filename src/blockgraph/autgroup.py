@@ -53,13 +53,12 @@ orbit lengths (McKay 1981), with no Schreier-Sims.
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple
 
 from .cliques import enumerate_maximum_cliques
 from .graph import BlockGraph, _bits
 # close_group is not called here, but perfbench/tracing.py wraps this name
 # and fails when one of its trace targets disappears
-from .perms import Permutation, close_group, is_graph_automorphism, orbit
+from .perms import PermGroup, Permutation, close_group, is_graph_automorphism, orbit
 
 DEFAULT_NODE_LIMIT = 200_000
 
@@ -76,14 +75,6 @@ class SearchBudgetExceeded(RuntimeError):
         self.nodes = nodes
         self.generators = generators
         self.order = order
-
-
-class GraphGroup(NamedTuple):
-    """The kept automorphisms, the first-path base and the group's exact order."""
-
-    generators: tuple[Permutation, ...]
-    base: tuple[int, ...]
-    order: int
 
 
 def _sliced_sum(masks) -> list[int]:
@@ -227,15 +218,16 @@ def graph_automorphism_group(
     graph: BlockGraph,
     cliques=None,
     node_limit: int = DEFAULT_NODE_LIMIT,
-) -> GraphGroup:
+) -> PermGroup:
     """Complete automorphism group of a desk-scale graph, refined from one
     cell by the maximum-clique edge colours.
 
-    Returns the automorphisms the search kept (none for a trivial group),
-    the first-path base and the exact order.  Raises SearchBudgetExceeded
-    before a refinement past the first ``node_limit``: the root and every
-    individualized vertex are one node each, matching trace or not, and
-    whether or not the refinement stops early where the traces part.
+    Returns a ``PermGroup`` of the automorphisms the search kept (none for
+    a trivial group), the first-path base and the exact order.  Raises
+    SearchBudgetExceeded before a refinement past the first ``node_limit``:
+    the root and every individualized vertex are one node each, matching
+    trace or not, and whether or not the refinement stops early where the
+    traces part.
     """
     v = graph.v
     if cliques is None:
@@ -277,20 +269,24 @@ def graph_automorphism_group(
     def automorphism_below(depth: int, vertex: int):
         """The first verified automorphism (or None) at a leaf below the child
         of first-path node ``depth`` that individualizes ``vertex``, walked
-        by a stack of (open, closed, cell, children left) frames."""
-        frames = [(*path[depth], iter([vertex]))]
+        by a stack of [open, closed, cell, children left] frames, the
+        children left a mask whose lowest vertex is taken next."""
+        frames = [[*path[depth], 1 << vertex]]
         while frames:
-            open_, closed, ci, children = frames[-1]
-            if (vertex := next(children, None)) is None:
+            frame = frames[-1]
+            open_, closed, ci, left = frame
+            if not left:
                 frames.pop()
                 continue
+            frame[3] = left & (left - 1)
+            vertex = _lowest(left)
             # stops where the trace leaves the first path's, which may also
             # end before the first path's does
             expect = base_traces[depth + len(frames) - 1]
             open_, closed, trace = individualize(open_, closed, ci, vertex, expect)
             if trace == expect and open_:
                 ci = _first_largest_cell(open_)
-                frames.append((open_, closed, ci, iter(_bits(open_[ci]))))
+                frames.append([open_, closed, ci, open_[ci]])
             elif trace == expect:
                 # a leaf: the j-th vertex closed here is the image of the j-th
                 # vertex closed on the first path
@@ -316,4 +312,4 @@ def graph_automorphism_group(
         # the kept automorphisms now reach every child in the basic orbit
         order *= len(orbit({base[depth]}, generators))
 
-    return GraphGroup(tuple(generators), base, order)
+    return PermGroup(tuple(generators), base, order)

@@ -6,11 +6,13 @@ generators, such as a design's embedded ones, are closed into a stabilizer
 chain by deterministic Schreier-Sims (Sims 1970; Seress, *Permutation
 Group Algorithms*, 2003, ch. 4): a base, the orbit of each base point under
 the pointwise stabilizer of the points before it, and a transversal of
-that orbit.  The order is the product of the orbit lengths and membership
-is a sift through the chain, so memory grows with the degree and the base
-length, not with the order, and no size cap is needed (the symmetric group
-S13 of order 13! takes 13 levels).  The graph automorphism search gets its
-order from its own first path instead (see ``autgroup``).
+that orbit.  The order is the product of the orbit lengths, so memory
+grows with the degree and the base length, not with the order, and no size
+cap is needed (the symmetric group S13 of order 13! takes 13 levels).  The
+chain stays inside ``close_group``: a group is returned as the plain record
+``PermGroup(generators, base, order)``, the same record the graph
+automorphism search returns with the order from its own first path (see
+``autgroup``).
 """
 
 from __future__ import annotations
@@ -166,12 +168,12 @@ def _sift(chain, g: tuple[int, ...], start: int):
     return g, len(chain)
 
 
-def _schreier_sims(gens, base, n: int) -> list[_Level]:
+def _schreier_sims(gens, n: int) -> list[_Level]:
     """Deterministic Schreier-Sims: the chain is complete once every Schreier
     generator of every level sifts to the identity through the levels below.
     """
     identity = tuple(range(n))
-    chain = [_Level(b, identity) for b in base]
+    chain: list[_Level] = []
 
     def install(h, first: int, last: int) -> None:
         if last == len(chain):
@@ -211,50 +213,25 @@ def _schreier_sims(gens, base, n: int) -> list[_Level]:
 
 
 class PermGroup(NamedTuple):
-    """A permutation group held as a stabilizer chain, never as its elements.
-
-    ``order`` is the product of the basic orbit lengths; ``perm in group``
-    sifts perm through the chain.  The chain is left out of equality, hash
-    and repr.
-    """
+    """Generators, a base and the exact order of the group they generate."""
 
     generators: tuple[Permutation, ...]
     base: tuple[int, ...]
     order: int
-    abelian: bool
-    chain: tuple[_Level, ...]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PermGroup) and self[:4] == other[:4]
-
-    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's field-wise !=
-
-    def __hash__(self) -> int:
-        return hash(self[:4])
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[:4], self))
-        return f"PermGroup({fields})"
-
-    def __contains__(self, perm: Permutation) -> bool:
-        n = self.generators[0].degree
-        return perm.degree == n and _sift(self.chain, perm.images, 0)[0] == tuple(range(n))
 
 
-def close_group(generators, base=()) -> PermGroup:
-    """The generated group, on a base that starts with ``base``."""
+def close_group(generators) -> PermGroup:
+    """The generated group's base and order, from a stabilizer chain built
+    by Schreier-Sims and dropped once its orbit lengths are multiplied."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].degree
     if any(g.degree != n for g in gens):
         raise ValueError("generators act on different domains")
-    chain = tuple(_schreier_sims([g.images for g in gens], base, n))
-    abelian = all(
-        g.then(h) == h.then(g) for i, g in enumerate(gens) for h in gens[i + 1:]
-    )
+    chain = _schreier_sims([g.images for g in gens], n)
     order = math.prod(len(level.transversal) for level in chain)
-    return PermGroup(gens, tuple(level.point for level in chain), order, abelian, chain)
+    return PermGroup(gens, tuple(level.point for level in chain), order)
 
 
 class OrbitPartition(NamedTuple):

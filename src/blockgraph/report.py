@@ -25,6 +25,7 @@ from .cliques import CliqueCensus, CliqueRecord, census_report, core_restriction
 from .design import Design, ValidationReport, validate_2design
 from .perms import (
     OrbitPartition,
+    PermGroup,
     Permutation,
     close_group,
     induced_block_action,
@@ -33,7 +34,7 @@ from .perms import (
     orbit_partition,
     parse_cycles,
 )
-from .autgroup import DEFAULT_NODE_LIMIT, GraphGroup, graph_automorphism_group
+from .autgroup import DEFAULT_NODE_LIMIT, graph_automorphism_group
 
 
 class GroupSection(NamedTuple):
@@ -78,18 +79,20 @@ def group_section(
     """Close the generators and compute orbits on points/blocks/cliques.
 
     Generators must be design automorphisms; the block and clique actions
-    are induced from the point action.
+    are induced from the point action.  The group is abelian exactly when
+    its generators commute pairwise.
     """
     group = close_group(generators)
-    block_perms = [induced_block_action(design, g) for g in group.generators]
+    gens = group.generators
+    block_perms = [induced_block_action(design, g) for g in gens]
     canonical, noncanonical = (
         () if part is None else part.lengths for _, part in clique_orbits(census, block_perms)
     )
     return GroupSection(
         source=source,
         order=group.order,
-        abelian=group.abelian,
-        point_orbit_lengths=orbit_partition(group.generators).lengths,
+        abelian=all(g.then(h) == h.then(g) for i, g in enumerate(gens) for h in gens[i + 1:]),
+        point_orbit_lengths=orbit_partition(gens).lengths,
         block_orbit_lengths=orbit_partition(block_perms).lengths,
         canonical_clique_orbit_lengths=canonical,
         noncanonical_clique_orbit_lengths=noncanonical,
@@ -124,7 +127,7 @@ def lift_to_design_automorphism(design: Design, block_perm: Permutation):
 
 def automorphism_section(
     design: Design, census: CliqueCensus, node_limit: int = DEFAULT_NODE_LIMIT
-) -> tuple[AutSection, GraphGroup]:
+) -> tuple[AutSection, PermGroup]:
     """Full block-graph automorphism group plus its design-group comparison.
 
     ``equals_design_group`` holds when every group element lifts to a design

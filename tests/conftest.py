@@ -6,7 +6,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from blockgraph import (
-    BlockGraph, SrgParams, builtin_design, census_report, make_design, parse_design,
+    BlockGraph, SrgParams, builtin_design, census_report, close_group, make_design, parse_design,
 )
 from blockgraph.report import builtin_generators
 
@@ -83,13 +83,14 @@ def srg_from_design_params(n, m):
     return SrgParams(b, m * (r - 1), (m - 1) ** 2 + r - 2, m * m, r - 1 - m, -m)
 
 
+def in_group(group, perm):
+    """Is perm in the group?  Exactly when adding it keeps the order."""
+    return close_group((*group.generators, perm)).order == group.order
+
+
 def same_group(a, b):
-    """Equal orders and each side's generators in the other side's group."""
-    return (
-        a.order == b.order
-        and all(g in b for g in a.generators)
-        and all(g in a for g in b.generators)
-    )
+    """Equal orders, and the generators of both together generate no more."""
+    return a.order == b.order == close_group(a.generators + b.generators).order
 
 
 def point_line_blocklist(family, d, p):

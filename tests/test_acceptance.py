@@ -39,7 +39,7 @@ from blockgraph import (
 from blockgraph.autgroup import SearchBudgetExceeded
 from blockgraph.catalog import APPENDIX_REPRESENTATIVE_CLIQUES, BASE_BLOCKS
 from blockgraph.cli import main as cli_main
-from blockgraph.report import lift_to_design_automorphism
+from blockgraph.report import group_section, lift_to_design_automorphism
 from blockgraph.theory import denniston_params, projective_params
 
 from conftest import (
@@ -145,7 +145,7 @@ def test_criterion_04_noncanonical_structure(main66, main66_census):
 def test_criterion_05_group_data(main66, main66_census, main66_generators):
     group = close_group(main66_generators)
     assert group.order == 39
-    assert not group.abelian
+    assert not group_section(main66, main66_census, main66_generators, "typed").abelian
     # design automorphisms are closed under composition: the generators suffice
     assert all(is_design_automorphism(main66, g) for g in group.generators)
 

@@ -1009,7 +1009,7 @@ def test_fuzzed_inputs_exit_0_1_or_2_without_a_traceback(tmp_path, capsys):
 
 PUBLIC_NAMES = [
     "AnalysisReport", "BUILTIN_NAMES", "BlockGraph", "CliqueCensus", "DegenerateGraphError",
-    "Design", "DesignParameters", "FamilyParams", "GraphGroup", "OrbitPartition", "PermGroup",
+    "Design", "DesignParameters", "FamilyParams", "OrbitPartition", "PermGroup",
     "Permutation", "ResidueSet", "SearchBudgetExceeded", "SrgParams", "SrgVerificationError",
     "ValidationReport", "admissibility", "build_block_graph", "build_report", "builtin_design",
     "census_report", "check_paper_claims", "classify_clique", "clique_number", "close_group",

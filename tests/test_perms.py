@@ -19,9 +19,9 @@ from blockgraph import (
 )
 from blockgraph.design import make_design
 from blockgraph.perms import format_cycles
-from blockgraph.report import lift_to_design_automorphism
+from blockgraph.report import group_section, lift_to_design_automorphism
 
-from conftest import adjacent, members_from_tokens, orbit_clique_members
+from conftest import adjacent, in_group, members_from_tokens, orbit_clique_members
 
 
 def swap(design, tok_a, tok_b):
@@ -90,17 +90,30 @@ def test_compose_domain_mismatch():
 def test_close_group_order_39(main66_generators):
     group = close_group(main66_generators)
     assert group.order == 39
-    assert not group.abelian
+    assert group.generators == tuple(main66_generators)
 
 
 def test_close_group_trivial():
     group = close_group([Permutation.identity(4)])
-    assert group.order == 1 and group.abelian
+    assert (group.base, group.order) == ((), 1)
 
 
 def test_close_group_cyclic_13(main66_generators):
     group = close_group([main66_generators[1]])
-    assert group.order == 13 and group.abelian
+    assert group.order == 13
+
+
+@pytest.mark.parametrize(
+    "which, order, abelian",
+    [((0, 1), 39, False), ((1,), 13, True), ((), 1, True)],
+    ids=["both", "shift", "identity"],
+)
+def test_group_section_abelian_both_ways(main66, main66_census, main66_generators, which, order,
+                                         abelian):
+    # both typed generators, the residue shift alone, and the identity
+    generators = [main66_generators[i] for i in which] or [Permutation.identity(main66.n)]
+    section = group_section(main66, main66_census, generators, "typed")
+    assert (section.order, section.abelian) == (order, abelian)
 
 
 def test_lagrange(main66_generators):
@@ -136,19 +149,19 @@ def bfs_closure(generators):
 def test_schreier_sims_symmetric_group_s6():
     group = close_group([cycle(6, 0, 1, 2, 3, 4, 5), cycle(6, 0, 1)])
     assert group.order == 720
-    assert not group.abelian
-    assert cycle(6, 2, 5) in group
+    assert in_group(group, cycle(6, 2, 5))
 
 
 def test_schreier_sims_alternating_group_a6():
     three_cycles = [cycle(6, 0, 1, 2), cycle(6, 1, 2, 3), cycle(6, 2, 3, 4), cycle(6, 3, 4, 5)]
     group = close_group(three_cycles)
     assert group.order == 360
-    assert cycle(6, 0, 1) not in group
-    assert cycle(6, 4, 5) not in group
-    assert cycle(6, 0, 1).then(cycle(6, 4, 5)) in group
-    assert cycle(6, 0, 5, 1, 4, 2) in group  # a 5-cycle is even
-    assert Permutation.identity(7) not in group  # wrong degree
+    assert not in_group(group, cycle(6, 0, 1))
+    assert not in_group(group, cycle(6, 4, 5))
+    assert in_group(group, cycle(6, 0, 1).then(cycle(6, 4, 5)))
+    assert in_group(group, cycle(6, 0, 5, 1, 4, 2))  # a 5-cycle is even
+    with pytest.raises(ValueError, match="different domains"):
+        in_group(group, Permutation.identity(7))
 
 
 @pytest.mark.parametrize(
@@ -172,16 +185,8 @@ def test_schreier_sims_alternating_group_a6():
 def test_schreier_sims_order_equals_bfs_closure(generators):
     elements = bfs_closure(generators)
     assert len(elements) <= 5040
-    group = close_group(generators)
-    assert group.order == len(elements)
-    assert all(g in group for g in elements)
-
-
-def test_close_group_base_prefix_is_kept():
-    s6 = [cycle(6, 0, 1, 2, 3, 4, 5), cycle(6, 0, 1)]
-    group = close_group(s6, base=(5, 3))
-    assert group.base[:2] == (5, 3)
-    assert group.order == 720
+    # the closure holds the group, so equal orders make them equal
+    assert close_group(generators).order == len(elements)
 
 
 # ---------------------------------------------------------------------------

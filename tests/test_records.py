@@ -1,6 +1,7 @@
-"""Value records: immutable named tuples, with the semantics the three
-classes that carry an invariant or their own equality must keep, and an
-import that stays free of ``dataclasses`` and ``inspect``."""
+"""Value records: immutable named tuples, with the semantics the two
+classes that carry an invariant or their own equality must keep, one plain
+group record, and an import that stays free of ``dataclasses`` and
+``inspect``."""
 
 import subprocess
 import sys
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from blockgraph import (
+    PermGroup,
     builtin_design,
+    census_report,
     close_group,
     core_restriction,
     family_params,
@@ -62,7 +65,7 @@ def public_records():
 
 def test_every_public_record_field_is_read_only():
     records = public_records()
-    assert len({type(r) for r in records}) == 21  # every record type in the package
+    assert len({type(r) for r in records}) == 20  # every record type in the package
     for record in records:
         for field in record._fields:
             with pytest.raises(AttributeError):
@@ -83,13 +86,23 @@ def test_design_equality_and_hash_ignore_name():
     assert a.block_masks == (3, 5, 6)
 
 
-def test_perm_group_chain_is_outside_equality_hash_and_repr():
-    generators = builtin_generators(builtin_design("main66"), "main66")
+def test_perm_group_is_one_plain_record():
+    # the closure and the graph automorphism search return the same record,
+    # with tuple equality, hash and repr
+    design = builtin_design("main66")
+    generators = builtin_generators(design, "main66")
     one, two = close_group(generators), close_group(generators)
-    assert one.chain is not two.chain
+    _, graph_group = automorphism_section(design, census_report(design))
+    assert type(one) is type(graph_group) is PermGroup
+    assert PermGroup._fields == ("generators", "base", "order")
+    # no public name beyond the fields, and equality, hash and ``in`` are the
+    # tuple's own
+    assert [k for k in vars(PermGroup) if not k.startswith("_")] == list(PermGroup._fields)
+    for name in ("__eq__", "__ne__", "__hash__", "__contains__"):
+        assert getattr(PermGroup, name) is getattr(tuple, name)
     assert one == two and not one != two
     assert hash(one) == hash(two)
-    assert "chain" not in repr(one) and repr(one).startswith("PermGroup(generators=")
+    assert repr(one).startswith("PermGroup(generators=(Permutation(images=")
 
 
 @pytest.mark.parametrize("images", [(0, 0), (1, 2), (0, 2, 1, 1)])
