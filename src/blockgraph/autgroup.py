@@ -39,15 +39,17 @@ verified explicitly before being kept.  Off the first path, a refinement
 stops at the first step where its trace leaves the first path's trace at
 that depth, or runs past its end (nauty's trace comparison): the tree is
 the same, and each refuted node costs only the steps up to where it
-parts.  The first-path nodes are processed deepest first.  At each, a
-child in the orbit of an explored child under the automorphisms found so
-far is skipped, and the search below any other child stops at its first
-verified automorphism and jumps back to the first-path node (McKay &
-Piperno 2014, *Practical graph isomorphism II*).  Each kept automorphism
-therefore enlarges the group.  Once the node at depth i is done, the kept
-automorphisms all fix the base points before it and their orbit of its
-base point is the i-th basic orbit, so the order is the product of those
-orbit lengths (McKay 1981), with no Schreier-Sims.
+parts.  The first-path nodes are processed deepest first, with the
+orbits of the automorphisms found so far in one union-find, each class
+rooted at its least vertex (nauty's orbits array; Tarjan 1975).  Each
+kept automorphism fixes a node's prefix and so maps its cell onto itself,
+and the base point is the cell's least vertex, so a child is explored, in
+ascending order, iff it is its own root and not the base point (nauty's
+least-in-orbit rule).  The search below it stops at its first verified
+automorphism (McKay & Piperno 2014, *Practical graph isomorphism II*),
+which thus enlarges the group.  The i-th basic orbit is then the cell's
+vertices whose root is the base point, and the order is the product of
+those orbit lengths (McKay 1981), with no Schreier-Sims.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .cliques import enumerate_maximum_cliques
 from .graph import BlockGraph, _bits
 # close_group is not called here, but perfbench/tracing.py wraps this name
 # and fails when one of its trace targets disappears
-from .perms import PermGroup, Permutation, close_group, is_graph_automorphism, orbit
+from .perms import PermGroup, Permutation, _join, _root, close_group, is_graph_automorphism
 
 DEFAULT_NODE_LIMIT = 200_000
 
@@ -295,21 +297,17 @@ def graph_automorphism_group(
                     return candidate
         return None
 
-    # Deepest first-path node first.  Every automorphism found so far then
-    # fixes the node's prefix pointwise, so a child in the orbit of an
-    # explored child roots an equivalent subtree and is skipped; one
-    # automorphism below a child settles that child (McKay & Piperno 2014).
+    # Deepest first-path node first; a child that is not the least of its
+    # orbit, or is the base point, is skipped (see the module docstring).
+    orbits = list(range(v))  # union-find of the kept automorphisms' orbits
     for depth in reversed(range(len(path))):
-        open_, closed, ci = path[depth]
-        explored = {base[depth]}
-        for vertex in _bits(open_[ci]):
-            if vertex in explored:
-                continue
-            found = automorphism_below(depth, vertex)
-            if found is not None:
-                generators.append(found)
-            explored = orbit(explored | {vertex}, generators)
-        # the kept automorphisms now reach every child in the basic orbit
-        order *= len(orbit({base[depth]}, generators))
+        open_, _, ci = path[depth]
+        for vertex in _bits(open_[ci] & (open_[ci] - 1)):
+            if _root(orbits, vertex) == vertex:
+                found = automorphism_below(depth, vertex)
+                if found is not None:
+                    generators.append(found)
+                    _join(orbits, found.images)
+        order *= sum(_root(orbits, x) == base[depth] for x in _bits(open_[ci]))
 
     return PermGroup(tuple(generators), base, order)

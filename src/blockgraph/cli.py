@@ -2,9 +2,9 @@
 
 Exit codes: 0 when every requested check holds, 1 when a verified claim
 fails (invalid design, census mismatch, non-automorphism generator, budget
-exhaustion, a block graph that is not strongly regular), 2 on usage or
-parse errors.  Machine output uses 0-based block indices; human-readable
-output uses point tokens.
+exhaustion, a block graph that is not strongly regular) or memory runs
+out, 2 on usage or parse errors.  Machine output uses 0-based block
+indices; human-readable output uses point tokens.
 """
 
 from __future__ import annotations
@@ -419,6 +419,9 @@ def main(argv=None) -> int:
         return 1
     except SrgVerificationError as exc:
         print(f"error: block graph is not strongly regular: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,17 +54,18 @@ def _search(rows):
     each larger clique; smaller ones are dropped at the end) and the number
     of nodes (colourings) expanded.  A branch records its stack only when no
     candidate extends it.  Open nodes wait on a list, so no recursion limit
-    applies.  Vertex v is u = n-1-v inside (rows bit-reversed once per
-    call), so the top set bit, found in O(1), is the lowest vertex: classes
-    are walked in ascending index order.  The stack holds v.
+    applies.  Vertex v is u = n-1-v inside, so the top set bit, found in
+    O(1), is the lowest vertex: classes are walked in ascending index
+    order.  The stack holds v.  The one table per call is ``keep``: a
+    colour class after u takes ``keep[u]``, a branch on u the rest, less u.
     """
     n = len(rows)
     nb = (n + 7) // 8
     full, pad, top = (1 << n) - 1, 8 * nb - n, n - 1
     bit = [1 << u for u in range(n)]
-    rrows = [int.from_bytes(r.to_bytes(nb, "big").translate(_REV8), "little") >> pad
-             for r in reversed(rows)]
-    keep = [full ^ (row | b) for row, b in zip(rrows, bit)]  # u's non-neighbours less u
+    # u's non-neighbours less u: its row bit-reversed, complemented
+    keep = [full ^ (b | int.from_bytes(r.to_bytes(nb, "big").translate(_REV8), "little") >> pad)
+            for r, b in zip(reversed(rows), bit)]
     stack: list[int] = []
     found: list[tuple[int, ...]] = []
     nodes = best = 0
@@ -109,7 +110,8 @@ def _search(rows):
             u, c = order.pop()
             if size + c >= best:
                 stack.append(top - u)
-                rest = candidates & rrows[u]
+                candidates ^= bit[u]  # u leaves before its branch: the parent is saved without it
+                rest = candidates ^ (candidates & keep[u])
                 if rest:
                     node = expand(rest)
                     if node is not None:
@@ -120,12 +122,11 @@ def _search(rows):
                     best = size + 1
                     found.append(tuple(sorted(stack)))
                 stack.pop()
-                candidates ^= bit[u]
                 continue
         if not parents:
             return [c for c in found if len(c) == best], nodes
         order, candidates, size = parents.pop()
-        candidates ^= bit[top - stack.pop()]  # the vertex the parent branched on
+        stack.pop()  # the vertex the parent branched on
 
 
 def enumerate_maximum_cliques(graph: BlockGraph) -> list[tuple[int, ...]]:

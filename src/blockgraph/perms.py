@@ -12,7 +12,7 @@ cap is needed (the symmetric group S13 of order 13! takes 13 levels).  The
 chain stays inside ``close_group``: a group is returned as the plain record
 ``PermGroup(generators, base, order)``, the same record the graph
 automorphism search returns with the order from its own first path (see
-``autgroup``).
+``autgroup``).  Orbits are union-find classes rooted at least points.
 """
 
 from __future__ import annotations
@@ -243,39 +243,38 @@ class OrbitPartition(NamedTuple):
         return tuple(sorted(map(len, self.orbits), reverse=True))
 
 
-def orbit(points, perms) -> set[int]:
-    """The union of the orbits of ``points`` under the group the perms generate."""
-    out = set(points)
-    frontier = list(out)
-    images = [g.images for g in perms]
-    while frontier:
-        x = frontier.pop()
-        for g in images:
-            y = g[x]
-            if y not in out:
-                out.add(y)
-                frontier.append(y)
-    return out
+def _root(parent: list[int], x: int) -> int:
+    """The root of x's class, halving the path on the way (Tarjan 1975)."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _join(parent: list[int], images) -> None:
+    """Join each point's class to its image's (``_root``'s walks inline); roots stay least."""
+    for x, y in enumerate(images):
+        if x != y:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            parent[x] = parent[y] = x if x < y else y
 
 
 def orbit_partition(perms) -> OrbitPartition:
-    """Orbits of the generated group on the perms' common domain.
-
-    Orbits are listed by minimum element, each sorted, so the partition is
-    deterministic.
-    """
+    """Orbits of the generated group, each sorted, listed by least point."""
     perms = list(perms)
     if not perms:
         raise ValueError("need at least one permutation")
-    n = perms[0].degree
-    seen: set[int] = set()
-    orbits = []
-    for start in range(n):
-        if start not in seen:
-            found = orbit({start}, perms)
-            seen |= found
-            orbits.append(tuple(sorted(found)))
-    return OrbitPartition(tuple(orbits))
+    parent = list(range(perms[0].degree))
+    if any(g.degree != len(parent) for g in perms):
+        raise ValueError("permutations act on different domains")
+    for g in perms:
+        _join(parent, g.images)
+    orbits: dict[int, list[int]] = {}
+    for x in range(len(parent)):
+        orbits.setdefault(_root(parent, x), []).append(x)
+    return OrbitPartition(tuple(map(tuple, orbits.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +317,16 @@ def is_design_automorphism(design: Design, perm: Permutation) -> bool:
 
 
 def is_graph_automorphism(graph: BlockGraph, perm: Permutation) -> bool:
-    """Does perm map the adjacency onto itself?
-
-    Each row is a string of binary digits, vertex i at position n-1-i.
-    Picking the digits of row inv(u) at the positions of the inverse images
-    gives the image of that row under perm, which must be the row of u.
-    """
+    """Does perm map the adjacency onto itself?  Row by row, as binary digit
+    strings (vertex i at position n-1-i), to the first that differs: the
+    digits of row inv(u) at the inverse images' positions must be row u."""
     n = graph.v
     if perm.degree != n:
         return False
     if n == 0:
         return True
-    digits = [format(row, f"0{n}b") for row in graph.rows]
+    rows, width = graph.rows, f"0{n}b"
     inv = _invert(perm.images)
     image = itemgetter(*[n - 1 - w for w in reversed(inv)])
-    return all("".join(image(digits[w])) == digits[u] for u, w in enumerate(inv))
+    return all("".join(image(format(rows[w], width))) == format(rows[u], width)
+               for u, w in enumerate(inv))

@@ -53,6 +53,13 @@ def petersen():
     return verts, BlockGraph(10, tuple(rows))
 
 
+def paley_graph(p):
+    """P(p), p = 1 mod 4 prime: x ~ y iff x - y is a nonzero square mod p."""
+    squares = {x * x % p for x in range(1, p)}
+    return BlockGraph(p, tuple(sum(1 << y for y in range(p) if (x - y) % p in squares)
+                               for x in range(p)))
+
+
 def path_graph(n):
     rows = [0] * n
     for i in range(n - 1):
@@ -88,9 +95,20 @@ def test_appendix_graph_groups(name, request):
     assert group.order == 39
 
 
-def test_complete_graph_k7():
-    group = graph_automorphism_group(complete_graph(7))
-    assert group.order == 5040
+@pytest.mark.parametrize("p", [13, 17, 29, 37, 41])
+def test_paley_graph_group_order(p):
+    # Aut P(p) is x -> a x + c with a a nonzero square: p(p-1)/2 elements
+    graph = paley_graph(p)
+    found = graph_automorphism_group(graph)
+    assert found.order == close_group(found.generators).order == p * (p - 1) // 2
+    assert all(is_graph_automorphism(graph, g) for g in found.generators)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 20])
+def test_complete_graph_group_order(n):
+    found = graph_automorphism_group(complete_graph(n))
+    assert found.order == math.factorial(n)
+    assert close_group(found.generators or [Permutation.identity(n)]).order == found.order
 
 
 def test_petersen_group_matches_s5_oracle():

@@ -17,6 +17,7 @@ from blockgraph import (
     serialize_design,
     subdesign_test,
 )
+from blockgraph import cli
 from blockgraph.cli import main
 
 from conftest import (
@@ -111,6 +112,16 @@ def test_verify_invalid_design_file(tmp_path, capsys):
 def test_missing_source_is_usage_error(capsys):
     code, _, _ = run(capsys, "verify")
     assert code == 2
+
+
+def test_memory_error_is_one_line(monkeypatch, capsys):
+    def exhausted(design):
+        raise MemoryError
+    monkeypatch.setattr(cli, "census_report", exhausted)
+    code, out, err = run(capsys, "cliques", "--builtin", "main66")
+    assert code == 1
+    assert err.splitlines() == ["error: out of memory"]
+    assert "Traceback" not in out + err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 import random
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations, permutations
 
 import pytest
@@ -187,6 +187,9 @@ def test_schreier_sims_order_equals_bfs_closure(generators):
     assert len(elements) <= 5040
     # the closure holds the group, so equal orders make them equal
     assert close_group(generators).order == len(elements)
+    # an orbit is every element's image of a point
+    orbits = sorted({tuple(sorted({g(x) for g in elements})) for x in range(generators[0].degree)})
+    assert orbit_partition(generators).orbits == tuple(orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +228,54 @@ def test_orbit_ordering_deterministic(main66_generators):
     part = orbit_partition(main66_generators)
     assert [o[0] for o in part.orbits] == sorted(o[0] for o in part.orbits)
     assert all(o == tuple(sorted(o)) for o in part.orbits)
+
+
+def bfs_orbits(perms):
+    """Orbits by breadth-first search from each point not yet reached."""
+    seen, orbits = set(), []
+    for start in range(perms[0].degree):
+        if start in seen:
+            continue
+        orbit, queue = {start}, deque([start])
+        while queue:
+            x = queue.popleft()
+            for g in perms:
+                if g(x) not in orbit:
+                    orbit.add(g(x))
+                    queue.append(g(x))
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_orbit_partition_matches_bfs(seed):
+    # one to four generators of degree 1-40, the identity among them; the
+    # others are random shuffles or a few disjoint cycles, so the orbits
+    # range from singletons to the whole domain
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    gens = [Permutation.identity(n)]
+    for _ in range(rng.randint(0, 3)):
+        points = rng.sample(range(n), n)
+        if rng.random() < 0.2:
+            gens.append(Permutation(tuple(points)))
+            continue
+        images = list(range(n))
+        for _ in range(rng.randint(1, 3)):
+            size = rng.randint(1, min(5, len(points))) if points else 0
+            cyc, points = points[:size], points[size:]
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                images[a] = b
+        gens.append(Permutation(tuple(images)))
+    rng.shuffle(gens)
+    assert orbit_partition(gens).orbits == bfs_orbits(gens)
+
+
+@pytest.mark.parametrize("degrees", [(3, 2), (2, 3)])
+def test_orbit_partition_rejects_mixed_domains(degrees):
+    with pytest.raises(ValueError, match="different domains"):
+        orbit_partition([Permutation.identity(n) for n in degrees])
 
 
 # ---------------------------------------------------------------------------
