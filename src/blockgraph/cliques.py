@@ -41,6 +41,7 @@ from .graph import (
     _bits,
     build_block_graph,
     delsarte_bound,
+    steiner_srg,
     verify_srg,
 )
 
@@ -329,13 +330,24 @@ class CliqueCensus(namedtuple(
 
 def census_report(design: Design) -> CliqueCensus:
     """Run the full pipeline: graph, SRG, Delsarte bound (reported, not
-    searched), one enumeration, per-clique analysis."""
+    searched), one enumeration, per-clique analysis.
+
+    A 2-(n,m,1) design takes ``steiner_srg``, read off the design in O(b):
+    b blocks of m points with no two sharing two points (no ``twice`` row)
+    cover b m(m-1)/2 distinct pairs, all n(n-1)/2 of them, each once; then
+    every point lies in (n-1)/(m-1) blocks, so the design is valid.  Any
+    other input takes the pair pass of ``verify_srg``.
+    """
     graph = build_block_graph(design)
+    n, m = design.n, design.m
+    steiner = (n > m >= 2 and design.b * m * (m - 1) == n * (n - 1)
+               and all(len(blk) == m for blk in design.blocks)
+               and not any(design.reach[2]))
     srg = None
     degenerate = None
     bound = None
     try:
-        srg = verify_srg(graph)
+        srg = steiner_srg(n, m) if steiner else verify_srg(graph)
         bound = delsarte_bound(srg)
     except DegenerateGraphError as exc:
         degenerate = str(exc)

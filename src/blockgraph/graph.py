@@ -2,13 +2,11 @@
 
 Adjacency rows are python ints used as bit vectors, so common-neighbour
 counts (and the clique search built on top) reduce to word-parallel ``&``
-plus popcount.  The SRG check proves A^2 = kI + lambda A + mu (J - I - A)
-(Brouwer & Van Maldeghem 2022, 1.1) by one of two routes.  A graph built
-from a 2-(n,m,1) design is proved in point coordinates: A = N^T N - mI and
-N N^T = alpha I + beta J, from the pencils through each vertex and one
-count.  Every other graph (raw rows, a net, a broken row) has its common
-neighbours counted pair by pair in row-major order, so a failure names the
-first bad pair.
+plus popcount.  ``verify_srg`` proves A^2 = kI + lambda A + mu (J - I - A)
+(Brouwer & Van Maldeghem 2022, 1.1) for any graph by counting the common
+neighbours of every pair in row-major order, so a failure names the first
+bad pair.  The block graph of a 2-(n,m,1) design needs no rows:
+``steiner_srg`` gives its parameters in closed form from n and m.
 All spectral quantities are exact: SRG eigenvalues are integers, or left
 unset where they are irrational (conference graphs), so no numerical solver
 is involved.
@@ -32,13 +30,12 @@ class SrgVerificationError(Exception):
 
 
 class BlockGraph(NamedTuple):
-    """Intersection graph of a design's blocks (symmetric, irreflexive), with
-    the blocks through each point as vertex masks (``pencils``) if it was
-    built from a design; only the SRG certificate reads them."""
+    """A symmetric, irreflexive graph on v vertices, each row the mask of a
+    vertex's neighbours; built from a design, the intersection graph of its
+    blocks."""
 
     v: int
     rows: tuple[int, ...]
-    pencils: tuple[int, ...] = ()
 
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
@@ -65,8 +62,7 @@ class SrgParams(NamedTuple):
 
 def build_block_graph(design: Design) -> BlockGraph:
     """Vertices are blocks; i ~ j iff blocks i and j share a point."""
-    through, rows, _ = design.reach
-    return BlockGraph(design.b, rows, through)
+    return BlockGraph(design.b, design.reach[1])
 
 
 def _eigenvalues(k: int, lam: int, mu: int) -> tuple[int, int] | tuple[None, None]:
@@ -86,45 +82,11 @@ _BINARY = bytes.maketrans(b"01", b"\0\1")
 
 
 def _bits(mask: int) -> tuple[int, ...]:
-    """The set bits of a mask, ascending (its binary digits read backwards)."""
+    """The set bits of a mask, ascending (its binary digits read backwards);
+    a mask of one bit or none builds no string."""
+    if not mask & (mask - 1):
+        return (mask.bit_length() - 1,) if mask else ()
     return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BINARY)))
-
-
-def _certificate(rows: tuple[int, ...], pencils: tuple[int, ...]) -> tuple[int, int, int] | None:
-    """(k, lambda, mu) proved in point coordinates, or None where it does not apply.
-
-    With N the pencil by vertex incidence matrix, A = N^T N - mI exactly where
-    every vertex i lies on m pencils and those pencils, each less i, partition
-    row i: their union less i is the row and their sizes less one add up to
-    its degree.  Two pencils then share at most one vertex, and the pairs
-    that meet are the v m(m-1)/2 pairs of pencils through a common vertex.
-    So of n pencils no two meet if m = 1 (beta = 0), and all pairs meet iff
-    v m(m-1) = n(n-1) (beta = 1), the count of a 2-(n,m,1) design.  Where
-    that holds and the pencils, masked to the vertices, also hold alpha +
-    beta vertices each, N N^T = alpha I + beta J and N^T J N = m^2 J give
-    A^2 = (alpha - 2m) A + (alpha m - m^2) I + beta m^2 J.  On a regular
-    graph that is neither complete nor empty, vertex 0 has a neighbour, so
-    m >= 1 once its pencils partition its row.
-    """
-    v, n = len(rows), len(pencils)
-    masked = [pencil & ((1 << v) - 1) for pencil in pencils]
-    through: list[list[int]] = [[] for _ in range(v)]
-    for pencil, x in zip(pencils, masked):
-        for i in _bits(x):
-            through[i].append(pencil)
-    m = len(through[0])
-    for i, (row, ps) in enumerate(zip(rows, through)):
-        union = 0
-        for p in ps:
-            union |= p
-        if (len(ps) != m or union & ~(1 << i) != row
-                or sum(map(int.bit_count, ps)) - len(ps) != row.bit_count()):
-            return None
-    size, beta = masked[0].bit_count(), int(m > 1)
-    if {*map(int.bit_count, masked)} != {size} or v * m * (m - 1) != beta * n * (n - 1):
-        return None
-    alpha, mu = size - beta, beta * m * m
-    return alpha * m - m * m + mu, alpha - 2 * m + mu, mu
 
 
 def _pair_counts(rows: tuple[int, ...]):
@@ -138,15 +100,11 @@ def verify_srg(graph: BlockGraph) -> SrgParams:
     """Exhaustively verify strong regularity and return its parameters.
 
     Checks constant degree k; lambda and mu come from the first adjacent and
-    non-adjacent pair in row-major order.  Where ``_certificate`` proves A^2
-    from the pencils and its (k, lambda, mu) are the measured ones, that is
-    the whole check; A, I and J are independent since complete and empty
-    graphs are rejected first.  Otherwise (no pencils, a declined
-    certificate or a mismatch) every pair's common neighbours are counted in
-    row-major order against lambda or mu, and the first failing pair is the
-    one reported.  The row sums of the identity give k^2 = k + lambda k +
-    mu (v - k - 1), so no separate feasibility check is needed; the
-    eigenvalues are None where irrational.  Raises DegenerateGraphError for
+    non-adjacent pair in row-major order, and every pair's common neighbours
+    are then counted in row-major order against lambda or mu, so the first
+    failing pair is the one reported.  The row sums of the identity give
+    k^2 = k + lambda k + mu (v - k - 1), so no separate feasibility check is
+    needed; the eigenvalues are None where irrational.  Raises DegenerateGraphError for
     complete/empty/too-small graphs and SrgVerificationError otherwise.
     """
     v = graph.v
@@ -166,15 +124,32 @@ def verify_srg(graph: BlockGraph) -> SrgParams:
     rows = graph.rows
     lam = next(c for _, _, adjacent, c in _pair_counts(rows) if adjacent)
     mu = next(c for _, _, adjacent, c in _pair_counts(rows) if not adjacent)
-    if _certificate(rows, graph.pencils) != (k, lam, mu):
-        for i, j, adjacent, c in _pair_counts(rows):
-            expected = lam if adjacent else mu
-            if c != expected:
-                kind = "adjacent" if adjacent else "non-adjacent"
-                raise SrgVerificationError(
-                    f"{kind} pair ({i},{j}) has {c} common neighbours, expected {expected}"
-                )
+    for i, j, adjacent, c in _pair_counts(rows):
+        expected = lam if adjacent else mu
+        if c != expected:
+            kind = "adjacent" if adjacent else "non-adjacent"
+            raise SrgVerificationError(
+                f"{kind} pair ({i},{j}) has {c} common neighbours, expected {expected}"
+            )
     return SrgParams(v, k, lam, mu, *_eigenvalues(k, lam, mu))
+
+
+def steiner_srg(n: int, m: int) -> SrgParams:
+    """The block graph of a 2-(n,m,1) design, n > m >= 2, in closed form.
+
+    With N the point-by-block incidence matrix and r = (n-1)/(m-1), two
+    blocks share at most one point, so A = N^T N - mI, and every pair of
+    points lies in one block, so N N^T = (r-1)I + J.  With N^T J N = m^2 J,
+    A^2 = (r-1-2m)A + (m(r-1) - m^2)I + m^2 J: srg(b, m(r-1),
+    (m-1)^2 + r - 2, m^2).  Raises DegenerateGraphError where b = n (a
+    projective plane), whose block graph is complete.
+    """
+    r = (n - 1) // (m - 1)
+    b = n * r // m
+    if b == n:
+        raise DegenerateGraphError("complete graph")
+    k, lam, mu = m * (r - 1), (m - 1) ** 2 + r - 2, m * m
+    return SrgParams(b, k, lam, mu, *_eigenvalues(k, lam, mu))
 
 
 def delsarte_bound(params: SrgParams) -> int | None:

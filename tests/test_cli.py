@@ -11,6 +11,7 @@ from types import ModuleType
 import pytest
 
 from blockgraph import (
+    Design,
     builtin_design,
     core_restriction,
     point_multiplicity_profile,
@@ -49,6 +50,25 @@ def test_verify_fano_degenerate(capsys):
     code, out, _ = run(capsys, "verify", "--builtin", "fano")
     assert code == 0
     assert "degenerate" in out
+
+
+@pytest.mark.parametrize("name, srg_line", [
+    ("main66", "block graph: srg(143, 72, 36, 36), eigenvalues 6 and -6"),
+    ("ag23", "block graph: srg(12, 9, 6, 9), eigenvalues 0 and -3"),
+    ("fano", "block graph: degenerate (complete graph); design is symmetric"),
+], ids=["main66", "ag23", "fano"])
+def test_verify_reads_no_rows(monkeypatch, capsys, name, srg_line):
+    # a validated design's SRG parameters are its closed form: verify prints
+    # the same with Design.reach, which builds the block-graph rows, broken
+    expected = run(capsys, "verify", "--builtin", name)
+
+    def no_rows(design):
+        raise AssertionError("verify built the block-graph rows")
+
+    monkeypatch.setattr(Design, "reach", property(no_rows))
+    code, out, err = run(capsys, "verify", "--builtin", name)
+    assert (code, out, err) == expected
+    assert code == 0 and srg_line in out.splitlines()
 
 
 # a genuine 2-(6,3,2) design: every pair of its 6 points lies in 2 blocks

@@ -168,31 +168,6 @@ def test_enumerate_complete_graph_below_its_size(monkeypatch, n):
     assert nodes == [1]
 
 
-def test_pencils_do_not_change_the_census(monkeypatch, main66_graph):
-    # the search reads the rows alone: main66 with and without its pencils
-    # takes the same tree to the same 80 cliques
-    nodes = count_search_nodes(monkeypatch)
-    raw = BlockGraph(main66_graph.v, main66_graph.rows)
-    assert enumerate_maximum_cliques(main66_graph) == enumerate_maximum_cliques(raw)
-    assert nodes == [856, 856]
-    # main66 less the edge between block 0 and its lowest neighbour, its
-    # pencils kept: the pencil through both is no clique, and the other 79
-    # maximum cliques are found as from the same rows with no pencils
-    j = (main66_graph.rows[0] & -main66_graph.rows[0]).bit_length() - 1
-    rows = list(main66_graph.rows)
-    rows[0] ^= 1 << j
-    rows[j] ^= 1
-    broken = main66_graph._replace(rows=tuple(rows))
-    found = enumerate_maximum_cliques(broken)
-    assert len(found) == 79
-    assert found == enumerate_maximum_cliques(BlockGraph(broken.v, broken.rows))
-    # fano's pencils of 3 blocks on 7 vertices with no edges: each vertex alone
-    fano = build_block_graph(builtin_design("fano"))
-    empty = BlockGraph(7, (0,) * 7, fano.pencils)
-    assert enumerate_maximum_cliques(empty) == [(v,) for v in range(7)]
-    assert clique_number(empty) == 1
-
-
 def test_search_nodes_main66(monkeypatch, main66_graph):
     # one root, the set of all vertices, its bound rising from 0
     nodes = count_search_nodes(monkeypatch)
@@ -201,6 +176,19 @@ def test_search_nodes_main66(monkeypatch, main66_graph):
     nodes.clear()
     assert clique_number(main66_graph) == 13
     assert nodes == [856]
+    # main66 less the edge between block 0 and its lowest neighbour: the
+    # point pencil through both is no clique, and the other 79 maximum
+    # cliques are found
+    j = (main66_graph.rows[0] & -main66_graph.rows[0]).bit_length() - 1
+    rows = list(main66_graph.rows)
+    rows[0] ^= 1 << j
+    rows[j] ^= 1
+    broken = BlockGraph(main66_graph.v, tuple(rows))
+    assert len(enumerate_maximum_cliques(broken)) == 79
+    # seven vertices and no edges: each vertex alone
+    empty = BlockGraph(7, (0,) * 7)
+    assert enumerate_maximum_cliques(empty) == [(v,) for v in range(7)]
+    assert clique_number(empty) == 1
 
 
 @pytest.mark.parametrize(

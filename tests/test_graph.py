@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from blockgraph import (
@@ -9,18 +7,29 @@ from blockgraph import (
     SrgVerificationError,
     build_block_graph,
     builtin_design,
+    census_report,
     delsarte_bound,
     parse_design,
+    validate_2design,
     verify_srg,
 )
 
+from blockgraph import cliques as cliques_module
 from blockgraph import graph as graph_module
-from blockgraph.graph import _certificate
+from blockgraph.design import Design
+from blockgraph.graph import steiner_srg
 
 from itertools import combinations
 from math import isqrt
 
-from conftest import adjacent, induced_subgraph, point_line_blocklist, srg_from_design_params
+from conftest import (
+    adjacent,
+    induced_subgraph,
+    point_line_blocklist,
+    random_blocklists,
+    srg_from_design_params,
+    steiner_design,
+)
 
 
 @pytest.fixture(scope="module")
@@ -145,8 +154,26 @@ def test_formula_matches_exhaustive_check_on_builtins():
     for name in ("main66", "appendixA66", "appendixB66", "ag23"):
         d = builtin_design(name)
         srg = verify_srg(build_block_graph(d))
-        assert srg == srg_from_design_params(d.n, d.m)
+        assert srg == srg_from_design_params(d.n, d.m) == steiner_srg(d.n, d.m)
         assert srg.s_eig == -d.m
+
+
+def test_steiner_srg_closed_form():
+    # every admissible (n, m) with n < 60 and b >= n (Fisher's inequality),
+    # against the conftest formula; where b = n (PG(2,q) and the triangle)
+    # the block graph is complete
+    symmetric = 0
+    for m in range(2, 8):
+        for n in range(m + 1, 60):
+            if (n - 1) % (m - 1) or n * (n - 1) % (m * (m - 1)) or n - 1 < m * (m - 1):
+                continue
+            if n - 1 == m * (m - 1):
+                symmetric += 1
+                with pytest.raises(DegenerateGraphError, match="^complete graph$"):
+                    steiner_srg(n, m)
+            else:
+                assert steiner_srg(n, m) == srg_from_design_params(n, m)
+    assert symmetric == 6  # (3,2), (7,3), (13,4), (21,5), (31,6), (43,7)
 
 
 def test_eigenvalue_identities():
@@ -216,10 +243,10 @@ def reference_verify_srg(graph):
     return SrgParams(v, k, lam, mu, (d + isqrt(disc)) // 2, (d - isqrt(disc)) // 2)
 
 
-def outcome(check, graph):
+def outcome(check, *args):
     """The parameters a check returns, or the type and text of what it raises."""
     try:
-        return check(graph)
+        return check(*args)
     except (DegenerateGraphError, SrgVerificationError) as exc:
         return type(exc), str(exc)
 
@@ -227,8 +254,6 @@ def outcome(check, graph):
 def assert_matches_reference(graph):
     got = outcome(verify_srg, graph)
     assert got == outcome(reference_verify_srg, graph)
-    if graph.pencils:  # and raw, where only the pair pass can accept it
-        assert outcome(verify_srg, BlockGraph(graph.v, graph.rows)) == got
     return got
 
 
@@ -241,8 +266,7 @@ def from_edges(v, edges):
 
 
 def flipped(graph, *pairs):
-    """The graph with the given pairs' adjacency flipped; its pencils stay,
-    but no longer partition the broken rows."""
+    """The graph with the given pairs' adjacency flipped."""
     rows = list(graph.rows)
     for i, j in pairs:
         rows[i] ^= 1 << j
@@ -250,36 +274,44 @@ def flipped(graph, *pairs):
     return graph._replace(rows=tuple(rows))
 
 
-def pencil_rows(graph):
-    """The vertices i whose pencils, each less i, partition row i: their
-    union less i is the row and their sizes less one add up to its degree."""
-    rows, pencils = graph.rows, graph.pencils
-    exact = set()
-    for i, row in enumerate(rows):
-        ps = [p for p in pencils if p >> i & 1]
-        union = 0
-        for p in ps:
-            union |= p
-        if union & ~(1 << i) == row and sum(p.bit_count() - 1 for p in ps) == row.bit_count():
-            exact.add(i)
-    return exact
+def counted(patch, module, name):
+    """Replace ``module.name`` by a wrapper that records the arguments of each
+    call, for the life of ``patch``; returns the list of calls."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    patch.setattr(module, name, wrapper)
+    return calls
 
 
 def pair_count_calls(monkeypatch, graph):
     """How many times verify_srg on the graph calls ``_pair_counts``: none
     where it stops at the degree check, two to read lambda and mu, and a
-    third only for the full pair-by-pair pass."""
-    calls = []
-    pair_counts = graph_module._pair_counts
-
-    def counting(rows):
-        calls.append(rows)
-        return pair_counts(rows)
-
+    third for the pair-by-pair pass."""
     with monkeypatch.context() as patch:
-        patch.setattr(graph_module, "_pair_counts", counting)
+        calls = counted(patch, graph_module, "_pair_counts")
         outcome(verify_srg, graph)
     return len(calls)
+
+
+def census_route(monkeypatch, design):
+    """The census's SRG outcome for a design, its clique search left out
+    (the parameters, or the type and text of the error), whether it took
+    the closed form and how many times it called ``_pair_counts``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cliques_module, "enumerate_maximum_cliques", lambda graph: [])
+        closed = counted(patch, cliques_module, "steiner_srg")
+        pairs = counted(patch, graph_module, "_pair_counts")
+        try:
+            census = census_report(design)
+            got = census.srg or (DegenerateGraphError, census.degenerate)
+        except SrgVerificationError as exc:
+            got = SrgVerificationError, str(exc)
+    return got, bool(closed), len(pairs)
 
 
 def switched(graph, a, c):
@@ -331,10 +363,8 @@ def test_verify_srg_matches_reference_after_flips(monkeypatch, request, graph_na
     ):
         exc_type, _ = assert_matches_reference(broken)
         assert exc_type is SrgVerificationError
-        # the certificate declines the broken rows; a switch keeps the
-        # degrees and leaves the graph to the pair pass, a flip is
-        # irregular and rejected before
-        assert _certificate(broken.rows, broken.pencils) is None
+        # a switch keeps the degrees and leaves the graph to the pair pass,
+        # a flip is irregular and rejected before
         regular = len({broken.degree(i) for i in range(v)}) == 1
         assert pair_count_calls(monkeypatch, broken) == (3 if regular else 0)
 
@@ -349,6 +379,25 @@ def test_verify_srg_matches_reference_on_small_graphs():
     assert assert_matches_reference(p3) == (SrgVerificationError, "not regular: degrees [1, 2]")
     # mu = 0: every non-adjacent pair has no common neighbour
     assert assert_matches_reference(k4s).as_tuple() == (20, 3, 2, 0)
+    # the 3x3 rook's graph, Petersen and T(5) (the lines of K5, meeting in
+    # a point) are strongly regular; the 3x4 rook's graph and 2K3 are not
+    rook = from_edges(9, [(a, b) for a in range(9) for b in range(a)
+                          if a // 3 == b // 3 or a % 3 == b % 3])
+    petersen = from_edges(
+        10, [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    )
+    pairs = list(combinations(range(5), 2))
+    t5 = from_edges(10, [(a, b) for b in range(10) for a in range(b) if set(pairs[a]) & set(pairs[b])])
+    rook34 = from_edges(12, [(a, b) for b in range(12) for a in range(b)
+                             if a // 4 == b // 4 or a % 4 == b % 4])
+    two_triangles = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert assert_matches_reference(rook).as_tuple() == (9, 4, 1, 2)
+    assert assert_matches_reference(petersen).as_tuple() == (10, 3, 0, 1)
+    assert assert_matches_reference(t5).as_tuple() == (10, 6, 3, 4)
+    assert assert_matches_reference(rook34)[0] is SrgVerificationError
+    assert assert_matches_reference(two_triangles).as_tuple() == (6, 2, 1, 0)
 
 
 def test_verify_srg_conference_graphs_have_irrational_eigenvalues():
@@ -373,11 +422,10 @@ def test_verify_srg_field_width_edge(s):
 
 
 def test_raw_and_switched_graphs_take_the_pair_pass(monkeypatch, main66_graph):
-    assert pair_count_calls(monkeypatch, main66_graph) == 2  # certified
-    # the raw graph has no pencils, and switched rows are not partitioned
+    # every graph, a design's included, takes the pair pass
+    assert pair_count_calls(monkeypatch, main66_graph) == 3
     raw = BlockGraph(main66_graph.v, main66_graph.rows)
     assert assert_matches_reference(raw).as_tuple() == (143, 72, 36, 36)
-    assert pair_count_calls(monkeypatch, raw) == 3
     for a, c in ((0, 1), (0, 142), (70, 71), (141, 142)):
         broken = switched(main66_graph, a, c)
         assert assert_matches_reference(broken)[0] is SrgVerificationError
@@ -386,65 +434,71 @@ def test_raw_and_switched_graphs_take_the_pair_pass(monkeypatch, main66_graph):
 
 @pytest.mark.parametrize("strip_cells", [143, 143 * 8, 143 * 50])
 def test_verify_srg_matches_reference_in_narrow_strips(monkeypatch, main66_graph, strip_cells):
-    # a switch between the two end columns of a strip of A 1, 8 or 50
-    # columns wide (143, 1144 or 7150 entries), at the start, the middle
-    # and the end of main66's rows: the certificate declines it and the
-    # pair pass names the reference's first failing pair
+    # a switch between two columns 1, 8 or 50 apart (143, 1144 or 7150
+    # entries of A between them), at the start, the middle and the end of
+    # main66's rows: the pair pass names the reference's first failing pair
     width = strip_cells // main66_graph.v
     for a in (0, (main66_graph.v - 1 - width) // 2, main66_graph.v - 1 - width):
         broken = switched(main66_graph, a, a + width)
-        assert _certificate(broken.rows, broken.pencils) is None
         assert assert_matches_reference(broken)[0] is SrgVerificationError
         assert pair_count_calls(monkeypatch, broken) == 3
 
 
-def test_every_small_graph_raw_and_with_edge_pencils(monkeypatch):
-    # every graph on 2 to 5 vertices, raw and with its edges as 2-vertex
-    # pencils, which partition every row: the certificate decides only
-    # where the graph is regular and the edges meet pairwise in one beta.
-    # It accepts a perfect matching (beta = 0) and declines C4 and C5
-    # (beta 0 or 1); a raw regular graph always takes the pair pass
+def test_every_small_graph_matches_the_reference(monkeypatch):
+    # every graph on 2 to 5 vertices: a regular one that is neither
+    # complete nor empty takes the pair pass, the rest stop before it
     calls = set()
     for v in range(2, 6):
         pairs = list(combinations(range(v), 2))
         for mask in range(1 << len(pairs)):
-            edges = [p for bit, p in enumerate(pairs) if mask >> bit & 1]
-            raw = from_edges(v, edges)
-            graph = raw._replace(pencils=tuple(1 << i | 1 << j for i, j in edges))
-            assert pencil_rows(graph) == set(range(v))
+            graph = from_edges(v, [p for bit, p in enumerate(pairs) if mask >> bit & 1])
             assert_matches_reference(graph)
-            assert pair_count_calls(monkeypatch, raw) in (0, 3)
             calls.add(pair_count_calls(monkeypatch, graph))
-    assert calls == {0, 2, 3}
+    assert calls == {0, 3}
 
 
 LINEAR_BUILTINS = ["main66", "appendixA66", "appendixB66", "fano", "ag23", "pg23"]
 
 
+def pencil_rows(design):
+    """The blocks i whose pencils, each less i, partition row i: their
+    union less i is the row and their sizes less one add up to its degree."""
+    through, rows, _ = design.reach
+    exact = set()
+    for i, (blk, row) in enumerate(zip(design.blocks, rows)):
+        ps = [through[p] for p in blk]
+        union = 0
+        for p in ps:
+            union |= p
+        if union & ~(1 << i) == row and sum(p.bit_count() - 1 for p in ps) == row.bit_count():
+            exact.add(i)
+    return exact
+
+
+def assert_pencil_route(design):
+    # in a 2-(n,m,1) design two blocks share at most one point, so the
+    # pencils through a block, less the block, partition its neighbours:
+    # A = N^T N - mI, the first half of the closed form, whose degree is
+    # m(r - 1) (b - 1 where the graph is complete)
+    graph = build_block_graph(design)
+    assert pencil_rows(design) == set(range(graph.v))
+    m, r = design.m, (design.n - 1) // (design.m - 1)
+    assert {graph.degree(i) for i in range(graph.v)} == {m * (r - 1)}
+    assert outcome(steiner_srg, design.n, design.m) == outcome(verify_srg, graph)
+
+
 @pytest.mark.parametrize("name", LINEAR_BUILTINS)
 def test_every_row_of_a_linear_design_takes_the_pencil_route(name):
-    # in a 2-(n,m,1) design two blocks share at most one point, so the
-    # pencils through a block, less the block, partition its neighbours
-    # pencils, and the certificate gives the closed form (for fano and pg23,
-    # whose graphs are complete, mu is m^2 but multiplies J - I - A = 0)
-    design = builtin_design(name)
-    graph = build_block_graph(design)
-    assert len(graph.pencils) == design.n
-    assert pencil_rows(graph) == set(range(graph.v))
-    m, r = design.m, (design.n - 1) // (design.m - 1)
-    assert _certificate(graph.rows, graph.pencils) == (m * (r - 1), (m - 1) ** 2 + r - 2, m * m)
+    assert_pencil_route(builtin_design(name))
 
 
 @pytest.mark.parametrize("family, d, p", [("projective", 3, 2), ("affine", 3, 3)])
 def test_every_row_of_a_geometry_takes_the_pencil_route(family, d, p):
-    graph = build_block_graph(parse_design(point_line_blocklist(family, d, p)))
-    assert pencil_rows(graph) == set(range(graph.v))
-    assert _certificate(graph.rows, graph.pencils) == verify_srg(graph).as_tuple()[1:]
+    assert_pencil_route(parse_design(point_line_blocklist(family, d, p)))
 
 
-def test_every_row_of_pg35_takes_the_pencil_route(pg35_graph):
-    assert pencil_rows(pg35_graph) == set(range(pg35_graph.v))
-    assert _certificate(pg35_graph.rows, pg35_graph.pencils) == (180, 54, 36)
+def test_every_row_of_pg35_takes_the_pencil_route():
+    assert_pencil_route(parse_design(point_line_blocklist("projective", 3, 5)))
 
 
 def all_triples(n):
@@ -457,10 +511,9 @@ def test_verify_srg_on_triples_of_6_points():
     # two triples sharing two points lie on two common pencils, so the
     # pencils double-cover edges, no row is partitioned and the pair pass
     # decides; the graph is K_20 less a perfect matching
-    graph = build_block_graph(all_triples(6))
-    assert pencil_rows(graph) == set()
-    assert _certificate(graph.rows, graph.pencils) is None
-    assert assert_matches_reference(graph).as_tuple() == (20, 18, 16, 18)
+    design = all_triples(6)
+    assert pencil_rows(design) == set()
+    assert assert_matches_reference(build_block_graph(design)).as_tuple() == (20, 18, 16, 18)
 
 
 def test_verify_srg_on_triples_of_7_points():
@@ -470,119 +523,125 @@ def test_verify_srg_on_triples_of_7_points():
     )
 
 
-def test_pencils_that_do_not_partition_change_nothing():
-    # whatever the pencils are, the certificate applies only where they
-    # partition every row exactly: the 3x3 rook's graph = srg(9,4,1,2),
-    # Petersen = srg(10,3,0,1)
-    rook = from_edges(9, [(a, b) for a in range(9) for b in range(a)
-                          if a // 3 == b // 3 or a % 3 == b % 3])
-    petersen = from_edges(
-        10, [(i, (i + 1) % 5) for i in range(5)]
-        + [(i, i + 5) for i in range(5)]
-        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+# ---------------------------------------------------------------------------
+# the census's route: the closed form exactly where the design is valid
+
+NET33 = "0 1 2\n3 4 5\n6 7 8\n0 3 6\n1 4 7\n2 5 8\n0 4 8\n1 5 6\n2 3 7\n"
+FANO_LINES = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
+NEAR_PENCIL_7 = ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2, 3, 4, 5, 6))
+
+
+def shrikhande_blocklist():
+    """The Shrikhande graph on Z4 x Z4 as the block graph of its 16 vertices,
+    each the block of its 6 edges: pencils of 2 blocks, srg(16, 6, 2, 2)."""
+    steps = {(1, 0), (0, 1), (1, 1), (3, 0), (0, 3), (3, 3)}
+    edges = [(x, y) for x, y in combinations(range(16), 2)
+             if ((y // 4 - x // 4) % 4, (y % 4 - x % 4) % 4) in steps]
+    return "".join(
+        " ".join(f"e{x}_{y}" for x, y in edges if z in (x, y)) + "\n" for z in range(16)
     )
-    rng = random.Random(20261018)
-    for graph, params in ((rook, (9, 4, 1, 2)), (petersen, (10, 3, 0, 1))):
-        assert verify_srg(graph).as_tuple() == params
-        star = [1 | 1 << j for j in range(graph.v) if adjacent(graph, 0, j)]
-        other = next(j for j in range(1, graph.v) if not adjacent(graph, 0, j))
-        # row 0's neighbours one by one, the sizes adding up to its degree in
-        # each case, but only the first is a partition
-        for pencils in [
-            tuple(star),
-            (star[0],) * len(star),  # one neighbour covered again and again
-            (1 | 1 << other,) + tuple(star[1:]),  # a non-neighbour for a neighbour
-            (star[0] | 1 << graph.v,) + tuple(star[2:]),  # a bit past the last vertex
-        ] + [
-            tuple(rng.getrandbits(graph.v) for _ in range(rng.randint(1, 2 * graph.v)))
-            for _ in range(100)
-        ]:
-            assert verify_srg(graph._replace(pencils=pencils)).as_tuple() == params
-    # pencils that partition every row, so only N N^T decides whether the
-    # certificate applies: T(5) (the lines of K5 through its points,
-    # srg(10,6,3,4)) is certified; a pencil through no vertex
-    # with a bit past the last, pencils of two sizes (the rows and columns
-    # of the 3x4 rook's graph, not srg; 2K3 with one triangle as a line and
-    # three single points) or two overlaps (the 3x3 rook's rows and
-    # columns) leave it to the pair pass
-    pairs = list(combinations(range(5), 2))
-    t5 = from_edges(10, [(a, b) for b in range(10) for a in range(b) if set(pairs[a]) & set(pairs[b])])
-    t5_pencils = tuple(sum(1 << i for i, e in enumerate(pairs) if x in e) for x in range(5))
-    rook34 = from_edges(12, [(a, b) for b in range(12) for a in range(b)
-                             if a // 4 == b // 4 or a % 4 == b % 4])
-    two_triangles = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    for graph, pencils, certified in [
-        (t5, t5_pencils, True),
-        (t5, t5_pencils + (1 << 10,), False),
-        (rook, (0b111, 0b111 << 3, 0b111 << 6, 0b1001001, 0b10010010, 0b100100100), False),
-        (rook34, tuple(0b1111 << 4 * r for r in range(3)) + tuple(0x111 << c for c in range(4)),
-         False),
-        (two_triangles, (0b111, 1, 2, 4, 0b11000, 0b110000, 0b101000), False),
-    ]:
-        graph = graph._replace(pencils=pencils)
-        assert pencil_rows(graph) == set(range(graph.v))
-        assert (_certificate(graph.rows, pencils) is not None) == certified
-        assert_matches_reference(graph)
 
 
-CERTIFIED = ["main66", "appendixA66", "appendixB66", "ag23",
-             ("projective", 3, 2), ("affine", 3, 3), ("projective", 3, 3), ("projective", 3, 5)]
+def raw_design(n, m, blocks):
+    """A Design straight from integer blocks, of any sizes and any m."""
+    return Design(n, m, tuple(f"p{p}" for p in range(n)), tuple(sorted(blocks)))
+
+
+GEOMETRIES = [("projective", 3, 2), ("affine", 3, 3), ("projective", 3, 3), ("projective", 3, 5)]
+
+
+def census_inputs():
+    """The builtins, PG/AG cases, seeded STS, the 3x3 net, the Shrikhande
+    input, triples on two points and all triples of 6 and 7 points, the
+    random blocklists and raw Designs: the Fano lines with m = 2 (every block
+    the wrong size), the near-pencil on 7 points with m = 3 (blocks of
+    sizes 2 and 6, b m(m-1) = n(n-1)) and the Fano plane with one line
+    meeting three others twice."""
+    yield from map(builtin_design, LINEAR_BUILTINS)
+    for source in GEOMETRIES:
+        yield parse_design(point_line_blocklist(*source))
+    for v, seed in ((9, 0), (13, 1), (15, 2), (19, 3), (21, 4)):
+        yield steiner_design(v, seed)
+    yield parse_design(NET33)
+    yield parse_design(shrikhande_blocklist())
+    yield parse_design("1 2 3\n1 2 4\n")
+    yield all_triples(6)
+    yield all_triples(7)
+    yield from random_blocklists()
+    yield raw_design(7, 2, FANO_LINES)
+    yield raw_design(7, 3, NEAR_PENCIL_7)
+    yield raw_design(7, 3, FANO_LINES[:6] + ((0, 1, 3),))
+
+
+def test_census_takes_the_closed_form_exactly_on_valid_designs(monkeypatch):
+    # the census's O(b) conditions hold iff validate_2design accepts the
+    # design, and its parameters are those of the pair pass on the raw rows
+    kinds = set()
+    for design in census_inputs():
+        valid = validate_2design(design).valid
+        got, closed, pairs = census_route(monkeypatch, design)
+        assert closed == valid, design.name
+        graph = build_block_graph(design)
+        assert got == outcome(verify_srg, BlockGraph(graph.v, graph.rows)), design.name
+        if valid:
+            assert pairs == 0
+        kinds.add((valid, type(got)))
+    assert kinds == {
+        (True, SrgParams), (True, tuple),  # fano and pg23 are degenerate
+        (False, SrgParams), (False, tuple),
+    }
+
+
+CERTIFIED = ["main66", "appendixA66", "appendixB66", "ag23", *GEOMETRIES]
 
 
 @pytest.mark.parametrize("source", CERTIFIED, ids=str)
 def test_designs_are_certified_without_strips(monkeypatch, source):
-    # the pencils partition every row, each block lies on m pencils and the
-    # pencils of a 2-design meet pairwise in one block: N N^T = (r-1) I + J,
-    # so the certificate is the whole check and the pair pass never runs
+    # a valid 2-(n,m,1) design is proved by the closed form, so the census
+    # never counts a pair, and its parameters are the pair pass's
     design = (builtin_design(source) if isinstance(source, str)
               else parse_design(point_line_blocklist(*source)))
+    got, closed, pairs = census_route(monkeypatch, design)
     graph = build_block_graph(design)
-    assert verify_srg(graph) == srg_from_design_params(design.n, design.m)
-    assert pair_count_calls(monkeypatch, graph) == 2
+    assert closed and pairs == 0
+    assert got == verify_srg(BlockGraph(graph.v, graph.rows))
+    assert got == srg_from_design_params(design.n, design.m)
 
 
 def test_net_falls_back_to_the_pair_pass(monkeypatch):
-    # AG(2,3) less one parallel class: a partial linear space, not a 2-design.
-    # The pencils partition every row, but two points meet in a line or in
-    # none, so N N^T is not alpha I + beta J and the pair pass decides: the
-    # block graph is K_{3,3,3} = srg(9,6,3,6)
-    net = parse_design("0 1 2\n3 4 5\n6 7 8\n0 3 6\n1 4 7\n2 5 8\n0 4 8\n1 5 6\n2 3 7\n")
-    graph = build_block_graph(net)
-    assert pencil_rows(graph) == set(range(9))
-    assert _certificate(graph.rows, graph.pencils) is None
-    assert assert_matches_reference(graph).as_tuple() == (9, 6, 3, 6)
-    assert pair_count_calls(monkeypatch, graph) == 3
+    # AG(2,3) less one parallel class: a partial linear space, not a 2-design
+    # (b m(m-1) = 54, n(n-1) = 72), so the pair pass decides: the block
+    # graph is K_{3,3,3} = srg(9,6,3,6)
+    net = parse_design(NET33)
+    assert pencil_rows(net) == set(range(9))
+    got, closed, pairs = census_route(monkeypatch, net)
+    assert not closed and pairs == 3
+    assert got.as_tuple() == (9, 6, 3, 6)
+    assert got == assert_matches_reference(build_block_graph(net))
 
 
-def test_certificate_needs_every_condition():
-    # with (alpha, beta, m) = (2, 1, 2), T(4) = K_{2,2,2} from the lines of
-    # K4 through its points is srg(6,4,2,4); with m = 1 two disjoint pencils
-    # give 2K3, (alpha, beta) = (3, 0); each other case breaks one
-    # condition, the first three with pencils that partition every row
-    pairs = list(combinations(range(4), 2))
-    t4 = tuple(sum(1 << i for i, e in enumerate(pairs) if x in e) for x in range(4))
-    for v, pencils, expected in [
-        (6, t4, (4, 2, 4)),
-        (6, (0b111, 0b111000), (2, 1, 0)),
-        (3, (0b011, 0b110), None),  # the path 0-1-2: vertex 1 on two pencils, 0 on one
-        (3, (0b001, 0b110), None),  # K1 + K2: disjoint pencils of sizes 1 and 2
-        (6, (0b111, 0b111000, 0b111 << 6), None),  # 2K3 and three bits past the last vertex
-        (6, t4[:3] + (t4[3] | 1 << 6,), None),  # a stray bit: its pencil's rows not partitioned
+def test_shrikhande_input_takes_the_pair_pass(monkeypatch):
+    # 16 blocks of 6 of the 48 edges: 16 * 30 != 48 * 47
+    got, closed, pairs = census_route(monkeypatch, parse_design(shrikhande_blocklist()))
+    assert not closed and pairs == 3
+    assert got.as_tuple() == (16, 6, 2, 2)
+
+
+def test_certificate_needs_every_condition(monkeypatch):
+    # each input breaks one of the census's four conditions and meets the
+    # other three, so the pair pass (or the degree check) decides; the
+    # Fano plane meets all four and takes the closed form
+    for design, closed_form in [
+        (raw_design(7, 3, FANO_LINES), True),
+        (raw_design(1, 1, ((0,),)), False),  # n > m >= 2: m = 1, one vertex
+        (raw_design(3, 3, ((0, 1, 2),)), False),  # n > m >= 2: n = m, one vertex
+        (parse_design(NET33), False),  # b m(m-1) = 54, n(n-1) = 72
+        (raw_design(7, 3, NEAR_PENCIL_7), False),  # blocks of 2 and 6 points
+        (raw_design(7, 3, FANO_LINES[:6] + ((0, 1, 3),)), False),  # a pair in two blocks
     ]:
-        rows = [0] * v
-        for pencil in pencils:
-            for i in range(v):
-                if pencil >> i & 1:
-                    rows[i] |= pencil & ~(1 << i) & ((1 << v) - 1)
-        assert _certificate(tuple(rows), pencils) == expected
-
-
-def test_raw_graph_has_no_pencils(main66_graph):
-    raw = BlockGraph(main66_graph.v, main66_graph.rows)
-    assert raw.pencils == ()
-    assert pencil_rows(raw) == set()
-    assert _certificate(raw.rows, raw.pencils) is None
-    assert verify_srg(raw) == verify_srg(main66_graph)
+        got, closed, _ = census_route(monkeypatch, design)
+        assert closed == closed_form
+        assert got == outcome(verify_srg, build_block_graph(design))
 
 
 def test_induced_subgraph(main66_graph):

@@ -298,7 +298,7 @@ def test_reach_rows_match_pairwise_references():
             sum(1 << i for i, blk in enumerate(design.blocks) if p in blk) for p in range(design.n)
         )
         graph = build_block_graph(design)
-        assert graph.rows is rows and graph.pencils is through  # shared, not copied
+        assert graph == (design.b, rows) and graph.rows is rows  # shared, not copied
         doubled += any(twice)
     assert doubled > 0
 
