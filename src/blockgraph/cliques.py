@@ -11,13 +11,16 @@ The search runs on bit-reversed labels, so an O(1) top-bit walk colours
 each class in ascending index order: the tree is that of a lowest-bit walk.
 Completeness is cross-checked against brute force in the test suite.
 
-``clique_record`` is the one checked pass per clique, shared by the census,
-``classify_clique`` and ``subdesign_test``: O(k) bit operations over the k
-member blocks' point masks (AND, OR and core) and their rows in
-``Design.reach``, built once per design.  The members are a clique iff each
-lies in the AND of the members' rows, own bits set; a pair of points is
-covered twice iff a member lies in the OR of their ``twice`` rows.  Only a
-failing clique is rescanned pairwise, to name its first disjoint pair.
+``clique_records`` is the one checked pass over a census's sorted member
+lists; the one-clique helpers run it on a list of one.  It keeps the scan
+state after each prefix of the last list, so a list checks and scans only
+the members after the prefix it shares with the one before (~1.25 of 6 in
+AG(2,5)), in O(1) bit operations each on the block's point mask (AND, OR
+and core) and its rows in ``Design.reach``, built once per design.  The
+members are a clique iff each lies in the AND of the members' rows, own
+bits set; a pair of points is covered twice iff a member lies in the OR of
+their ``twice`` rows.  Only a failing clique is rescanned pairwise, to name
+its first disjoint pair.
 The rest of a record costs what its shape costs: support size, core design
 and subdesign verdict depend only on a few integers (k, |support|, |core|,
 the blocks' core size if uniform, whether a pair is covered twice, the
@@ -32,7 +35,7 @@ from collections import namedtuple
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from operator import or_
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .design import Design, DesignParameters, admissibility
 from .graph import (
@@ -218,54 +221,79 @@ def _block_masks(design: Design, members) -> tuple[int, ...]:
     return masks
 
 
-def _scan(design: Design, members) -> tuple[int, int, int, tuple]:
-    """One pass over sorted ``members``, checked by ``_block_masks``: the AND
-    of their point masks, the core, the members disjoint from some member
-    (``chosen``, the member mask, less the AND of their rows with their own
-    bits) and the record fields after the classification, looked up by
-    shape."""
-    masks = _block_masks(design, members)
+def _scans(design: Design, cliques) -> Iterator[tuple]:
+    """Per member list, sorted first: its members, the AND of their point
+    masks, the core, the members disjoint from some member (``chosen`` less
+    the AND of their rows with own bits) and the fields looked up by shape.
+    ``states[j]`` is the scan state after the last list's first j members:
+    a list scans, and checks for a repeat, only the members after the prefix
+    it shares with the one before; it is in range iff its ends are."""
+    masks = design.block_masks
     _, rows, twice = design.reach
-    common, support, core, pairs = (1 << design.n) - 1, 0, 0, 0
-    chosen, meet_all, doubled = 0, -1, 0
-    for i in members:
-        x = masks[i]
-        bit = 1 << i
-        common &= x
-        core |= support & x
-        support |= x
-        size = x.bit_count()
-        pairs += size * (size - 1)
-        chosen |= bit
-        meet_all &= rows[i] | bit
-        doubled |= twice[i]
-    m_r = (masks[members[0]] & core).bit_count() if members else 0
-    for i in members:  # the blocks' common core size, 0 if they differ
-        if (masks[i] & core).bit_count() != m_r:
-            m_r = 0
-            break
-    shape = _shape(len(members), support.bit_count(), core.bit_count(), m_r,
-                   bool(chosen & doubled), pairs, design.m)
-    return common, core, chosen & ~meet_all, shape
+    b = len(masks)
+    # AND, OR, core, sum of |B|(|B|-1), chosen, meet-all and doubled masks
+    states = [((1 << design.n) - 1, 0, 0, 0, 0, -1, 0)]
+    last: tuple[int, ...] = ()
+    for members in cliques:
+        members = tuple(sorted(members))
+        s = 0
+        for i, j in zip(last, members):
+            if i != j:
+                break
+            s += 1
+        if members and not (0 <= members[0] and members[-1] < b):
+            _block_masks(design, members)  # raises for a repeat, else for one out of range
+        del states[s + 1:]
+        common, support, core, pairs, chosen, meet_all, doubled = states[s]
+        for i in members[s:]:
+            bit = 1 << i
+            if chosen & bit:
+                raise ValueError("repeated block index in clique")
+            x = masks[i]
+            size = x.bit_count()
+            common &= x
+            core |= support & x
+            support |= x
+            pairs += size * (size - 1)
+            chosen |= bit
+            meet_all &= rows[i] | bit
+            doubled |= twice[i]
+            states.append((common, support, core, pairs, chosen, meet_all, doubled))
+        last = members
+        m_r = (masks[members[0]] & core).bit_count() if members else 0
+        for i in members:  # the blocks' common core size, 0 if they differ
+            if (masks[i] & core).bit_count() != m_r:
+                m_r = 0
+                break
+        shape = _shape(len(members), support.bit_count(), core.bit_count(), m_r,
+                       bool(chosen & doubled), pairs, design.m)
+        yield members, common, core, chosen & ~meet_all, shape
+
+
+def clique_records(design: Design, cliques) -> list[CliqueRecord]:
+    """Check and analyse each member list of ``cliques``, in order.
+
+    Raises ValueError for the first list that is not a clique: for a
+    repeated member, then for one out of range, then for the first pair of
+    member blocks (in sorted order) that are disjoint.
+    """
+    records = []
+    for members, common, _, apart, shape in _scans(design, cliques):
+        if apart:
+            masks = design.block_masks
+            i, j = next((i, j) for i, j in combinations(members, 2) if not masks[i] & masks[j])
+            raise ValueError(f"blocks {i} and {j} do not intersect")
+        classification = (
+            Classification("canonical", (common & -common).bit_length() - 1)
+            if common else _NON_CANONICAL
+        )
+        records.append(CliqueRecord(members, classification, *shape))
+    return records
 
 
 def clique_record(design: Design, members) -> CliqueRecord:
-    """Check and analyse a clique in one pass over its member blocks.
-
-    Raises ValueError for a repeated member, then for one out of range, then
-    for the first pair of member blocks (in sorted order) that are disjoint.
-    """
-    members = tuple(sorted(members))
-    common, _, apart, shape = _scan(design, members)
-    if apart:
-        masks = design.block_masks
-        i, j = next((i, j) for i, j in combinations(members, 2) if not masks[i] & masks[j])
-        raise ValueError(f"blocks {i} and {j} do not intersect")
-    classification = (
-        Classification("canonical", (common & -common).bit_length() - 1)
-        if common else _NON_CANONICAL
-    )
-    return CliqueRecord(members, classification, *shape)
+    """``clique_records`` on a list of one: its record, or its error."""
+    return clique_records(design, [members])[0]
 
 
 def classify_clique(design: Design, members) -> Classification:
@@ -290,7 +318,7 @@ def core_restriction(design: Design, members) -> CoreRestriction:
     one out of range.
     """
     members = tuple(members)  # read twice: sorted for the scan, then in the caller's order
-    _, core, _, shape = _scan(design, sorted(members))
+    (_, _, core, _, shape), = _scans(design, [members])
     restricted = tuple(tuple(p for p in design.blocks[i] if core >> p & 1) for i in members)
     return CoreRestriction(_bits(core), restricted, shape[2])
 
@@ -353,5 +381,5 @@ def census_report(design: Design) -> CliqueCensus:
         degenerate = str(exc)
     cliques = enumerate_maximum_cliques(graph)
     omega = len(cliques[0]) if cliques else 0
-    records = tuple([clique_record(design, members) for members in cliques])
+    records = tuple(clique_records(design, cliques))
     return CliqueCensus(design, graph, srg, degenerate, bound, omega, records)

@@ -319,7 +319,9 @@ def is_design_automorphism(design: Design, perm: Permutation) -> bool:
 def is_graph_automorphism(graph: BlockGraph, perm: Permutation) -> bool:
     """Does perm map the adjacency onto itself?  Row by row, as binary digit
     strings (vertex i at position n-1-i), to the first that differs: the
-    digits of row inv(u) at the inverse images' positions must be row u."""
+    digits of row inv(u) at the inverse images' positions must be row u.
+    The rows are taken down the cycles of inv, so each is formatted once:
+    row u's string is the target of u's check, then the source of inv(u)'s."""
     n = graph.v
     if perm.degree != n:
         return False
@@ -328,5 +330,19 @@ def is_graph_automorphism(graph: BlockGraph, perm: Permutation) -> bool:
     rows, width = graph.rows, f"0{n}b"
     inv = _invert(perm.images)
     image = itemgetter(*[n - 1 - w for w in reversed(inv)])
-    return all("".join(image(format(rows[w], width))) == format(rows[u], width)
-               for u, w in enumerate(inv))
+    seen = bytearray(n)
+    for start in range(n):
+        if seen[start]:
+            continue
+        u, first = start, format(rows[start], width)
+        target = first
+        while True:
+            seen[u] = 1
+            u = inv[u]
+            source = first if u == start else format(rows[u], width)
+            if "".join(image(source)) != target:
+                return False
+            if u == start:
+                break
+            target = source
+    return True

@@ -362,17 +362,17 @@ def test_support_and_profile_need_no_pairwise_pass(monkeypatch, main66):
     profile = point_multiplicity_profile(main66, orbit_clique)
 
     def clique_pass(*args):
-        raise AssertionError("per-clique _scan pass")
+        raise AssertionError("record pass")
 
-    monkeypatch.setattr(cliques, "_scan", clique_pass)
+    monkeypatch.setattr(cliques, "_scans", clique_pass)
     assert point_multiplicity_profile(main66, orbit_clique) == profile
     assert len(profile) == 26 and set(profile.values()) == {3}
 
 
 def test_scan_flags_match_pairwise_and(monkeypatch):
     # random blocks, any two of which may be disjoint or share two points:
-    # the members flagged apart and the pair-covered-twice flag handed to
-    # _shape against a pairwise AND of the point masks
+    # the members the record pass flags apart and the pair-covered-twice flag
+    # handed to _shape against a pairwise AND of the point masks
     shapes = []
     monkeypatch.setattr(cliques, "_shape", lambda *args: shapes.append(args))
     rng = random.Random(11)
@@ -382,7 +382,8 @@ def test_scan_flags_match_pairwise_and(monkeypatch):
         members = list(range(len(masks)))
         apart = {j for i, j in permutations(members, 2) if not masks[i] & masks[j]}
         twice = any((x & y).bit_count() >= 2 for x, y in combinations(masks, 2))
-        assert set(_bits(cliques._scan(design, members)[2])) == apart
+        (_, _, _, flagged, _), = cliques._scans(design, [members])
+        assert set(_bits(flagged)) == apart
         assert shapes.pop()[4] == twice
 
 

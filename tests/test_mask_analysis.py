@@ -10,6 +10,7 @@ are compared too.
 
 from collections import Counter
 from itertools import combinations
+from random import Random
 
 import pytest
 
@@ -24,8 +25,10 @@ from blockgraph import (
     point_multiplicity_profile,
     subdesign_test,
 )
+from blockgraph import cliques as cliques_module
 from blockgraph.cliques import Classification, SubdesignVerdict, clique_record
 from blockgraph.design import Design, admissibility, make_design, parse_design, validate_2design
+from blockgraph.graph import DegenerateGraphError
 
 from conftest import point_line_blocklist, powerset_cliques, random_blocklists
 
@@ -178,6 +181,81 @@ def test_random_blocklists_match_references():
     # the family reaches the paths no valid 2-design reaches
     assert twice > 0
     assert duplicates > 0
+
+
+# ---------------------------------------------------------------------------
+# the census's shared-prefix pass against the one-clique path
+
+
+def census_of(monkeypatch, design, lists):
+    """census_report on member lists handed over as the search's, with no
+    SRG check (a random blocklist's block graph need not be regular)."""
+    def no_srg(graph):
+        raise DegenerateGraphError("not checked")
+
+    monkeypatch.setattr(cliques_module, "enumerate_maximum_cliques", lambda graph: lists)
+    monkeypatch.setattr(cliques_module, "verify_srg", no_srg)
+    return census_report(design)
+
+
+def one_clique_error(design, members):
+    with pytest.raises(ValueError) as exc:
+        clique_record(design, members)
+    return str(exc.value)
+
+
+def assert_census_pass_matches_one_clique_path(monkeypatch, design, cliques, rng):
+    """Census the cliques and all their prefixes, sorted so that neighbours
+    share prefixes, each handed over shuffled; then, right after a valid
+    list, a list with the same prefix and a failing suffix: a repeat, an
+    index out of range, or a block disjoint from a prefix member.  The
+    census gives clique_record's record for each list, or its error text.
+    Returns the failures built."""
+    lists = sorted({c[:j] for c in map(tuple, map(sorted, cliques)) for j in range(1, len(c) + 1)})
+    shuffled = [rng.sample(c, len(c)) for c in lists]
+    records = tuple(clique_record(design, members) for members in shuffled)
+    assert census_of(monkeypatch, design, shuffled).records == records
+    masks = design.block_masks
+    built = set()
+    for at in rng.sample(range(len(lists)), len(lists)):
+        clique = lists[at]
+        if len(clique) < 2:
+            continue
+        prefix = clique[:-1]
+        bad = {"repeated": (*clique, clique[-1]), "out of range": (*prefix, design.b)}
+        # every pair in the prefix meets, so the first disjoint pair is (p, j)
+        for j in range(prefix[-1] + 1, design.b):
+            if j not in clique and any(not masks[p] & masks[j] for p in prefix):
+                bad["do not intersect"] = (*prefix, j)
+                break
+        for kind, members in bad.items():
+            expected = one_clique_error(design, members)
+            assert kind in expected
+            failing = [*shuffled[:at + 1], rng.sample(members, len(members))]
+            with pytest.raises(ValueError) as exc:
+                census_of(monkeypatch, design, failing)
+            assert str(exc.value) == expected
+            built.add(kind)
+        if len(built) == 3:
+            break
+    return built
+
+
+@pytest.mark.parametrize("name", ["ag23", "main66"])
+def test_census_pass_matches_one_clique_path(monkeypatch, name):
+    design = builtin_design(name)
+    cliques = enumerate_maximum_cliques(build_block_graph(design))
+    built = assert_census_pass_matches_one_clique_path(monkeypatch, design, cliques, Random(5))
+    assert built == {"repeated", "out of range", "do not intersect"}
+
+
+def test_random_blocklists_census_pass_matches_one_clique_path(monkeypatch):
+    rng = Random(7)
+    built = set()
+    for design in random_blocklists():
+        cliques = powerset_cliques(build_block_graph(design))
+        built |= assert_census_pass_matches_one_clique_path(monkeypatch, design, cliques, rng)
+    assert built == {"repeated", "out of range", "do not intersect"}
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ field at a time.  ``render_text`` builds each non-canonical line's tail once
 per shape; ``reference_text`` below writes every line field by field.
 """
 
+import hashlib
 import json
 import os
 
@@ -275,6 +276,18 @@ def test_ag25_renders_one_frame_per_shape(monkeypatch):
     report = build_report(parse_design(point_line_blocklist("affine", 2, 5)))
     render_structured(report)
     assert len(calls) == 6  # the canonical shape and five non-canonical ones
+
+
+@pytest.mark.parametrize("render, size, digest", [
+    (render_text, 1_142_011, "82b55cc06d95f09cc63cf3ef6931b73a2a50d9fff83026e5b2c23de5a019afcc"),
+    (render_structured, 6_393_442,
+     "762b2d2c302d246d4d22bb2df8fa2af8c5415bf75339c044bf97cc35e16f4e31"),
+])
+def test_ag25_reports_are_pinned(render, size, digest):
+    # AG(2,5)'s 15,625 records, byte for byte: the length and SHA-256 of each report
+    report = build_report(parse_design(point_line_blocklist("affine", 2, 5), name="AG(2,5)"))
+    out = render(report).encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
 
 def test_text_renders_like_reference(odd_design):
