@@ -129,8 +129,8 @@ def cmd_cliques(args) -> int:
     census = census_report(design)
     for rec in census.records:
         members = " ".join(str(i) for i in rec.members)
-        if rec.classification.canonical:
-            witness = design.labels[rec.classification.witness]
+        if rec.witness is not None:
+            witness = design.labels[rec.witness]
             print(f"{members}  # canonical at {witness}")
         else:
             print(f"{members}  # non-canonical")
@@ -165,16 +165,16 @@ def cmd_subdesign(args) -> int:
             print(f"clique {k}: NOT A CLIQUE ({exc})")
             status = 1
             continue
-        verdict = rec.subdesign
+        shape = rec.shape
         multiplicities = sorted(set(point_multiplicity_profile(design, rec.members).values()))
-        admissible = verdict.candidate_params is not None and verdict.candidate_params.admissible
+        admissible = shape.candidate_params is not None and shape.candidate_params.admissible
         print(
-            f"clique {k}: support {verdict.support_size} "
-            f"(candidate ({verdict.support_size},{design.m}) "
+            f"clique {k}: support {shape.support_size} "
+            f"(candidate ({shape.support_size},{design.m}) "
             f"{'admissible' if admissible else 'inadmissible'}), "
-            f"pair coverage {'ok' if verdict.pair_coverage_ok else 'fails'}, "
-            f"is_design {'yes' if verdict.is_design else 'no'}, "
-            f"{core_text(rec)}, multiplicities {multiplicities}"
+            f"pair coverage {'ok' if shape.pair_coverage_ok else 'fails'}, "
+            f"is_design {'yes' if shape.is_design else 'no'}, "
+            f"{core_text(shape)}, multiplicities {multiplicities}"
         )
     return status
 

@@ -21,12 +21,14 @@ members are a clique iff each lies in the AND of the members' rows, own
 bits set; a pair of points is covered twice iff a member lies in the OR of
 their ``twice`` rows.  Only a failing clique is rescanned pairwise, to name
 its first disjoint pair.
-The rest of a record costs what its shape costs: support size, core design
-and subdesign verdict depend only on a few integers (k, |support|, |core|,
-the blocks' core size if uniform, whether a pair is covered twice, the
-blocks' pair counts and m), so they are built once per shape and shared.
-Pair coverage and the core's 2-design test are counting identities on those
-integers, exact for any blocklist.
+A record is (members, witness, shape).  The ``CliqueShape`` holds the rest:
+kind, support and core sizes, core design and subdesign verdict, which
+depend only on a few integers (canonical or not, k, |support|, |core|, the
+blocks' core size if uniform, whether a pair is covered twice, the blocks'
+pair counts and m).  It is built once per shape, and every record of that
+shape holds the same object; the renderers key on it.  Pair coverage and
+the core's 2-design test are counting identities on those integers, exact
+for any blocklist.
 """
 
 from __future__ import annotations
@@ -162,8 +164,12 @@ class CoreRestriction(NamedTuple):
     restricted_params: DesignParameters | None  # set iff restriction is a 2-design
 
 
-class SubdesignVerdict(NamedTuple):
+class CliqueShape(NamedTuple):
+    """Every field of a clique record but its members and its witness."""
+    kind: str  # "canonical" | "non-canonical"
     support_size: int
+    core_size: int
+    restricted_params: DesignParameters | None  # set iff the core restriction is a 2-design
     candidate_params: DesignParameters | None
     pair_coverage_ok: bool
     is_design: bool
@@ -171,22 +177,17 @@ class SubdesignVerdict(NamedTuple):
 
 class CliqueRecord(NamedTuple):
     members: tuple[int, ...]
-    classification: Classification
-    support_size: int
-    core_size: int
-    restricted_params: DesignParameters | None
-    subdesign: SubdesignVerdict
-
-
-_NON_CANONICAL = Classification("non-canonical", None)
+    witness: int | None  # the point in every member block; None iff non-canonical
+    shape: CliqueShape  # one object per shape, held by every record of that shape
 
 
 @lru_cache(maxsize=1024)
-def _shape(k: int, ns: int, c: int, m_r: int, twice: bool, pairs: int, m: int) -> tuple:
-    """Support size, core size, core design and subdesign verdict of a clique
-    of k blocks with ``m_r`` the size of each block's restriction to the core
-    (0 if the sizes differ) and ``pairs`` the sum of |B|(|B|-1); a census
-    asks for few shapes.
+def _shape(canonical: bool, k: int, ns: int, c: int, m_r: int, twice: bool, pairs: int,
+           m: int) -> CliqueShape:
+    """The shape of a clique of k blocks with ``m_r`` the size of each
+    block's restriction to the core (0 if the sizes differ) and ``pairs``
+    the sum of |B|(|B|-1).  A census asks for few shapes, and the cache
+    hands every record of one shape the same object.
 
     Member blocks meet only inside the core, so the restricted blocks share
     >= 2 points iff the blocks do.  With no pair covered twice, a uniform
@@ -206,7 +207,8 @@ def _shape(k: int, ns: int, c: int, m_r: int, twice: bool, pairs: int, m: int) -
         params is not None and params.admissible and coverage_ok and k == int(params.b)
         and m_r == m
     )
-    return ns, c, core_params, SubdesignVerdict(ns, params, coverage_ok, is_design)
+    kind = "canonical" if canonical else "non-canonical"
+    return CliqueShape(kind, ns, c, core_params, params, coverage_ok, is_design)
 
 
 def _block_masks(design: Design, members) -> tuple[int, ...]:
@@ -224,7 +226,7 @@ def _block_masks(design: Design, members) -> tuple[int, ...]:
 def _scans(design: Design, cliques) -> Iterator[tuple]:
     """Per member list, sorted first: its members, the AND of their point
     masks, the core, the members disjoint from some member (``chosen`` less
-    the AND of their rows with own bits) and the fields looked up by shape.
+    the AND of their rows with own bits) and its ``CliqueShape``.
     ``states[j]`` is the scan state after the last list's first j members:
     a list scans, and checks for a repeat, only the members after the prefix
     it shares with the one before; it is in range iff its ends are."""
@@ -265,7 +267,7 @@ def _scans(design: Design, cliques) -> Iterator[tuple]:
             if (masks[i] & core).bit_count() != m_r:
                 m_r = 0
                 break
-        shape = _shape(len(members), support.bit_count(), core.bit_count(), m_r,
+        shape = _shape(common != 0, len(members), support.bit_count(), core.bit_count(), m_r,
                        bool(chosen & doubled), pairs, design.m)
         yield members, common, core, chosen & ~meet_all, shape
 
@@ -283,11 +285,8 @@ def clique_records(design: Design, cliques) -> list[CliqueRecord]:
             masks = design.block_masks
             i, j = next((i, j) for i, j in combinations(members, 2) if not masks[i] & masks[j])
             raise ValueError(f"blocks {i} and {j} do not intersect")
-        classification = (
-            Classification("canonical", (common & -common).bit_length() - 1)
-            if common else _NON_CANONICAL
-        )
-        records.append(CliqueRecord(members, classification, *shape))
+        witness = (common & -common).bit_length() - 1 if common else None
+        records.append(CliqueRecord(members, witness, shape))
     return records
 
 
@@ -298,7 +297,8 @@ def clique_record(design: Design, members) -> CliqueRecord:
 
 def classify_clique(design: Design, members) -> Classification:
     """Canonical iff one point lies in every member block (unique for lam=1)."""
-    return clique_record(design, members).classification
+    rec = clique_record(design, members)
+    return Classification(rec.shape.kind, rec.witness)
 
 
 def point_multiplicity_profile(design: Design, members) -> dict[int, int]:
@@ -320,16 +320,18 @@ def core_restriction(design: Design, members) -> CoreRestriction:
     members = tuple(members)  # read twice: sorted for the scan, then in the caller's order
     (_, _, core, _, shape), = _scans(design, [members])
     restricted = tuple(tuple(p for p in design.blocks[i] if core >> p & 1) for i in members)
-    return CoreRestriction(_bits(core), restricted, shape[2])
+    return CoreRestriction(_bits(core), restricted, shape.restricted_params)
 
 
-def subdesign_test(design: Design, members) -> SubdesignVerdict:
+def subdesign_test(design: Design, members) -> CliqueShape:
     """Does the clique have a design structure on the union of its blocks?
 
     Combines the admissibility of (|support|, m), which is a fast arithmetic
-    negative, with a definitive pair-coverage check over the support.
+    negative, with a definitive pair-coverage check over the support.  The
+    verdict is the clique's shape: ``support_size``, ``candidate_params``,
+    ``pair_coverage_ok`` and ``is_design``.
     """
-    return clique_record(design, members).subdesign
+    return clique_record(design, members).shape
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +351,7 @@ class CliqueCensus(namedtuple(
 
     @cached_property
     def canonical_count(self) -> int:
-        return sum(1 for r in self.records if r.classification.canonical)
+        return sum(r.witness is not None for r in self.records)
 
     @property
     def noncanonical_count(self) -> int:

@@ -215,12 +215,15 @@ def _parse_blocklist(text: str, name: str) -> Design:
 
 
 def _json_tokens(value, what: str) -> list[str]:
-    """A JSON list of str/int tokens, as strings."""
+    """A JSON list of str/int tokens, as strings, each a blocklist token, so
+    that the design can be written as a blocklist and named in cycles."""
     if not isinstance(value, list):
         raise ValueError(f"json design: {what} must be a list, got {type(value).__name__}")
     for tok in value:
         if isinstance(tok, bool) or not isinstance(tok, (str, int)):
             raise ValueError(f"json design: {what} token {tok!r} is not a string or integer")
+        if not _TOKEN_RE.match(str(tok)):
+            raise ValueError(f"json design: {what} token {tok!r} is not a blocklist token")
     return [str(tok) for tok in value]
 
 

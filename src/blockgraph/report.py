@@ -7,9 +7,10 @@ which the tests keep as the reference.  Only the document without its clique
 records goes through ``json.dumps``; each record is written into the records
 gap from a frame (every field but the members and the witness), with the
 members and the ``json.dumps`` of the witness label filled in.  A frame is
-keyed by the kind, the support and core sizes and the identities of the
-core design and verdict, objects the census shares per shape; equal values
-in distinct objects only add a frame.  The expected values for the three
+rendered from a record's ``CliqueShape``, the one object the census shares
+among the records of a shape, and keyed by that object's identity; equal
+shapes in distinct objects only add a frame.  The text report keys each
+non-canonical line's tail the same way.  The expected values for the three
 embedded 66-point designs are versioned here and drive ``--check-paper``.
 """
 
@@ -21,7 +22,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import catalog
-from .cliques import CliqueCensus, CliqueRecord, census_report, core_restriction
+from .cliques import CliqueCensus, CliqueRecord, CliqueShape, census_report, core_restriction
 from .design import Design, ValidationReport, validate_2design
 from .perms import (
     OrbitPartition,
@@ -65,7 +66,7 @@ def clique_orbits(census: CliqueCensus, block_perms) -> list[tuple[list, OrbitPa
     the canonical and then the non-canonical maximum cliques."""
     out = []
     for canonical in (True, False):
-        members = [r.members for r in census.records if r.classification.canonical == canonical]
+        members = [r.members for r in census.records if (r.witness is not None) == canonical]
         part = None
         if members:
             part = orbit_partition([induced_clique_action(bp, members) for bp in block_perms])
@@ -181,24 +182,20 @@ def _params_dict(validation: ValidationReport) -> dict:
     }
 
 
-def _record_fields(rec, labels) -> dict:
-    witness = rec.classification.witness
+def _record_fields(rec: CliqueRecord, labels) -> dict:
+    shape, witness = rec.shape, rec.witness
+    core, params = shape.restricted_params, shape.candidate_params
     return {
         "members": list(rec.members),
-        "classification": rec.classification.kind,
+        "classification": shape.kind,
         "witness": None if witness is None else labels[witness],
-        "support_size": rec.support_size,
-        "core_size": rec.core_size,
-        "core_design": None
-        if rec.restricted_params is None
-        else {"n": rec.restricted_params.n, "m": rec.restricted_params.m},
+        "support_size": shape.support_size,
+        "core_size": shape.core_size,
+        "core_design": None if core is None else {"n": core.n, "m": core.m},
         "subdesign": {
-            "admissible": bool(
-                rec.subdesign.candidate_params
-                and rec.subdesign.candidate_params.admissible
-            ),
-            "pair_coverage_ok": rec.subdesign.pair_coverage_ok,
-            "is_design": rec.subdesign.is_design,
+            "admissible": bool(params and params.admissible),
+            "pair_coverage_ok": shape.pair_coverage_ok,
+            "is_design": shape.is_design,
         },
     }
 
@@ -256,26 +253,15 @@ _RECORD_BREAK = "\n      "
 _MEMBER_BREAK = "\n          "
 
 
-def _record_frame(rec, labels) -> tuple[str, str, str]:
-    """A record's JSON split around its members and its witness.
-
-    The frame depends only on the record's shape (every field but
-    ``members`` and ``witness``), so it is rendered once per shape.
-    """
-    fields = _record_fields(rec, labels)
-    fields["members"] = []
-    fields["witness"] = None
+def _record_frame(shape: CliqueShape) -> tuple[str, str, str]:
+    """The JSON of a record of this shape, split around its members and its
+    witness, the two fields a shape leaves open."""
+    fields = _record_fields(CliqueRecord((), None, shape), ())
     text = json.dumps(fields, sort_keys=True, indent=2).replace("\n", _RECORD_BREAK)
     head, tail = text.split('"members": []')
     # "witness" sorts last, so the frame ends with its value and the brace
     middle, end = tail.rsplit('"witness": null', 1)
     return head + '"members": [', "]" + middle + '"witness": ', end
-
-
-def _shape_key(rec: CliqueRecord) -> tuple:
-    # the records keep these objects alive, so equal ids mean equal values
-    return (rec.classification.kind, rec.support_size, rec.core_size,
-            id(rec.restricted_params), id(rec.subdesign))
 
 
 def render_structured(report: AnalysisReport) -> str:
@@ -293,21 +279,20 @@ def render_structured(report: AnalysisReport) -> str:
     before, after = skeleton.split(_RECORDS_GAP)
     witnesses = {None: "null", **{i: json.dumps(label) for i, label in enumerate(labels)}}
     member_lines = [f"{_MEMBER_BREAK}{i}" for i in range(census.design.b)]
-    frames = {}
+    frames = {}  # by the id of a shape, which the records keep alive
     out = io.StringIO()
     out.write(before)
     out.write('\n    "records": [')
     sep = _RECORD_BREAK
     for rec in census.records:
-        shape = _shape_key(rec)
-        frame = frames.get(shape)
+        frame = frames.get(id(rec.shape))
         if frame is None:
-            frame = frames[shape] = _record_frame(rec, labels)
+            frame = frames[id(rec.shape)] = _record_frame(rec.shape)
         head, middle, end = frame
         members = ",".join(map(member_lines.__getitem__, rec.members))
         if members:
             members += "\n        "
-        witness = witnesses[rec.classification.witness]
+        witness = witnesses[rec.witness]
         out.write(f"{sep}{head}{members}{middle}{witness}{end}")
         sep = "," + _RECORD_BREAK
     out.write("\n    ]")
@@ -316,10 +301,10 @@ def render_structured(report: AnalysisReport) -> str:
     return out.getvalue()
 
 
-def core_text(rec: CliqueRecord) -> str:
+def core_text(shape: CliqueShape) -> str:
     """The "core N" text, with the core restriction's parameters if it is a 2-design."""
-    p = rec.restricted_params
-    return f"core {rec.core_size}" + ("" if p is None else f" forming 2-({p.n},{p.m},1)")
+    p = shape.restricted_params
+    return f"core {shape.core_size}" + ("" if p is None else f" forming 2-({p.n},{p.m},1)")
 
 
 def render_text(report: AnalysisReport) -> str:
@@ -354,15 +339,15 @@ def render_text(report: AnalysisReport) -> str:
         f"maximum cliques: {census.total} = {census.canonical_count} canonical + "
         f"{census.noncanonical_count} non-canonical"
     )
-    tails = {}  # one line tail per record shape
+    tails = {}  # one line tail per shape, by its id as for the frames
     block_text = [str(i) for i in range(design.b)]
     for rec in census.records:
-        if rec.classification.canonical:
+        if rec.witness is not None:
             continue
-        tail = tails.get(shape := _shape_key(rec))
+        tail = tails.get(id(shape := rec.shape))
         if tail is None:
-            tail = tails[shape] = (f": support {rec.support_size}, {core_text(rec)}, "
-                                   f"subdesign {'yes' if rec.subdesign.is_design else 'no'}")
+            tail = tails[id(shape)] = (f": support {shape.support_size}, {core_text(shape)}, "
+                                       f"subdesign {'yes' if shape.is_design else 'no'}")
         members = ", ".join(map(block_text.__getitem__, rec.members))
         lines.append(f"  non-canonical [{members}]{tail}")
     if report.group is not None:
@@ -429,7 +414,7 @@ def _paper_quantities(report: AnalysisReport) -> dict:
     params = report.validation.params
     srg = census.srg
     g = report.group
-    noncanon = [r for r in census.records if not r.classification.canonical]
+    noncanon = [r.shape for r in census.records if r.witness is None]
     return {
         "valid": report.validation.valid,
         "n": census.design.n,
@@ -444,14 +429,14 @@ def _paper_quantities(report: AnalysisReport) -> dict:
         "canonical cliques": census.canonical_count,
         "non-canonical cliques": census.noncanonical_count,
         "non-canonical cliques without design structure": sum(
-            not r.subdesign.is_design for r in noncanon
+            not s.is_design for s in noncanon
         ),
-        "non-canonical support sizes": dict(Counter(r.support_size for r in noncanon)),
-        "non-canonical core sizes": dict(Counter(r.core_size for r in noncanon)),
+        "non-canonical support sizes": dict(Counter(s.support_size for s in noncanon)),
+        "non-canonical core sizes": dict(Counter(s.core_size for s in noncanon)),
         "core restrictions": {
-            (r.restricted_params.n, r.restricted_params.m)
-            for r in noncanon
-            if r.restricted_params is not None
+            (s.restricted_params.n, s.restricted_params.m)
+            for s in noncanon
+            if s.restricted_params is not None
         },
         "point orbit lengths": None if g is None else g.point_orbit_lengths,
         "block orbit lengths": None if g is None else g.block_orbit_lengths,
@@ -487,14 +472,14 @@ def check_paper_claims(report: AnalysisReport, name: str) -> list[tuple[str, boo
         results.append(
             (
                 "representative clique enumerated and non-canonical",
-                rec is not None and not rec.classification.canonical,
+                rec is not None and rec.witness is None,
                 "present" if rec is not None else "absent",
             )
         )
         if rec is not None:
             core_points = core_restriction(design, members).core_points
             actual_tokens = tuple(sorted(design.labels[p] for p in core_points))
-            restricted = rec.restricted_params
+            restricted = rec.shape.restricted_params
             restricted = None if restricted is None else (restricted.n, restricted.m)
             results.append(
                 (

@@ -118,25 +118,25 @@ def test_criterion_03_maximum_clique_census(main66):
 
 def test_criterion_04_noncanonical_structure(main66, main66_census):
     noncanon = [
-        r for r in main66_census.records if not r.classification.canonical
+        r for r in main66_census.records if r.witness is None
     ]
     assert len(noncanon) == 14
-    assert all(not r.subdesign.is_design for r in noncanon)
+    assert all(not r.shape.is_design for r in noncanon)
 
-    c1_type = [r for r in noncanon if r.support_size == 39]
+    c1_type = [r for r in noncanon if r.shape.support_size == 39]
     assert len(c1_type) == 13
     assert not admissibility(39, 6).r_integral
     for r in c1_type:
-        assert not r.subdesign.candidate_params.admissible
-        assert r.core_size == 13
+        assert not r.shape.candidate_params.admissible
+        assert r.shape.core_size == 13
         core = core_restriction(main66, r.members)
         assert core.restricted_params is not None
         assert (core.restricted_params.n, core.restricted_params.m) == (13, 4)
 
-    c2_type = [r for r in noncanon if r.support_size == 26]
+    c2_type = [r for r in noncanon if r.shape.support_size == 26]
     assert len(c2_type) == 1
     assert admissibility(26, 6).r_integral and not admissibility(26, 6).b_integral
-    assert not c2_type[0].subdesign.candidate_params.admissible
+    assert not c2_type[0].shape.candidate_params.admissible
     profile = point_multiplicity_profile(main66, c2_type[0].members)
     assert len(profile) == 26
     assert set(profile.values()) == {3}
@@ -153,8 +153,8 @@ def test_criterion_05_group_data(main66, main66_census, main66_generators):
     block_actions = [induced_block_action(main66, g) for g in group.generators]
     assert sorted(orbit_partition(block_actions).lengths, reverse=True) == [39, 39, 39, 13, 13]
 
-    canonical = [r.members for r in main66_census.records if r.classification.canonical]
-    noncanonical = [r.members for r in main66_census.records if not r.classification.canonical]
+    canonical = [r.members for r in main66_census.records if r.witness is not None]
+    noncanonical = [r.members for r in main66_census.records if r.witness is None]
     canon_orbits = orbit_partition(
         [induced_clique_action(bp, canonical) for bp in block_actions]
     )

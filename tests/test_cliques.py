@@ -384,7 +384,7 @@ def test_scan_flags_match_pairwise_and(monkeypatch):
         twice = any((x & y).bit_count() >= 2 for x, y in combinations(masks, 2))
         (_, _, _, flagged, _), = cliques._scans(design, [members])
         assert set(_bits(flagged)) == apart
-        assert shapes.pop()[4] == twice
+        assert shapes.pop()[5] == twice  # (canonical, k, ns, c, m_r, twice, ...)
 
 
 def reference_error(design, members):
@@ -442,10 +442,10 @@ def test_error_precedence_matches_reference(monkeypatch):
 
 def test_clique_support_sizes(main66):
     plane_clique = members_from_tokens(main66, PLANE_CLIQUE_BLOCKS)
-    assert cliques.clique_record(main66, plane_clique).support_size == 39
+    assert cliques.clique_record(main66, plane_clique).shape.support_size == 39
     orbit_clique = orbit_clique_members(main66)
-    assert cliques.clique_record(main66, orbit_clique).support_size == 26
-    assert cliques.clique_record(main66, (5,)).support_size == 6
+    assert cliques.clique_record(main66, orbit_clique).shape.support_size == 26
+    assert cliques.clique_record(main66, (5,)).shape.support_size == 6
 
 
 def test_point_multiplicities(main66):
@@ -539,7 +539,7 @@ def test_census_main66(main66_census):
     assert (c.total, c.canonical_count, c.noncanonical_count) == (80, 66, 14)
     assert c.clique_number == 13
     assert c.delsarte == 13
-    assert all(not r.subdesign.is_design for r in c.records if not r.classification.canonical)
+    assert all(not r.shape.is_design for r in c.records if r.witness is None)
 
 
 def test_census_ag23():
@@ -578,9 +578,7 @@ def test_census_canonical_count_equals_n():
         c = census_report(d)
         assert c.canonical_count == d.n
         # every point's block star appears among the canonical cliques
-        witnesses = {
-            r.classification.witness for r in c.records if r.classification.canonical
-        }
+        witnesses = {r.witness for r in c.records if r.shape.kind == "canonical"}
         assert witnesses == set(range(d.n))
 
 
@@ -614,11 +612,10 @@ def test_census_record_fields_consistent(main66_census):
     design = main66_census.design
     for r in main66_census.records:
         assert r.members == tuple(sorted(set(r.members)))
-        if r.classification.canonical:
-            assert r.support_size == 66
-            assert r.core_size == 1
-            witness = r.classification.witness
-            assert all(witness in design.blocks[i] for i in r.members)
+        if r.shape.kind == "canonical":
+            assert r.shape.support_size == 66
+            assert r.shape.core_size == 1
+            assert all(r.witness in design.blocks[i] for i in r.members)
         else:
-            assert r.classification.witness is None
-            assert (r.support_size, r.core_size) in {(39, 13), (26, 26)}
+            assert r.witness is None
+            assert (r.shape.support_size, r.shape.core_size) in {(39, 13), (26, 26)}

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import re
@@ -197,6 +198,20 @@ def test_round_trip_json(main66):
         ("[1, 2]", "top level must be an object"),
         ("5", "top level must be an object"),
         ('{"n": ' + "[" * 100000 + "]" * 100000 + "}", "bad json design"),
+        # labels must be blocklist tokens, or the exported blocklist would not
+        # parse back and cycle notation could not name the point
+        *(
+            (
+                json.dumps({"n": 3, "m": 2, "lambda": 1, "labels": [bad, "c", "d"],
+                            "blocks": [[bad, "c"], [bad, "d"], ["c", "d"]]}),
+                f"^json design: labels token {re.escape(repr(bad))} is not a blocklist token$",
+            )
+            for bad in ("a b", "", "d#", "é", -1)
+        ),
+        (
+            '{"n": 2, "m": 2, "lambda": 1, "labels": ["a", "b"], "blocks": [["a", "b c"]]}',
+            "^json design: block token 'b c' is not a blocklist token$",
+        ),
     ],
 )
 def test_parse_json_rejects_malformed_documents(text, message):

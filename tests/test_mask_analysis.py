@@ -26,7 +26,7 @@ from blockgraph import (
     subdesign_test,
 )
 from blockgraph import cliques as cliques_module
-from blockgraph.cliques import Classification, SubdesignVerdict, clique_record
+from blockgraph.cliques import Classification, CliqueRecord, CliqueShape, clique_record
 from blockgraph.design import Design, admissibility, make_design, parse_design, validate_2design
 from blockgraph.graph import DegenerateGraphError
 
@@ -89,7 +89,16 @@ def reference_verdict(design, members):
         and len(members) == int(params.b)
         and all(len(design.blocks[i]) == design.m for i in members)
     )
-    return SubdesignVerdict(ns, params, coverage_ok, is_design)
+    return ns, params, coverage_ok, is_design
+
+
+def reference_record(design, members):
+    """The census record of ``members``, every field from the references."""
+    core, _, params, _ = reference_core(design, members)
+    kind, witness = reference_classification(design, members)
+    ns, candidate, coverage_ok, is_design = reference_verdict(design, members)
+    shape = CliqueShape(kind, ns, len(core), params, candidate, coverage_ok, is_design)
+    return CliqueRecord(tuple(sorted(members)), witness, shape)
 
 
 def reference_rows(design):
@@ -102,7 +111,7 @@ def reference_rows(design):
 
 def assert_public_functions_match(design, members):
     core, restricted, params, _ = reference_core(design, members)
-    verdict = reference_verdict(design, members)
+    expected = reference_record(design, members)
     assert classify_clique(design, members) == reference_classification(design, members)
     assert tuple(point_multiplicity_profile(design, members)) == reference_support(design, members)
     assert point_multiplicity_profile(design, members) == reference_profile(design, members)
@@ -110,14 +119,9 @@ def assert_public_functions_match(design, members):
     assert (got.core_points, got.restricted_blocks, got.restricted_params) == (
         core, restricted, params
     )
-    assert subdesign_test(design, members) == verdict
-    rec = clique_record(design, members)
-    assert rec.members == tuple(sorted(members))
-    assert rec.classification == reference_classification(design, members)
-    assert rec.support_size == verdict.support_size
-    assert rec.core_size == len(core)
-    assert rec.restricted_params == params
-    assert rec.subdesign == verdict
+    assert subdesign_test(design, members) == expected.shape
+    # members sorted, witness, kind, sizes, core design and verdict
+    assert clique_record(design, members) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +145,7 @@ def test_census_records_match_references(design):
     census = census_report(design)
     assert census.total > 0
     for rec in census.records:
-        core, _, params, _ = reference_core(design, rec.members)
-        verdict = reference_verdict(design, rec.members)
-        assert rec.classification == reference_classification(design, rec.members)
-        assert rec.support_size == verdict.support_size
-        assert rec.core_size == len(core)
-        assert rec.restricted_params == params
-        assert rec.subdesign == verdict
+        assert rec == reference_record(design, rec.members)
         support = reference_support(design, rec.members)
         assert tuple(point_multiplicity_profile(design, rec.members)) == support
 
@@ -262,22 +260,28 @@ def test_random_blocklists_census_pass_matches_one_clique_path(monkeypatch):
 # records share what depends only on the clique's shape
 
 
-def test_ag25_noncanonical_records_share_verdicts_and_classification():
+def test_ag25_records_share_one_shape_object_per_shape():
     """AG(2,5)'s 15,600 non-canonical cliques (six lines, one per parallel
-    class, not all through one point) come in five shapes; the records of
-    one shape share one verdict, and all share one classification."""
+    class, not all through one point) come in five shapes, and the records
+    of one shape hold one ``CliqueShape`` object; its 25 canonical cliques
+    (the six lines through a point) hold one more."""
     design = parse_design(point_line_blocklist("affine", 2, 5))
-    noncanonical = [r for r in census_report(design).records if not r.classification.canonical]
-    assert len(noncanonical) == 15600
-    assert len({id(r.classification) for r in noncanonical}) == 1
-    verdicts = {}
+    records = census_report(design).records
+    canonical = [r for r in records if r.witness is not None]
+    noncanonical = [r for r in records if r.witness is None]
+    assert (len(canonical), len(noncanonical)) == (25, 15600)
+    assert len({id(r.shape) for r in canonical}) == 1
+    assert canonical[0].shape.kind == "canonical"
+    shapes = {}
     for rec in noncanonical:
+        assert rec.shape.kind == "non-canonical"
         counts = Counter(p for i in rec.members for p in design.blocks[i])
         core = {p for p, c in counts.items() if c >= 2}
         sizes = frozenset(len(core.intersection(design.blocks[i])) for i in rec.members)
-        verdicts.setdefault((len(counts), len(core), sizes), set()).add(id(rec.subdesign))
-    assert len(verdicts) == 5
-    assert all(len(ids) == 1 for ids in verdicts.values())
+        shapes.setdefault((len(counts), len(core), sizes), set()).add(id(rec.shape))
+    assert len(shapes) == 5
+    assert all(len(ids) == 1 for ids in shapes.values())
+    assert len({id(r.shape) for r in noncanonical}) == 5
 
 
 def near_pencil(n):
@@ -343,7 +347,7 @@ def test_cliques_one_shape_field_apart(field):
         members = tuple(design.blocks.index(tuple(sorted(blk))) for blk in blocks)
         assert_public_functions_match(design, members)
         shapes.append(reference_shape(design, members))
-        records.append(clique_record(design, members)[2:])
+        records.append(clique_record(design, members).shape[1:])  # all but the kind
     assert [f for f in shapes[0] if shapes[0][f] != shapes[1][f]] == [field]
     assert records[0] != records[1]
 

@@ -210,7 +210,7 @@ def test_block_orbits(main66, main66_generators):
 def test_noncanonical_clique_orbits(main66, main66_census, main66_generators):
     blocks = [induced_block_action(main66, g) for g in main66_generators]
     noncanon = [
-        r.members for r in main66_census.records if not r.classification.canonical
+        r.members for r in main66_census.records if r.witness is None
     ]
     actions = [induced_clique_action(bp, noncanon) for bp in blocks]
     assert sorted(orbit_partition(actions).lengths, reverse=True) == [13, 1]
@@ -400,7 +400,7 @@ def test_clique_action_undefined_for_partial_list(main66, main66_census, main66_
     # clique list missing images must raise
     blocks = induced_block_action(main66, main66_generators[1])
     noncanon = [
-        r.members for r in main66_census.records if not r.classification.canonical
+        r.members for r in main66_census.records if r.witness is None
     ]
     with pytest.raises(ValueError, match="not mapped"):
         induced_clique_action(blocks, noncanon[:3])

@@ -13,6 +13,7 @@ from blockgraph import (
     PermGroup,
     builtin_design,
     census_report,
+    classify_clique,
     close_group,
     core_restriction,
     family_params,
@@ -49,12 +50,12 @@ def public_records():
     report = build_report(design, generators, "embedded generators", include_aut=True)
     census = report.census
     section, group = automorphism_section(design, census)
-    noncanonical = next(r for r in census.records if not r.classification.canonical)
+    noncanonical = next(r for r in census.records if r.witness is None)
     invalid = validate_2design(make_design("abcd", ["ab", "cd"]))
     return [
         design, report, census, report.validation, report.group, report.automorphisms,
         report.validation.params, census.graph, census.srg, noncanonical,
-        noncanonical.classification, noncanonical.subdesign,
+        noncanonical.shape, classify_clique(design, noncanonical.members),
         core_restriction(design, noncanonical.members), invalid.violations[0],
         section, group, close_group(generators), orbit_partition(generators), generators[0],
         ResidueSet.of(13, [1, 3, 9]),

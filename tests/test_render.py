@@ -27,8 +27,8 @@ from blockgraph import (
     subdesign_test,
 )
 from blockgraph import report as report_module
-from blockgraph.cliques import Classification, CliqueCensus, CliqueRecord, SubdesignVerdict
-from blockgraph.design import DesignParameters, admissibility, validate_2design
+from blockgraph.cliques import CliqueCensus, CliqueRecord, CliqueShape
+from blockgraph.design import DesignParameters, admissibility, make_design, validate_2design
 from blockgraph.report import (
     AnalysisReport,
     automorphism_section,
@@ -84,19 +84,20 @@ def reference_text(report):
         lines.append(f"block graph: srg{s.as_tuple()} with eigenvalues {s.r_eig} and {s.s_eig}")
         lines.append(f"delsarte bound: {census.delsarte}")
     lines.append(f"clique number: {census.clique_number}")
-    canonical = sum(rec.classification.kind == "canonical" for rec in census.records)
+    canonical = sum(rec.shape.kind == "canonical" for rec in census.records)
     lines.append(
         f"maximum cliques: {len(census.records)} = {canonical} canonical + "
         f"{len(census.records) - canonical} non-canonical"
     )
     for rec in census.records:
-        if rec.classification.kind == "canonical":
+        shape = rec.shape
+        if shape.kind == "canonical":
             continue
-        core = rec.restricted_params
+        core = shape.restricted_params
         lines.append(
-            f"  non-canonical {list(rec.members)}: support {rec.support_size}, "
-            f"core {rec.core_size}{'' if core is None else f' forming 2-({core.n},{core.m},1)'}, "
-            f"subdesign {'yes' if rec.subdesign.is_design else 'no'}"
+            f"  non-canonical {list(rec.members)}: support {shape.support_size}, "
+            f"core {shape.core_size}{'' if core is None else f' forming 2-({core.n},{core.m},1)'}, "
+            f"subdesign {'yes' if shape.is_design else 'no'}"
         )
     if (g := report.group) is not None:
         lines += [
@@ -118,7 +119,9 @@ def plain_report(census):
     return AnalysisReport(census, validate_2design(census.design), None, None)
 
 
-# AG(2,3) relabelled with points that json.dumps must escape; the name too
+# AG(2,3) relabelled with points that json.dumps must escape; the name too.
+# Design files admit only blocklist tokens as labels, so these come in
+# through make_design, which takes any strings.
 ODD_LABELS = ('a"', "b\\", "é", "𝔽", "\t", " ", "p", "q", "r")
 
 
@@ -126,14 +129,8 @@ ODD_LABELS = ('a"', "b\\", "é", "𝔽", "\t", " ", "p", "q", "r")
 def odd_design():
     plain = parse_design(point_line_blocklist("affine", 2, 3))
     relabel = dict(zip(plain.labels, ODD_LABELS))
-    doc = {
-        "n": 9,
-        "m": 3,
-        "lambda": 1,
-        "labels": list(ODD_LABELS),
-        "blocks": [[relabel[t] for t in plain.block_tokens(i)] for i in range(plain.b)],
-    }
-    return parse_design(json.dumps(doc), "json", name='q"\\é')
+    blocks = [[relabel[t] for t in plain.block_tokens(i)] for i in range(plain.b)]
+    return make_design(ODD_LABELS, blocks, name='q"\\é')
 
 
 @pytest.mark.parametrize("name", ["main66", "appendixA66", "appendixB66"])
@@ -194,17 +191,13 @@ def test_random_blocklists_every_clique():
         cliques = sorted(powerset_cliques(graph), key=lambda c: (len(c), c))
         for members in cliques:
             core = core_restriction(design, members)
-            verdict = subdesign_test(design, members)
-            records.append(
-                CliqueRecord(
-                    members=members,
-                    classification=classify_clique(design, members),
-                    support_size=verdict.support_size,
-                    core_size=len(core.core_points),
-                    restricted_params=core.restricted_params,
-                    subdesign=verdict,
-                )
+            shape = subdesign_test(design, members)
+            assert (shape.core_size, shape.restricted_params) == (
+                len(core.core_points), core.restricted_params
             )
+            kind, witness = classify_clique(design, members)
+            assert shape.kind == kind
+            records.append(CliqueRecord(members=members, witness=witness, shape=shape))
         size = len(cliques[-1])
         census = CliqueCensus(design, graph, None, "not checked", None, size, tuple(records))
         report = plain_report(census)
@@ -219,21 +212,22 @@ def test_records_differing_in_one_shape_field(odd_design):
     """Each shape field on its own must select a different frame."""
     census = census_report(odd_design)
     base = census.records[0]
-    sub = base.subdesign
+    shape = base.shape
 
-    def verdict(**change):
-        return base._replace(subdesign=sub._replace(**change))
+    def reshaped(**change):
+        return base._replace(shape=shape._replace(**change))
 
     variants = [
-        base._replace(classification=Classification("non-canonical", None)),
-        base._replace(support_size=base.support_size + 1),
-        base._replace(core_size=base.core_size + 1),
-        base._replace(restricted_params=admissibility(13, 4)),
-        base._replace(restricted_params=admissibility(13, 3)),
-        verdict(candidate_params=admissibility(7, 3)),
-        verdict(candidate_params=admissibility(8, 3)),
-        verdict(pair_coverage_ok=not sub.pair_coverage_ok),
-        verdict(is_design=not sub.is_design),
+        reshaped(kind="non-canonical"),
+        base._replace(witness=None),
+        reshaped(support_size=shape.support_size + 1),
+        reshaped(core_size=shape.core_size + 1),
+        reshaped(restricted_params=admissibility(13, 4)),
+        reshaped(restricted_params=admissibility(13, 3)),
+        reshaped(candidate_params=admissibility(7, 3)),
+        reshaped(candidate_params=admissibility(8, 3)),
+        reshaped(pair_coverage_ok=not shape.pair_coverage_ok),
+        reshaped(is_design=not shape.is_design),
         base._replace(members=()),
         base._replace(members=(base.members[0],)),
     ]
@@ -245,26 +239,25 @@ def test_records_differing_in_one_shape_field(odd_design):
 
 
 def test_equal_values_in_distinct_objects():
-    """Frames are keyed by the identities of a record's core design and
-    verdict; records holding equal values in distinct objects (copies,
-    ``_replace``) render like the reference too."""
+    """Frames are keyed by the identity of a record's shape; records holding
+    equal shapes in distinct objects (copies, ``_replace``) render like the
+    reference too."""
     census = census_report(builtin_design("main66"))
     records = []
     for k, rec in enumerate(census.records):
         if k % 2:
-            sub, core = rec.subdesign, rec.restricted_params
-            params = sub.candidate_params
+            shape = rec.shape
+            core, params = shape.restricted_params, shape.candidate_params
             copy = rec._replace(
-                classification=Classification(*rec.classification),
-                restricted_params=None if core is None else DesignParameters(*core),
-                subdesign=SubdesignVerdict(*sub)._replace(
-                    candidate_params=None if params is None else DesignParameters(*params)
+                shape=CliqueShape(*shape)._replace(
+                    restricted_params=None if core is None else DesignParameters(*core),
+                    candidate_params=None if params is None else DesignParameters(*params),
                 ),
             )
-            assert copy == rec and copy.subdesign is not rec.subdesign
+            assert copy == rec and copy.shape is not rec.shape
             rec = copy
         records.append(rec)
-    assert any(rec.restricted_params is not None for rec in records[1::2])
+    assert any(rec.shape.restricted_params is not None for rec in records[1::2])
     assert_renders_like_reference(plain_report(census._replace(records=tuple(records))))
 
 
@@ -307,14 +300,14 @@ def test_text_tails_follow_every_shape_field(odd_design):
     """One-field variants and equal values in distinct objects: each tail
     is keyed by what it shows, never shared across differing records."""
     census = census_report(odd_design)
-    base = next(rec for rec in census.records if not rec.classification.canonical)
-    sub = base.subdesign
+    base = next(rec for rec in census.records if rec.witness is None)
+    shape = base.shape
     variants = [
-        base._replace(support_size=base.support_size + 1),
-        base._replace(core_size=base.core_size + 1),
-        base._replace(restricted_params=admissibility(13, 4)),
-        base._replace(subdesign=sub._replace(is_design=not sub.is_design)),
-        base._replace(subdesign=SubdesignVerdict(*sub)),
+        base._replace(shape=shape._replace(support_size=shape.support_size + 1)),
+        base._replace(shape=shape._replace(core_size=shape.core_size + 1)),
+        base._replace(shape=shape._replace(restricted_params=admissibility(13, 4))),
+        base._replace(shape=shape._replace(is_design=not shape.is_design)),
+        base._replace(shape=CliqueShape(*shape)),
         base._replace(members=()),
     ]
     records = [base]
