@@ -24,11 +24,11 @@ its first disjoint pair.
 A record is (members, witness, shape).  The ``CliqueShape`` holds the rest:
 kind, support and core sizes, core design and subdesign verdict, which
 depend only on a few integers (canonical or not, k, |support|, |core|, the
-blocks' core size if uniform, whether a pair is covered twice, the blocks'
-pair counts and m).  It is built once per shape, and every record of that
-shape holds the same object; the renderers key on it.  Pair coverage and
-the core's 2-design test are counting identities on those integers, exact
-for any blocklist.
+blocks' core size if uniform, whether a pair is covered twice, and m).  It
+is built once per shape, and every record of that shape holds the same
+object; the renderers key on it.  Every block of a ``Design`` has m points,
+so pair coverage and the core's 2-design test are counting identities on
+those integers.
 """
 
 from __future__ import annotations
@@ -182,31 +182,28 @@ class CliqueRecord(NamedTuple):
 
 
 @lru_cache(maxsize=1024)
-def _shape(canonical: bool, k: int, ns: int, c: int, m_r: int, twice: bool, pairs: int,
-           m: int) -> CliqueShape:
-    """The shape of a clique of k blocks with ``m_r`` the size of each
-    block's restriction to the core (0 if the sizes differ) and ``pairs``
-    the sum of |B|(|B|-1).  A census asks for few shapes, and the cache
-    hands every record of one shape the same object.
+def _shape(canonical: bool, k: int, ns: int, c: int, m_r: int, twice: bool, m: int) -> CliqueShape:
+    """The shape of a clique of k blocks of m points with ``m_r`` the size
+    of each block's restriction to the core (0 if the sizes differ).  A
+    census asks for few shapes, and the cache hands every record of one
+    shape the same object.
 
     Member blocks meet only inside the core, so the restricted blocks share
     >= 2 points iff the blocks do.  With no pair covered twice, a uniform
     restriction covers every core pair once iff k m_r(m_r-1) = c(c-1), and
-    every support pair is covered once iff pairs = ns(ns-1).  A design's
-    k = b >= 3 blocks leave no point in one block only, so the core is the
-    support and the blocks all have m points iff m_r = m.
+    every support pair is covered once iff k m(m-1) = ns(ns-1).  Those k
+    blocks are then a 2-(ns,m,1) design wherever ns > m: k = b(ns,m), the
+    parameters are admissible, and each point lies in r >= 2 blocks, so the
+    core is the support and m_r = m.
     """
     core_params = (
         admissibility(c, m_r)
         if not twice and 2 <= m_r < c and k * m_r * (m_r - 1) == c * (c - 1)
         else None
     )
-    coverage_ok = k > 0 and not twice and pairs == ns * (ns - 1)
+    coverage_ok = k > 0 and not twice and k * m * (m - 1) == ns * (ns - 1)
     params = admissibility(ns, m) if ns > m >= 2 else None
-    is_design = (
-        params is not None and params.admissible and coverage_ok and k == int(params.b)
-        and m_r == m
-    )
+    is_design = params is not None and coverage_ok
     kind = "canonical" if canonical else "non-canonical"
     return CliqueShape(kind, ns, c, core_params, params, coverage_ok, is_design)
 
@@ -233,8 +230,8 @@ def _scans(design: Design, cliques) -> Iterator[tuple]:
     masks = design.block_masks
     _, rows, twice = design.reach
     b = len(masks)
-    # AND, OR, core, sum of |B|(|B|-1), chosen, meet-all and doubled masks
-    states = [((1 << design.n) - 1, 0, 0, 0, 0, -1, 0)]
+    # AND, OR, core, chosen, meet-all and doubled masks
+    states = [((1 << design.n) - 1, 0, 0, 0, -1, 0)]
     last: tuple[int, ...] = ()
     for members in cliques:
         members = tuple(sorted(members))
@@ -246,21 +243,19 @@ def _scans(design: Design, cliques) -> Iterator[tuple]:
         if members and not (0 <= members[0] and members[-1] < b):
             _block_masks(design, members)  # raises for a repeat, else for one out of range
         del states[s + 1:]
-        common, support, core, pairs, chosen, meet_all, doubled = states[s]
+        common, support, core, chosen, meet_all, doubled = states[s]
         for i in members[s:]:
             bit = 1 << i
             if chosen & bit:
                 raise ValueError("repeated block index in clique")
             x = masks[i]
-            size = x.bit_count()
             common &= x
             core |= support & x
             support |= x
-            pairs += size * (size - 1)
             chosen |= bit
             meet_all &= rows[i] | bit
             doubled |= twice[i]
-            states.append((common, support, core, pairs, chosen, meet_all, doubled))
+            states.append((common, support, core, chosen, meet_all, doubled))
         last = members
         m_r = (masks[members[0]] & core).bit_count() if members else 0
         for i in members:  # the blocks' common core size, 0 if they differ
@@ -268,7 +263,7 @@ def _scans(design: Design, cliques) -> Iterator[tuple]:
                 m_r = 0
                 break
         shape = _shape(common != 0, len(members), support.bit_count(), core.bit_count(), m_r,
-                       bool(chosen & doubled), pairs, design.m)
+                       bool(chosen & doubled), design.m)
         yield members, common, core, chosen & ~meet_all, shape
 
 
@@ -370,9 +365,7 @@ def census_report(design: Design) -> CliqueCensus:
     """
     graph = build_block_graph(design)
     n, m = design.n, design.m
-    steiner = (n > m >= 2 and design.b * m * (m - 1) == n * (n - 1)
-               and all(len(blk) == m for blk in design.blocks)
-               and not any(design.reach[2]))
+    steiner = n > m >= 2 and design.b * m * (m - 1) == n * (n - 1) and not any(design.reach[2])
     srg = None
     degenerate = None
     bound = None

@@ -59,10 +59,12 @@ class Design(namedtuple("Design", "n m labels blocks name", defaults=("",))):
     """A candidate 2-(n,m,1) design in canonical form.
 
     Lambda is 1 by definition, not a field: :func:`validate_2design` checks
-    that every point pair lies in exactly one block.  ``blocks`` are sorted
-    tuples of dense indices into ``labels``; the block list is sorted
+    that every point pair lies in exactly one block.  ``labels`` are
+    distinct blocklist tokens.  ``blocks`` are distinct sorted tuples of m
+    dense indices into ``labels`` each; the block list is sorted
     lexicographically.  Instances are immutable; construct via
-    :func:`make_design`, :func:`parse_design` or :func:`develop_base_blocks`.
+    :func:`make_design`, :func:`parse_design` or :func:`develop_base_blocks`,
+    which hold these invariants: one built field by field is outside them.
     Equality and hash ignore ``name``.  No ``__slots__``: cached properties need a ``__dict__``.
     """
 
@@ -136,10 +138,15 @@ class Design(namedtuple("Design", "n m labels blocks name", defaults=("",))):
 def make_design(labels, token_blocks, name="") -> Design:
     """Canonicalize labels + token blocks into a Design.
 
-    Every block must consist of distinct known tokens; blocks of unequal size
-    or duplicate blocks are rejected.
+    Every label must be a blocklist token, so that the design serializes to
+    files that parse back.  Every block must consist of distinct known
+    tokens; blocks of unequal size or duplicate blocks are rejected, so every
+    block of the design has m points.
     """
     labels = tuple(labels)
+    for tok in labels:
+        if not (isinstance(tok, str) and _TOKEN_RE.match(tok)):
+            raise ValueError(f"point label {tok!r} is not a blocklist token")
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate point labels")
     index = {tok: i for i, tok in enumerate(labels)}.__getitem__
@@ -328,9 +335,9 @@ def develop_base_blocks(base_blocks, modulus: int, name: str = "") -> Design:
 # validation
 
 class Violation(NamedTuple):
-    """One failed design axiom: a pair, a point, or a block."""
+    """One failed design axiom: a pair, a point, or the parameters."""
 
-    kind: str  # "pair" | "replication" | "block_size" | "parameters"
+    kind: str  # "pair" | "replication" | "parameters"
     subject: tuple
     count: int
     expected: object
@@ -349,11 +356,13 @@ class ValidationReport(NamedTuple):
 def validate_2design(design: Design) -> ValidationReport:
     """Exhaustively check the 2-(n,m,1) axioms by direct counting.
 
-    Every unordered point pair must lie in exactly one block, every block
-    must have size m, and every point must lie in r = (n-1)/(m-1) blocks.
-    Failures are reported, not raised.  The pairs that fail are all those
-    not covered exactly once, counted from the covered pairs; all pairs are
-    walked only to list the first few.
+    Every unordered point pair must lie in exactly one block, and every
+    point must lie in r = (n-1)/(m-1) blocks.  Failures are reported, not
+    raised.  The pairs that fail are all those not covered exactly once,
+    counted from the covered pairs; all pairs are walked only to list the
+    first few.  The design is valid iff nothing fails: its blocks have m
+    points, so with every pair covered once b m(m-1) = n(n-1), and b and r
+    are integers.
     """
     violations: list[Violation] = []
     n, m = design.n, design.m
@@ -361,11 +370,6 @@ def validate_2design(design: Design) -> ValidationReport:
         violations.append(Violation("parameters", (n, m), 0, "n > m >= 2"))
         return ValidationReport(False, None, tuple(violations), 1)
     params = admissibility(n, m)
-
-    for bi, blk in enumerate(design.blocks):
-        if len(blk) != m:
-            violations.append(Violation("block_size", (bi,), len(blk), m))
-
     pair_counts = Counter(chain.from_iterable(map(combinations, design.blocks, repeat(2))))
     repl = Counter(chain.from_iterable(design.blocks))
     pair_failures = n * (n - 1) // 2 - countOf(pair_counts.values(), 1)
@@ -385,7 +389,5 @@ def validate_2design(design: Design) -> ValidationReport:
     else:
         violations.append(Violation("parameters", (n, m), 0, "r integral"))
 
-    valid = not violations and params.admissible and design.b == int(params.b)
-    if not violations and not valid:
-        violations.append(Violation("parameters", (n, m), design.b, params.b))
-    return ValidationReport(valid, params, tuple(violations), len(violations) + pair_failures - listed)
+    count = len(violations) + pair_failures - listed
+    return ValidationReport(not violations, params, tuple(violations), count)

@@ -171,6 +171,17 @@ def steiner_triple_system(v, seed=0):
     return blocks
 
 
+def relabel(design, seed):
+    """The same design rebuilt from its labels and its blocks, each listed in
+    a seeded random order: only the dense point and block indices change."""
+    rng = random.Random(seed)
+    labels = list(design.labels)
+    rng.shuffle(labels)
+    blocks = [design.block_tokens(i) for i in range(design.b)]
+    rng.shuffle(blocks)
+    return make_design(labels, blocks, name=design.name)
+
+
 def steiner_design(v, seed=0):
     return make_design([str(p) for p in range(v)],
                        [[str(p) for p in blk] for blk in steiner_triple_system(v, seed)],

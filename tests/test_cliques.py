@@ -232,8 +232,8 @@ def shrikhande_design():
     steps = {(1, 0), (0, 1), (1, 1), (3, 0), (0, 3), (3, 3)}  # in Z4 x Z4
     edges = [(x, y) for x, y in combinations(range(16), 2)
              if ((y // 4 - x // 4) % 4, (y % 4 - x % 4) % 4) in steps]
-    labels = [f"{x}-{y}" for x, y in edges]
-    return make_design(labels, [[f"{x}-{y}" for x, y in edges if z in (x, y)]
+    labels = [f"{x}_{y}" for x, y in edges]
+    return make_design(labels, [[f"{x}_{y}" for x, y in edges if z in (x, y)]
                                 for z in range(16)])
 
 

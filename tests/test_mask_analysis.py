@@ -30,7 +30,7 @@ from blockgraph.cliques import Classification, CliqueRecord, CliqueShape, clique
 from blockgraph.design import Design, admissibility, make_design, parse_design, validate_2design
 from blockgraph.graph import DegenerateGraphError
 
-from conftest import point_line_blocklist, powerset_cliques, random_blocklists
+from conftest import adjacent, point_line_blocklist, powerset_cliques, random_blocklists
 
 
 def reference_classification(design, members):
@@ -181,6 +181,69 @@ def test_random_blocklists_match_references():
     assert duplicates > 0
 
 
+FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
+
+
+def uniform_blocklists(seed=20261022, count=30):
+    """m-uniform blocklists, m = 2 or 3, each on a planted design (every
+    pair of 3 to n points, or a Fano plane) plus a few random blocks: in
+    half of them only blocks that share at most one point with every block
+    so far, in the rest any (so a pair may be covered twice)."""
+    rng = Random(seed)
+    for k in range(count):
+        m = 2 + k % 2
+        n = rng.randint(3, 6) if m == 2 else rng.randint(7, 9)
+        points = rng.sample(range(n), rng.randint(3, n) if m == 2 else 7)
+        blocks = ([tuple(pair) for pair in combinations(points, 2)] if m == 2
+                  else [tuple(points[p] for p in line) for line in FANO])
+        for _ in range(rng.randint(0, 4)):
+            extra = rng.sample(range(n), m)
+            if k % 4 < 2 and any(len(set(extra) & set(blk)) > 1 for blk in blocks):
+                continue
+            blocks.append(tuple(extra))
+        labels = [f"p{p}" for p in range(n)]
+        blocks = {tuple(sorted(blk)) for blk in blocks}
+        yield make_design(labels, [[labels[p] for p in blk] for blk in blocks], name=f"uniform{k}")
+
+
+def small_cliques(graph, limit):
+    """Every clique of at most ``limit`` vertices, each in ascending order."""
+    found = []
+
+    def grow(clique, candidates):
+        found.append(clique)
+        if len(clique) < limit:
+            for i, v in enumerate(candidates):
+                grow((*clique, v), [u for u in candidates[i + 1:] if adjacent(graph, u, v)])
+
+    grow((), list(range(graph.v)))
+    return found[1:]
+
+
+def test_uniform_blocklists_match_references():
+    # every clique of up to seven blocks (a planted Fano plane is seven)
+    # against the references; a clique is a design iff it covers each pair
+    # of its more than m support points once, and a design is valid iff it
+    # covers each pair of its points once
+    verdicts, valid = Counter(), Counter()
+    for design in uniform_blocklists():
+        m = design.m
+        for members in small_cliques(build_block_graph(design), 7):
+            assert_public_functions_match(design, members)
+            support = reference_support(design, members)
+            pairs = Counter(pair for i in members for pair in combinations(design.blocks[i], 2))
+            once = all(pairs[pair] == 1 for pair in combinations(support, 2))
+            is_design = subdesign_test(design, members).is_design
+            assert is_design == (len(support) > m and once)
+            verdicts[m, is_design] += 1
+        pairs = Counter(pair for blk in design.blocks for pair in combinations(blk, 2))
+        once = all(pairs[pair] == 1 for pair in combinations(range(design.n), 2))
+        assert validate_2design(design).valid == once
+        valid[once] += 1
+    assert set(verdicts) == {(2, True), (2, False), (3, True), (3, False)}
+    assert valid[True] > 0 and valid[False] > 0
+
+
 # ---------------------------------------------------------------------------
 # the census's shared-prefix pass against the one-clique path
 
@@ -284,40 +347,28 @@ def test_ag25_records_share_one_shape_object_per_shape():
     assert len({id(r.shape) for r in noncanonical}) == 5
 
 
-def near_pencil(n):
-    """One block on points 1..n-1 and the n - 1 pairs joining point 0 to
-    it: every pair of the n points is covered once."""
-    return (tuple(range(1, n)),) + tuple((0, p) for p in range(1, n))
-
-
-FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
-NEAR_PENCIL = near_pencil(7)
-
 # For each shape field, two cliques (blocks, design m) that differ in that
-# field alone and whose shape-built record fields differ.  Blocks may have
-# any sizes: a hand-built blocklist need not be uniform.  Whether the blocks
-# all have m points is no field: where every other test of a design holds,
-# it holds iff the core sizes are {m} (the near-pencil tests below).
+# field alone and whose shape-built record fields differ.  Every block has m
+# points, so the pair sum k m(m-1) and m vary with no field alone.  No pair
+# differs in the core sizes alone: with no pair covered twice, a core that
+# carries a 2-design is a projective plane (its blocks meet pairwise), and
+# a clique with the same k, support and core has the same core sizes.
 ONE_FIELD_APART = {
-    # the Fano lines, three with a point of their own, against six of them,
-    # one with three points of its own: only the first core is 2-(7,3,1)
-    "k": ((((0, 1, 2, 7), (0, 3, 4, 8), (0, 5, 6, 9)) + FANO[3:], 3),
-          (FANO[:5] + ((2, 3, 6, 10, 11, 12),), 3)),
-    "support": ((((0, 1), (0, 2), (0, 1, 2, 3, 4)), 3),
-                (((0, 1, 2), (0, 1, 3), (0, 2, 4, 5)), 3)),
-    "core": ((((0, 1), (0, 1, 2), (0, 2, 3)), 3),
-             (((0, 1), (0, 2, 3), (1, 2, 3)), 3)),
-    "core sizes": ((FANO, 3), (NEAR_PENCIL, 3)),
+    # the Fano plane against six of its lines: each point still on two
+    "k": ((FANO, 3), (FANO[:6], 3)),
+    # cores of 4 points in supports of 5 and 6
+    "support": ((((0, 1, 3), (0, 3, 4), (2, 3, 4), (0, 1, 4)), 3),
+                (((0, 3, 5), (0, 3, 4), (2, 4, 5), (1, 4, 5)), 3)),
+    # supports of 5 points, cores of 4 and 3
+    "core": ((((0, 1, 3), (0, 1, 2), (2, 3, 4)), 3),
+             (((1, 2, 4), (0, 3, 4), (2, 3, 4)), 3)),
     # the Fano plane with a line swapped for a triple meeting three lines twice
     "twice": ((FANO, 3), (FANO[:6] + ((0, 1, 3),), 3)),
-    # a one-point block lets the pair counts alone decide the coverage
-    "pairs": ((((0,), (0, 1, 2, 3)), 2), (((0, 1), (0, 2, 3)), 2)),
-    "m": ((FANO, 3), (FANO, 2)),
 }
 
 
 def hand_built(blocks, m):
-    """A Design straight from integer blocks, of any sizes."""
+    """A Design straight from integer blocks of m points each."""
     blocks = tuple(sorted({tuple(sorted(blk)) for blk in blocks}))
     n = 1 + max(p for blk in blocks for p in blk)
     return Design(n, m, tuple(f"p{p}" for p in range(n)), blocks)
@@ -332,8 +383,6 @@ def reference_shape(design, members):
         "core": len(core),
         "core sizes": {len(blk & core) for blk in blocks},
         "twice": any(len(x & y) >= 2 for x, y in combinations(blocks, 2)),
-        "pairs": sum(len(blk) * (len(blk) - 1) for blk in blocks),
-        "m": design.m,
     }
 
 
@@ -354,8 +403,7 @@ def test_cliques_one_shape_field_apart(field):
 
 def reach_designs():
     """Every builtin, PG(3,2), AG(3,3), the random 3-uniform blocklists
-    (blocks may share two points) and the hand-built designs above (blocks
-    of unequal sizes)."""
+    (blocks may share two points) and the hand-built designs above."""
     yield from map(builtin_design, BUILTIN_NAMES)
     yield parse_design(point_line_blocklist("projective", 3, 2))
     yield parse_design(point_line_blocklist("affine", 3, 3))
@@ -396,20 +444,3 @@ def test_core_restriction_with_repeated_members():
             for given in (members, iter(members)):
                 with pytest.raises(ValueError, match="^repeated block index in clique$"):
                     helper(design, given)
-
-
-def test_subdesign_requires_blocks_of_size_m():
-    # the near-pencil on 7 points covers each pair once with b(7,3) = 7 blocks
-    verdict = subdesign_test(hand_built(NEAR_PENCIL, 3), range(7))
-    assert verdict.pair_coverage_ok and verdict.candidate_params.admissible
-    assert not verdict.is_design
-    assert subdesign_test(hand_built(FANO, 3), range(7)).is_design
-
-
-@pytest.mark.parametrize("n", range(3, 9))
-def test_near_pencil_cliques_match_references(n):
-    # every subset of a near-pencil's blocks is a clique, of blocks of two sizes
-    for m in range(2, n):
-        design = hand_built(near_pencil(n), m)
-        for members in powerset_cliques(build_block_graph(design)):
-            assert_public_functions_match(design, members)

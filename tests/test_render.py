@@ -28,7 +28,7 @@ from blockgraph import (
 )
 from blockgraph import report as report_module
 from blockgraph.cliques import CliqueCensus, CliqueRecord, CliqueShape
-from blockgraph.design import DesignParameters, admissibility, make_design, validate_2design
+from blockgraph.design import Design, DesignParameters, admissibility, validate_2design
 from blockgraph.report import (
     AnalysisReport,
     automorphism_section,
@@ -120,17 +120,15 @@ def plain_report(census):
 
 
 # AG(2,3) relabelled with points that json.dumps must escape; the name too.
-# Design files admit only blocklist tokens as labels, so these come in
-# through make_design, which takes any strings.
+# Design files and make_design admit only blocklist tokens as labels, so
+# the renderers' escaping is reached by a Design built field by field.
 ODD_LABELS = ('a"', "b\\", "é", "𝔽", "\t", " ", "p", "q", "r")
 
 
 @pytest.fixture(scope="module")
 def odd_design():
     plain = parse_design(point_line_blocklist("affine", 2, 3))
-    relabel = dict(zip(plain.labels, ODD_LABELS))
-    blocks = [[relabel[t] for t in plain.block_tokens(i)] for i in range(plain.b)]
-    return make_design(ODD_LABELS, blocks, name='q"\\é')
+    return Design(plain.n, plain.m, ODD_LABELS, plain.blocks, name='q"\\é')
 
 
 @pytest.mark.parametrize("name", ["main66", "appendixA66", "appendixB66"])
