@@ -444,3 +444,47 @@ def test_core_restriction_with_repeated_members():
             for given in (members, iter(members)):
                 with pytest.raises(ValueError, match="^repeated block index in clique$"):
                     helper(design, given)
+
+
+def near_pencil(n):
+    """One block on points 1..n-1 and the n - 1 pairs joining point 0 to
+    it: every pair of the n points is covered once."""
+    return (tuple(range(1, n)),) + tuple((0, p) for p in range(1, n))
+
+
+def near_pencil_design(n, blocks):
+    labels = [f"p{p}" for p in range(n)]
+    return make_design(labels, [[labels[p] for p in blk] for blk in blocks])
+
+
+def test_subdesign_requires_blocks_of_size_m():
+    # the near-pencil on 7 points covers each pair once with b(7,3) = 7
+    # blocks, but its blocks have two sizes, so no Design holds it and no
+    # clique of one gets a verdict; the Fano plane's 7 lines of 3 points do
+    with pytest.raises(ValueError, match=r"^blocks of unequal size: \[2, 6\]$"):
+        near_pencil_design(7, near_pencil(7))
+    text = "\n".join(" ".join(f"p{p}" for p in blk) for blk in near_pencil(7))
+    with pytest.raises(ValueError, match=r"^blocks of unequal size: \[2, 6\]$"):
+        parse_design(text)
+    assert subdesign_test(near_pencil_design(7, FANO), range(7)).is_design
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_near_pencil_cliques_match_references(n):
+    # past n = 3 a near-pencil's blocks have two sizes and no Design holds
+    # them; its blocks of m points, for each m, form one (the pencil of
+    # pairs through point 0, the long line, or at n = 3 the whole triangle),
+    # and every subset of them is a clique
+    if n > 3:
+        with pytest.raises(ValueError, match="^blocks of unequal size"):
+            near_pencil_design(n, near_pencil(n))
+    parts = 0
+    for m in range(2, n):
+        blocks = [blk for blk in near_pencil(n) if len(blk) == m]
+        if blocks:
+            design = near_pencil_design(n, blocks)
+            assert design.m == m
+            for members in powerset_cliques(build_block_graph(design)):
+                assert_public_functions_match(design, members)
+            parts += 1
+    assert parts == (1 if n == 3 else 2)
